@@ -60,29 +60,14 @@ class TypeIndexSet:
         return j
 
 
-def _offset_gap_rule(n: int, m: int) -> int:
-    # ceil((n+1)/(2m+1)) - (n+1)/(2m+1) <= m/(2m+1), in exact rationals
-    gap = 2 * m + 1
-    count = -(-(n + 1) // gap)
-    if Fraction(count) - Fraction(n + 1, gap) <= Fraction(m, gap):
-        return m
-    return n - (count - 1) * gap
-
-
-def _offset_bound_rule(n: int, m: int) -> int:
-    # Equivalent integer form: ceil((n+1)/(2m+1)) <= (m+n+1)/(2m+1)
-    gap = 2 * m + 1
-    count = -(-(n + 1) // gap)
-    if count * gap <= n + m + 1:
-        return m
-    return n - (count - 1) * gap
-
-
 def type_index_set(n: int, m: int) -> TypeIndexSet:
     _check_nm(n, m)
     gap = 2 * m + 1
     count = -(-(n + 1) // gap)
-    offset = _offset_gap_rule(n, m)
+    # The first member sits at m unless the last ball would then pass n,
+    # that is unless ceil((n+1)/(2m+1)) > (n+m+1)/(2m+1); the members are
+    # then shifted down to end at n.
+    offset = m if count * gap <= n + m + 1 else n - (count - 1) * gap
     members = tuple(offset + gap * k for k in range(count))
     return TypeIndexSet(n=n, m=m, offset=offset, members=members)
 

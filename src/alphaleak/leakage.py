@@ -5,8 +5,13 @@ The adversary model: a guess of X from Y is scored by the alpha-loss
 to the truth; log-loss at alpha = 1, probability of error at alpha = inf.
 The induced leakage of a joint equals the Arimoto mutual information; the
 leakage maximized over every function of X equals, for alpha > 1, the
-order-alpha channel capacity sup_P I^S_alpha(P, W), which this module
-solves with a certified multiplicative-update ascent.
+order-alpha channel capacity sup_P I^S_alpha(P, W).  This module solves
+it, and the reference-distribution minimization of an f-leakage, with the
+certified Newton / Frank-Wolfe descent `_minimize_on_simplex`, which the
+distribution-aware PUT of `put` shares.  A capacity is certified
+two-sidedly by the minimax identity C_alpha = min_Q max_x D_alpha(W_x || Q):
+I^S_alpha(P) at the returned input law P is a lower bound, and
+max_x D_alpha(W_x || Q_P) at its output law Q_P an upper bound.
 
 Leakage operations require alpha >= 1 (orders below 1 have no loss
 interpretation here and are rejected); the raw information measures in
@@ -26,13 +31,10 @@ from .measures import (
     FGenerator,
     arimoto_cond_entropy,
     arimoto_mi,
-    f_divergence,
-    renyi_divergence,
     sibson_mi,
     _shannon_mi_from_joint,
 )
 from .prob import (
-    Alphabet,
     AlphaOrder,
     Channel,
     Dist,
@@ -41,10 +43,142 @@ from .prob import (
     binary_channel,
     conditional_of,
     log_alpha_norm,
-    make_joint,
 )
 
-SUPPORT_PRUNE = 1e-14
+
+# --------------------------------------------------------------------------
+# Certified descent over the probability simplex, shared with `put`
+
+# A coordinate joins the support of the Newton step when its reduced cost
+# is within _SUPPORT_FACTOR Frank-Wolfe gaps of the smallest or when it
+# holds more than _SUPPORT_MASS of the mass.
+_SUPPORT_FACTOR = 10.0
+_SUPPORT_MASS = 1e-6
+
+
+def _relative_certificate(tol: float):
+    """`certify` for `_minimize_on_simplex`: the Frank-Wolfe gap itself,
+    accepted when it is at most tol * max(1, |F|)."""
+    return lambda val, fw: (fw, tol * max(1.0, abs(val)))
+
+
+def _support_newton_step(M, z, grad, dg, curv, gap):
+    """Newton direction on the support of z.  Coordinates off the support
+    give up their mass; on it the step d minimizes the model
+    g'.(M d) + |c^(1/2) M d|^2 / 2, c = g'', under sum(d) = 0, solved as
+    least squares over a basis of the zero-sum steps, which copes with a
+    singular Hessian and does not square the condition number as the KKT
+    system would.  A coordinate of negligible mass that the step drives
+    down leaves the support and the step is solved again."""
+    on = (grad - grad.min() <= _SUPPORT_FACTOR * gap) | (z > _SUPPORT_MASS)
+    root = np.sqrt(curv)
+    while True:
+        step = np.where(on, 0.0, -z)
+        idx = np.flatnonzero(on)
+        step[idx] = -step.sum() / idx.size
+        if idx.size > 1:
+            basis = M[:, idx[:-1]] - M[:, idx[-1:]]
+            target = root * (M @ step) + dg / root
+            w = np.linalg.lstsq(root[:, None] * basis, -target, rcond=None)[0]
+            step[idx[:-1]] += w
+            step[idx[-1]] -= w.sum()
+        blocked = on & (z <= _SUPPORT_MASS) & (step < 0.0)
+        if not blocked.any():
+            return step
+        on &= ~blocked
+
+
+def _minimize_on_simplex(M, value, derivatives, certify, max_iter: int, failure: str):
+    """Minimize the convex F(z) = sum_i g_i((M z)_i) over distributions z,
+    from the uniform one, with g_i smooth and convex on (0, inf).
+
+    `value(s)` is F at M z = s > 0 and `derivatives(s)` the pair
+    (g'(s), g''(s)), g'' > 0.  The gradient is M^T g'(M z).  The
+    Frank-Wolfe gap <grad F(z), z> - min grad F bounds F(z) - min F without
+    knowledge of the optimal support (Jaggi, ICML 2013); `certify(F, gap)`
+    maps it to (gap, limit), the certificate in the caller's units and the
+    bound that accepts it.  Each iteration takes a Newton step on the
+    support of z, or, when that does not help, a Frank-Wolfe step towards
+    the coordinate of least gradient.  Steps may empty coordinates exactly;
+    a point where the derivatives overflow counts as outside the domain.
+
+    Returns (z, F(z), gap, iterations) once gap <= limit.  When that is not
+    reached within `max_iter` iterations, or no step lowers F any more,
+    raises ConvergenceError with the gap reached as `residual` and the
+    iterations taken as `iterations`; its message starts with `failure`.
+    """
+
+    def objective(z):
+        s = M @ z
+        return value(s) if s.min() > 0.0 else math.inf
+
+    def derivs(z):
+        dg, curv = derivatives(M @ z)
+        grad = M.T @ dg
+        if not (np.isfinite(grad).all() and np.isfinite(curv).all()):
+            return None
+        return grad, dg, curv, float(z @ grad - grad.min())
+
+    def line_search(z, val, fw, step, newton):
+        """The point of least F along `step` among the lengths t, t/2, ...
+        from the longest feasible t, after the whole Newton step clipped
+        onto the simplex, which lets every coordinate it empties leave at
+        once.  F is convex along the step, so no Armijo slope is needed
+        (near a boundary where g' is unbounded it is too steep).  When no
+        length lowers F by more than rounding, as near the optimum, the
+        first Newton point is taken if it halves the Frank-Wolfe gap."""
+        shrink = np.flatnonzero(step < 0.0)
+        ratios = z[shrink] / -step[shrink]
+        t = min(1.0, float(ratios.min())) if shrink.size else 1.0
+        lengths = t * 0.5 ** np.arange(60)
+        if newton and t < 1.0:
+            lengths = np.concatenate(([1.0], lengths))
+        best = None
+        floor = val - 1e-15 * max(1.0, abs(val))
+        for k, length in enumerate(lengths):
+            cand = np.maximum(z + length * step, 0.0)
+            cand[shrink[ratios <= length]] = 0.0
+            cand /= cand.sum()
+            cand_val = objective(cand)
+            moved = derivs(cand) if cand_val < floor else None
+            if moved is not None:
+                best, floor = (cand, cand_val, moved), cand_val
+            elif best is not None:
+                return best
+            elif newton and k == 0 and math.isfinite(cand_val):
+                moved = derivs(cand)
+                if moved is not None and moved[3] <= fw / 2:
+                    return cand, cand_val, moved
+        return best
+
+    n = M.shape[1]
+    z = np.full(n, 1.0 / n)
+    val = objective(z)
+    grad, dg, curv, fw = derivs(z)
+    gap, limit = certify(val, fw)
+    iterations = 0
+    while not gap <= limit:  # a NaN gap certifies nothing
+        if iterations == max_iter:
+            break
+        iterations += 1
+        step = _support_newton_step(M, z, grad, dg, curv, fw)
+        moved = line_search(z, val, fw, step, True)
+        if moved is None:
+            # The Frank-Wolfe step is a descent direction whenever gap > 0.
+            step = -z
+            step[np.argmin(grad)] += 1.0
+            moved = line_search(z, val, fw, step, False)
+        if moved is None:
+            break
+        z, val, (grad, dg, curv, fw) = moved
+        gap, limit = certify(val, fw)
+    else:
+        return z, val, gap, iterations
+    raise ConvergenceError(
+        f"{failure} {gap:.3e} above {limit:.3e} after {iterations} iterations",
+        residual=gap,
+        iterations=iterations,
+    )
 
 
 @dataclass(frozen=True)
@@ -52,11 +186,12 @@ class CapacityResult:
     """Certified solution of sup over input distributions of the Sibson
     mutual information of order alpha.
 
-    `kkt_residual` is the equalization gap of the per-input certificate
-    quantities g_x = sum_y W(y|x)^alpha Q*(y)^(1-alpha), normalized by
-    their input-weighted average so the tolerance is meaningful at every
-    alpha: at the optimum the normalized g_x are 1 on the support of the
-    optimal input and at most 1 elsewhere.
+    `kkt_residual` is the measured gap upper - lower in nats between the
+    two bounds on the capacity: lower = I^S_alpha(P) at `optimal_input` P
+    (which is `value`), upper = max_x D_alpha(W_x || Q) at `target_output`
+    Q, the output law attaining I^S_alpha(P).  The capacity lies in
+    [value, value + kkt_residual].  The closed-form alpha = 1 and
+    alpha = inf paths carry 0.
     """
 
     value: float
@@ -155,19 +290,6 @@ def _log_rows(W: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lse(a: np.ndarray, axis: int | None = None):
-    """Max-factored logsumexp. scipy's has per-call overhead that dominates
-    the capacity solver's inner loop on small alphabets."""
-    m = np.max(a, axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(invalid="ignore"):
-        out = np.log(np.exp(a - shift).sum(axis=axis, keepdims=True)) + shift
-    out = np.where(np.isfinite(m), out, m)
-    if axis is None:
-        return float(out.reshape(()))
-    return np.squeeze(out, axis=axis)
-
-
 def maximal_alpha_leakage(
     channel: Channel,
     order,
@@ -178,20 +300,16 @@ def maximal_alpha_leakage(
     """Maximal alpha-leakage of a channel.
 
     alpha > 1: the order-alpha capacity sup_P I^S_alpha(P, W), found by
-    maximizing the concave F(P) = sum_y (sum_x P(x) W(y|x)^alpha)^(1/alpha)
-    with multiplicative updates proportional to exp(D_alpha(W_x || Q)),
-    halving the step on non-improvement.  The returned certificate is the
-    g_x-equalization residual (see CapacityResult); non-convergence after
-    `max_iter` returns the best iterate with the residual left above `tol`
-    rather than raising.
+    maximizing the concave S(P) = sum_y (sum_x P(x) W(y|x)^alpha)^(1/alpha)
+    with `_minimize_on_simplex`.  The solve stops once the measured
+    gap upper - lower (see CapacityResult) is at most `tol` nats, in
+    absolute terms; when it cannot get there within `max_iter` iterations,
+    ConvergenceError is raised with that gap as `residual` and the
+    iterations taken as `iterations`.
 
     alpha = 1: Shannon mutual information at `prior_for_one`, which is
     required (the alpha = 1 value depends on the actual input law, not
     just its support).  alpha = inf: closed form log sum_y max_x W(y|x).
-
-    Inputs with mass below 1e-14 after convergence are zeroed and the
-    distribution renormalized before the final certificate evaluation,
-    since multiplicative updates approach the boundary without reaching it.
     """
     order = as_order(order).require_at_least_one("maximal_alpha_leakage")
     in_alpha, out_alpha = channel.input_alphabet, channel.output_alphabet
@@ -218,130 +336,41 @@ def maximal_alpha_leakage(
         )
 
     a = order.value
-    n_in = len(in_alpha)
-    # Outputs no input can reach contribute nothing; drop them so the
-    # certificate arithmetic never mixes -inf powers of Q with -inf of W.
+    # Outputs no input can reach contribute nothing and are dropped.  With
+    # t = M P, M = ((W / colmax)^a)^T, the Sibson sum is
+    # S(P) = sum_y colmax_y t_y^(1/a) and I^S_a(P) = a/(a-1) log S(P); the
+    # solver minimizes the convex F = -S.
     reachable = W.sum(axis=0) > 0
-    log_wa = a * _log_rows(W[:, reachable])
-    logp = np.full(n_in, -math.log(n_in))
-    step0 = 1.0 / (a - 1.0)
-    mass_floor = max(tol, 1e-12)
-    active_cut = 1e-8
-    newton_from = 1e-3
+    colmax = W[:, reachable].max(axis=0)
+    M = np.power(W[:, reachable] / colmax, a).T
 
-    def stats(logp):
-        log_ay = _lse(logp[:, None] + log_wa, axis=0)
-        log_f = _lse(log_ay / a)
-        log_q = log_ay / a - log_f
-        log_g = _lse(log_wa + (1.0 - a) * log_q[None, :], axis=1)
-        return log_f, log_q, log_g
+    def value(t):
+        return -float(colmax @ t ** (1.0 / a))
 
-    def normalized_g(logp, log_g):
-        live = logp > -np.inf
-        log_avg = _lse(logp[live] + log_g[live])
-        return np.exp(log_g - log_avg)
+    def derivatives(t):
+        root = colmax * t ** (1.0 / a)
+        return -root / (a * t), (a - 1.0) / (a * a) * root / (t * t)
 
-    def cert_residual(logp, g_norm):
-        return float(g_norm.max() - g_norm[np.exp(logp) > mass_floor].min())
+    def certify(val, fw_gap):
+        # max_x D_a(W_x || Q_P) - I^S_a(P) = log(min grad F / <grad F, P>) / (a-1),
+        # and <grad F, P> = F / a.
+        return math.log1p(-a * fw_gap / val) / (a - 1.0), tol
 
-    log_f, log_q, log_g = stats(logp)
-    residual = math.inf
-    iterations = 0
-    step = step0
-    for iterations in range(1, max_iter + 1):
-        p = np.exp(logp)
-        g_norm = normalized_g(logp, log_g)
-        residual = cert_residual(logp, g_norm)
-        if residual <= tol:
-            break
-
-        active = p > active_cut
-        spread = float(g_norm[active].max() - g_norm[active].min())
-
-        # A pruned input whose certificate value exceeds the support level
-        # must carry mass after all; reintroduce it (wrong prunes are rare
-        # but would otherwise block the certificate forever).
-        dead = p == 0.0
-        if np.any(dead) and g_norm[dead].max() > 1.0 + max(spread, tol):
-            logp[dead & (g_norm > 1.0 + max(spread, tol))] = math.log(1e-3)
-            logp = logp - _lse(logp)
-            log_f, log_q, log_g = stats(logp)
-            continue
-
-        # Hard prune: a tiny mass whose certificate value is strictly
-        # dominated belongs off-support; multiplicative decay alone would
-        # take it below the certificate floor only geometrically slowly.
-        dying = (~active) & (p > 0.0) & (g_norm < 1.0 - 4.0 * max(spread, tol))
-        if spread <= newton_from and np.any(dying):
-            cand = logp.copy()
-            cand[dying] = -np.inf
-            cand -= _lse(cand)
-            cand_stats = stats(cand)
-            cand_gn = normalized_g(cand, cand_stats[2])
-            if cert_residual(cand, cand_gn) <= residual:
-                logp, (log_f, log_q, log_g) = cand, cand_stats
-                continue
-
-        # Terminal phase: Newton on the g-equalization system over the
-        # active inputs.  The ascent's F comparisons bottom out at float
-        # resolution well above a 1e-10 certificate; Newton, accepted on
-        # residual decrease, converges quadratically from spread ~ 1e-3.
-        if spread <= newton_from and active.sum() > 1:
-            sidx = np.flatnonzero(active)
-            r0 = np.log(g_norm[sidx])
-            jac = np.empty((len(sidx), len(sidx)))
-            fd = 1e-7
-            for j, xj in enumerate(sidx):
-                pert = logp.copy()
-                pert[xj] += fd
-                pert -= _lse(pert)
-                _, _, pert_g = stats(pert)
-                jac[:, j] = (np.log(normalized_g(pert, pert_g)[sidx]) - r0) / fd
-            delta, *_ = np.linalg.lstsq(jac, -r0, rcond=None)
-            metric = float(g_norm.max() - g_norm[sidx].min())
-            scale = 1.0
-            accepted = False
-            for _ in range(20):
-                cand = logp.copy()
-                cand[sidx] += scale * delta
-                cand -= _lse(cand)
-                cand_stats = stats(cand)
-                cand_gn = normalized_g(cand, cand_stats[2])
-                if float(cand_gn.max() - cand_gn[sidx].min()) < metric:
-                    logp, (log_f, log_q, log_g) = cand, cand_stats
-                    accepted = True
-                    break
-                scale *= 0.5
-            if accepted:
-                continue
-
-        # Multiplicative ascent step, halving on non-improvement of F.
-        for _ in range(60):
-            cand = logp + step * (log_g - log_g.max())
-            cand -= _lse(cand)
-            cand_f, cand_q, cand_g = stats(cand)
-            if cand_f >= log_f - 1e-15:
-                break
-            step *= 0.5
-        logp, log_f, log_q, log_g = cand, cand_f, cand_q, cand_g
-        step = min(step * 1.5, 64.0 * step0)
-
-    p = np.exp(logp - _lse(logp))
-    p[p < SUPPORT_PRUNE] = 0.0
-    p /= p.sum()
-    with np.errstate(divide="ignore"):
-        logp = np.log(p)
-    log_f, log_q, log_g = stats(logp)
-    g_norm = normalized_g(logp, log_g)
-    residual = cert_residual(logp, g_norm)
-    value = float(a / (a - 1.0) * log_f)
-    q_full = np.zeros(len(out_alpha))
-    q_full[reachable] = np.exp(log_q)
-    return CapacityResult(
+    p, val, gap, iterations = _minimize_on_simplex(
+        M,
         value,
+        derivatives,
+        certify,
+        max_iter,
+        "input-distribution ascent did not reach tolerance: capacity gap (upper - lower)",
+    )
+    q = np.zeros(len(out_alpha))
+    q[reachable] = colmax * (M @ p) ** (1.0 / a)
+    return CapacityResult(
+        a / (a - 1.0) * math.log(-val),
         Dist(in_alpha, p),
-        Dist(out_alpha, q_full / q_full.sum()),
-        residual,
+        Dist(out_alpha, q / q.sum()),
+        gap,
         iterations,
     )
 
@@ -417,47 +446,36 @@ def _min_fdiv_over_reference(
 ) -> tuple[float, np.ndarray]:
     """Minimize sum_x px[x] D_f(W_x || Q) over output distributions Q.
 
-    Convex in Q; solved by mirror descent with multiplicative updates.  The
-    stationarity certificate is the gap between the largest in-support
-    directional derivative and the smallest one anywhere (zero exactly at
-    KKT points of the simplex-constrained minimum).
+    The objective sum_y g_y(Q(y)), g_y(q) = sum_x px[x] q f(W_xy / q), is
+    convex in Q and minimized by `_minimize_on_simplex` with the
+    identity for M, certified by the Frank-Wolfe gap.  Outputs that no
+    input of positive probability reaches get no mass: their derivative
+    f(0) is at least that of every other output.
     """
-    n_out = W.shape[1]
-    q = np.full(n_out, 1.0 / n_out)
-    support = px > 0
+    reach = px @ W > 0
+    P, W_reach = px[:, None], W[:, reach]
 
-    def objective(q):
-        ratios = W[support] / q[None, :]
-        per_x = (q[None, :] * gen.f(ratios)).sum(axis=1)
-        return float(px[support] @ per_x)
+    def value(q):
+        return float((P * q * gen.f(W_reach / q)).sum())
 
-    def gradient(q):
-        ratios = W[support] / q[None, :]
-        contrib = gen.f(ratios) - ratios * gen.fprime(np.maximum(ratios, 1e-300))
-        return px[support] @ contrib
+    def derivatives(q):
+        ratios = W_reach / q
+        safe = np.where(ratios > 0, ratios, 1.0)
+        slope = gen.f(ratios) - ratios * gen.fprime(safe)
+        curv = ratios * ratios * gen.fsecond(safe) / q
+        return (P * slope).sum(axis=0), (P * curv).sum(axis=0)
 
-    val = objective(q)
-    for iteration in range(1, max_iter + 1):
-        grad = gradient(q)
-        lam = float(q @ grad)
-        scale = max(1.0, float(np.abs(grad).max()))
-        residual = float(grad[q > max(tol, 1e-12)].max() - grad.min()) / scale
-        if residual <= tol:
-            return val, q
-        eta = 1.0
-        for _ in range(60):
-            cand = q * np.exp(-eta * (grad - lam) / scale)
-            cand /= cand.sum()
-            cand_val = objective(cand)
-            if cand_val <= val + 1e-15:
-                break
-            eta *= 0.5
-        q, val = cand, cand_val
-    raise ConvergenceError(
-        "reference-distribution minimization did not reach tolerance",
-        residual=residual,
-        iterations=max_iter,
+    q_reach, val, _, _ = _minimize_on_simplex(
+        np.eye(int(reach.sum())),
+        value,
+        derivatives,
+        _relative_certificate(tol),
+        max_iter,
+        "reference-distribution descent did not reach tolerance: Frank-Wolfe gap",
     )
+    q = np.zeros(W.shape[1])
+    q[reach] = q_reach
+    return val, q
 
 
 def f_leakage(joint: Joint, gen: FGenerator, tol: float = 1e-10, max_iter: int = 50_000) -> tuple[float, Dist]:
@@ -467,7 +485,7 @@ def f_leakage(joint: Joint, gen: FGenerator, tol: float = 1e-10, max_iter: int =
     The KL generator short-circuits to Shannon mutual information with the
     output marginal as minimizer; Hellinger of order alpha short-circuits
     through the Sibson closed form and the monotone bijection between the
-    two divergences.  Custom generators run the mirror-descent minimizer.
+    two divergences.  Custom generators run `_min_fdiv_over_reference`.
     """
     prior, channel, _ = conditional_of(joint)
     out_alpha = joint.col_alphabet
@@ -517,8 +535,8 @@ def maximal_f_leakage(
                 g = np.where(W > 0, W * (log_w - np.log(q)[None, :]), 0.0).sum(axis=1)
             return q, g
         _, q = _min_fdiv_over_reference(p, W, gen, tol / 10.0, max_iter)
-        ratios = W / q[None, :]
-        g = (q[None, :] * gen.f(ratios)).sum(axis=1)
+        pos = q > 0
+        g = (q[pos] * gen.f(W[:, pos] / q[pos])).sum(axis=1)
         return q, g
 
     best = -math.inf

@@ -29,6 +29,7 @@ from .errors import ValidationError
 from .prob import AlphaOrder, Channel, Dist, Joint, as_order, log_alpha_norm
 
 _LN2 = math.log(2.0)
+_CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
 class LogBase(enum.Enum):
@@ -212,7 +213,9 @@ class FGenerator:
             a = self.alpha
             out = a * np.power(t, a - 1.0) / (a - 1.0)
         else:
-            h = np.maximum(1e-7 * np.abs(t), 1e-9)
+            # eps^(1/3) balances the O(h^2) truncation error of the central
+            # difference against the O(eps / h) rounding error.
+            h = _CBRT_EPS * np.maximum(np.abs(t), 1e-6)
             out = (self.f(t + h) - self.f(np.maximum(t - h, 0.0))) / (h + np.minimum(t, h))
         return out if out.ndim else float(out)
 

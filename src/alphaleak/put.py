@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import ConvergenceError, IncompatibleGeneratorError, ValidationError
-from .leakage import binary_maximal_alpha_leakage
+from .leakage import _minimize_on_simplex, _relative_certificate, binary_maximal_alpha_leakage
 from .lp import covering_game
 from .measures import FGenerator, kl_generator
 from .prob import Alphabet, Channel, Dist, Joint, as_order
@@ -208,62 +208,27 @@ def put_max_f_leakage(
     return value, solution
 
 
-# An output joins the support of the Newton step when its reduced cost is
-# within _SUPPORT_FACTOR Frank-Wolfe gaps of the smallest or when it holds
-# more than _SUPPORT_MASS of the mass.
-_SUPPORT_FACTOR = 10.0
-_SUPPORT_MASS = 1e-6
-
-
-def _support_newton_step(A, q, grad, dphi, curv, gap):
-    """Newton direction for the aware-PUT objective on the support.
-
-    With u = P_X phi'(A q) and c = P_X phi''(A q) the gradient is A^T u and
-    the Hessian A^T diag(c) A.  Outputs off the support give up their mass;
-    the step d on the support minimizes the second-order model
-    u.(A d) + |c^(1/2) A d|^2 / 2 under sum(d) = 0, written as the linear
-    least-squares problem |c^(1/2) A d + u / c^(1/2)|^2 over a basis of
-    the zero-sum steps.  Least squares copes with the singular Hessian of
-    outputs the balls do not separate, and avoids squaring the condition
-    number as the KKT system would.  An output of negligible mass that the
-    step drives down leaves the support and the step is solved again.
+def _aware_problem(prior: Dist, spec: DistortionSpec, gen: FGenerator):
+    """The aware-PUT objective F = f(0) + sum_x P_X(x) phi(m_x),
+    phi(m) = m (f(1/m) - f(0)), of the ball masses m = A Q, with A the ball
+    matrix of the inputs of positive probability (the others contribute
+    nothing).  Returns A, F and the derivatives (P_X phi'(m), P_X phi''(m)).
     """
-    on = (grad - grad.min() <= _SUPPORT_FACTOR * gap) | (q > _SUPPORT_MASS)
-    root = np.sqrt(curv)
-    while True:
-        step = np.where(on, 0.0, -q)
-        idx = np.flatnonzero(on)
-        step[idx] = -step.sum() / idx.size
-        if idx.size > 1:
-            basis = A[:, idx[:-1]] - A[:, idx[-1:]]
-            target = root * (A @ step) + dphi / root
-            z = np.linalg.lstsq(root[:, None] * basis, -target, rcond=None)[0]
-            step[idx[:-1]] += z
-            step[idx[-1]] -= z.sum()
-        blocked = on & (q <= _SUPPORT_MASS) & (step < 0.0)
-        if not blocked.any():
-            return step
-        on &= ~blocked
-
-
-def _aware_balls(prior: Dist, spec: DistortionSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Ball matrix and probabilities of the inputs of positive probability;
-    the others contribute nothing to the aware-PUT objective."""
     if prior.alphabet != spec.input_alphabet:
         raise ValidationError("prior alphabet does not match the distortion input alphabet")
     live = prior.p > 0
-    return spec.ball_mask[live].astype(float), prior.p[live]
+    A, px = spec.ball_mask[live].astype(float), prior.p[live]
+    f0 = gen.f_at_zero
 
+    def value(masses):
+        with np.errstate(over="ignore"):
+            return float(f0 + px @ (masses * (gen.f(1.0 / masses) - f0)))
 
-def _aware_derivatives(A, px, gen, q):
-    """Gradient A^T u, u = P_X phi'(A q), the weights c = P_X phi''(A q) of
-    the Hessian A^T diag(c) A, and the Frank-Wolfe gap <grad, q> - min grad,
-    an upper bound on the suboptimality of q."""
-    inv = 1.0 / (A @ q)
-    dphi = px * (gen.f(inv) - inv * gen.fprime(inv) - gen.f_at_zero)
-    curv = px * gen.fsecond(inv) * inv**3
-    grad = A.T @ dphi
-    return grad, dphi, curv, float(q @ grad - grad.min())
+    def derivatives(masses):
+        inv = 1.0 / masses
+        return px * (gen.f(inv) - inv * gen.fprime(inv) - f0), px * gen.fsecond(inv) * inv**3
+
+    return A, value, derivatives
 
 
 def put_f_leakage(
@@ -276,19 +241,11 @@ def put_f_leakage(
     """Distribution-aware PUT: minimize over output distributions Q the
     expectation f(0) + E[ Q(B_D(X)) (f(1/Q(B_D(X))) - f(0)) ].
 
-    The objective F is convex in Q (a perspective composition).  Each
-    iteration takes a Newton step on the support of Q: outputs whose
-    reduced cost is within a few Frank-Wolfe gaps of the smallest, or that
-    hold mass, with the Hessian A^T diag(P_X phi''(A Q)) A of
-    phi(m) = m (f(1/m) - f(0)) (f'' in closed form for KL and Hellinger, by
-    central differences for custom generators).  The longest feasible
-    step is backtracked until F falls, or taken when it halves the gap;
-    when no Newton step helps, a Frank-Wolfe step towards the output of
-    least gradient is taken instead.  Steps may empty outputs exactly.
-
-    The returned Q is certified by its Frank-Wolfe gap
-    <grad F(Q), Q> - min_y dF/dQ(y), an upper bound on value - optimum
-    that needs no knowledge of the optimal support:
+    The objective F is convex in Q (a perspective composition) and is
+    minimized by `leakage._minimize_on_simplex` (f'' in closed form for KL
+    and Hellinger, by central differences for custom generators).  The
+    returned Q is certified by its Frank-Wolfe gap
+    <grad F(Q), Q> - min_y dF/dQ(y), an upper bound on value - optimum:
 
         value - optimum <= gap <= tol * max(1, |value|).
 
@@ -297,70 +254,16 @@ def put_f_leakage(
     reached as `residual` and the iterations taken as `iterations`.
     """
     _require_compatible(gen)
-    A, px = _aware_balls(prior, spec)
-    f0 = gen.f_at_zero
-
-    def objective(q):
-        masses = A @ q
-        if masses.min() <= 0.0:
-            return math.inf
-        with np.errstate(over="ignore"):
-            return float(f0 + px @ (masses * (gen.f(1.0 / masses) - f0)))
-
-    def line_search(q, val, gap, step, slope, newton):
-        """Backtrack from the longest feasible step along `step` until the
-        objective falls, by more than rounding, by the Armijo fraction of
-        `slope`.  The longest Newton step is also taken when it halves the
-        Frank-Wolfe gap: close to the optimum the objective changes less
-        than its rounding.  Outputs the step empties get exactly zero mass.
-        Returns (Q, value, derivatives), or None when no step length helps."""
-        shrink = step < 0.0
-        ratios = q[shrink] / -step[shrink]
-        t = min(1.0, float(ratios.min())) if shrink.any() else 1.0
-        noise = 1e-15 * max(1.0, abs(val))
-        for _ in range(60):
-            cand = np.maximum(q + t * step, 0.0)
-            cand[np.flatnonzero(shrink)[ratios <= t]] = 0.0
-            cand /= cand.sum()
-            cand_val = objective(cand)
-            if cand_val < val - noise and cand_val <= val + 1e-4 * t * slope:
-                return cand, cand_val, _aware_derivatives(A, px, gen, cand)
-            if newton and math.isfinite(cand_val):
-                derivs = _aware_derivatives(A, px, gen, cand)
-                if derivs[3] <= gap / 2:
-                    return cand, cand_val, derivs
-            newton = False
-            t *= 0.5
-        return None
-
-    n_out = A.shape[1]
-    q = np.full(n_out, 1.0 / n_out)
-    val = objective(q)
-    grad, dphi, curv, gap = _aware_derivatives(A, px, gen, q)
-    iterations = 0
-    while gap > tol * max(1.0, abs(val)):
-        if iterations == max_iter:
-            break
-        iterations += 1
-        step = _support_newton_step(A, q, grad, dphi, curv, gap)
-        moved = line_search(q, val, gap, step, float(grad @ step), True)
-        if moved is None:
-            # Frank-Wolfe step towards the output of least gradient, a
-            # descent direction whenever the gap is positive.
-            step = -q
-            step[np.argmin(grad)] += 1.0
-            moved = line_search(q, val, gap, step, -gap, False)
-        if moved is None:
-            break
-        q, val, (grad, dphi, curv, gap) = moved
-    else:
-        return val, Dist(spec.output_alphabet, q)
-    raise ConvergenceError(
-        f"output-distribution descent did not reach tolerance: Frank-Wolfe gap {gap:.3e} "
-        f"above {tol:.3e} x max(1, |value|) after {iterations} iterations",
-        residual=gap,
-        iterations=iterations,
+    A, value, derivatives = _aware_problem(prior, spec, gen)
+    q, val, _, _ = _minimize_on_simplex(
+        A,
+        value,
+        derivatives,
+        _relative_certificate(tol),
+        max_iter,
+        "output-distribution descent did not reach tolerance: Frank-Wolfe gap",
     )
+    return val, Dist(spec.output_alphabet, q)
 
 
 def put_max_alpha_leakage(
@@ -386,7 +289,8 @@ def put_max_alpha_leakage(
         kl = kl_generator()
         value, target = put_f_leakage(prior_for_one, spec, kl, tol)
         q = target.p
-        gap = _aware_derivatives(*_aware_balls(prior_for_one, spec), kl, q)[3]
+        live_balls, _, derivatives = _aware_problem(prior_for_one, spec, kl)
+        grad = live_balls.T @ derivatives(live_balls @ q)[0]
         A = spec.ball_mask.astype(float)
         masses = A @ q
         # Q serves the inputs of positive probability only; an input of zero
@@ -400,7 +304,7 @@ def put_max_alpha_leakage(
             target_output=target,
             value=value,
             dual_certificate=None,
-            duality_gap=gap,
+            duality_gap=float(q @ grad - grad.min()),
         )
         return value, solution
     sol = q_star(balls, len(spec.output_alphabet), tol)

@@ -6,6 +6,7 @@ import pytest
 from alphaleak import (
     Alphabet,
     Channel,
+    ConvergenceError,
     Dist,
     Joint,
     ValidationError,
@@ -29,6 +30,7 @@ from alphaleak import (
     strategy_for,
 )
 from util import (
+    capacity_gap,
     expected_alpha_loss_of,
     maximize_over_simplex,
     random_channel,
@@ -232,6 +234,30 @@ class TestMaximalAlphaLeakage:
             assert g[support].max() - g[support].min() <= 1e-8
             assert g.max() <= g[support].min() + 1e-8  # support dominates
 
+    def test_certificate_is_the_measured_two_sided_gap(self):
+        # kkt_residual is max_x D_a(W_x || Q) - I^S_a(P) at the returned
+        # laws, recomputed here by direct summation, and is within tol; on
+        # dense 64x64 channels, channels with zero entries, and channels
+        # with outputs no input reaches
+        rng = np.random.default_rng(26)
+        for n_in, n_out, zero_share, dead_outputs in (
+            (64, 64, 0.0, 0),
+            (8, 10, 0.4, 0),
+            (9, 7, 0.3, 2),
+            (5, 6, 0.0, 1),
+        ):
+            W = rng.dirichlet(np.ones(n_out), size=n_in)
+            W[rng.random(W.shape) < zero_share] = 0.0
+            W[:, :dead_outputs] = 0.0
+            W[W.sum(axis=1) == 0.0, -1] = 1.0
+            W /= W.sum(axis=1, keepdims=True)
+            ch = Channel(Alphabet.of_size(n_in, "x"), Alphabet.of_size(n_out, "y"), W)
+            for a in (1.05, 1.5, 4.0, 20.0):
+                res = maximal_alpha_leakage(ch, a, tol=1e-10)
+                gap = capacity_gap(W, a, res.optimal_input.p, res.target_output.p)
+                assert res.kkt_residual == pytest.approx(gap, abs=1e-12)
+                assert res.kkt_residual <= 1e-10
+
     def test_alpha_one_needs_prior(self):
         with pytest.raises(ValidationError):
             maximal_alpha_leakage(binary_channel(0.1, 0.1), 1.0)
@@ -248,10 +274,11 @@ class TestMaximalAlphaLeakage:
         assert res.value == pytest.approx(maximal_leakage(ch), abs=1e-15)
         assert res.kkt_residual == 0.0
 
-    def test_nonconvergence_returns_flagged_iterate(self):
-        res = maximal_alpha_leakage(binary_channel(0.3, 0.1), 2.0, tol=1e-16, max_iter=2)
-        assert res.iterations == 2
-        assert res.kkt_residual > 1e-16  # flag left up, no exception
+    def test_nonconvergence_raises_with_the_gap(self):
+        with pytest.raises(ConvergenceError, match="capacity gap") as info:
+            maximal_alpha_leakage(binary_channel(0.3, 0.1), 2.0, tol=1e-16, max_iter=2)
+        assert info.value.iterations == 2
+        assert info.value.residual > 1e-16
 
 
 class TestBinaryClosedForm:

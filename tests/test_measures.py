@@ -237,6 +237,15 @@ class TestFGenerator:
         custom = custom_generator(lambda s: (s**2.5 - 1.0) / 1.5, -1.0 / 1.5, math.inf)
         assert np.allclose(custom.fsecond(t), hellinger_generator(2.5).fsecond(t), rtol=1e-6, atol=0.0)
 
+    def test_custom_first_derivative(self):
+        # the central difference of a custom t log t against log t + 1;
+        # a step of 1e-7 t leaves rounding errors of ~2e-9 here
+        custom = custom_generator(lambda s: s * math.log(s) if s > 0 else 0.0, 0.0, math.inf)
+        t = np.exp(np.linspace(-8.0, 8.0, 2001))
+        exact = np.log(t) + 1.0
+        err = np.abs(custom.fprime(t) - exact) / np.maximum(1.0, np.abs(exact))
+        assert err.max() <= 1e-10
+
     def test_hellinger_renyi_bridge(self):
         # D_alpha = log(1 + (alpha-1) H_alpha) / (alpha-1), two code paths
         rng = np.random.default_rng(11)

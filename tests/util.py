@@ -83,6 +83,21 @@ def aware_put_gap(ball_mask: np.ndarray, prior: np.ndarray, q: np.ndarray, alpha
     return float(q @ grad - grad.min())
 
 
+def capacity_gap(W: np.ndarray, a: float, p: np.ndarray, q: np.ndarray) -> float:
+    """upper - lower for the order-a capacity of channel W (a > 1): the
+    lower bound I^S_a(P) = a/(a-1) log sum_y (sum_x P(x) W(y|x)^a)^(1/a) at
+    the input law P, and the upper bound max_x D_a(W_x || Q) at the output
+    law Q, from the minimax identity C_a = min_Q max_x D_a(W_x || Q).
+    Summed directly, without logsumexp; terms with W(y|x) = 0 are dropped.
+    """
+    powered = W**a
+    lower = a / (a - 1.0) * math.log(((p @ powered) ** (1.0 / a)).sum())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(W > 0, powered * q[None, :] ** (1.0 - a), 0.0)
+    upper = float(np.log(terms.sum(axis=1)).max()) / (a - 1.0)
+    return upper - lower
+
+
 def expected_alpha_loss_of(joint_m: np.ndarray, strategies: np.ndarray, alpha) -> np.ndarray:
     """E[alpha-loss] for a batch of strategies.
 

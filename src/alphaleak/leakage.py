@@ -54,6 +54,9 @@ from .prob import (
 # holds more than _SUPPORT_MASS of the mass.
 _SUPPORT_FACTOR = 10.0
 _SUPPORT_MASS = 1e-6
+# Newton leaves out directions of singular value below _FLAT times the
+# largest (near-duplicate inputs): F is flat along them in double precision.
+_FLAT = 1e-12
 
 
 def _relative_certificate(tol: float):
@@ -79,7 +82,7 @@ def _support_newton_step(M, z, grad, dg, curv, gap):
         if idx.size > 1:
             basis = M[:, idx[:-1]] - M[:, idx[-1:]]
             target = root * (M @ step) + dg / root
-            w = np.linalg.lstsq(root[:, None] * basis, -target, rcond=None)[0]
+            w = np.linalg.lstsq(root[:, None] * basis, -target, rcond=_FLAT)[0]
             step[idx[:-1]] += w
             step[idx[-1]] -= w.sum()
         blocked = on & (z <= _SUPPORT_MASS) & (step < 0.0)
@@ -90,10 +93,8 @@ def _support_newton_step(M, z, grad, dg, curv, gap):
 
 def _minimize_on_simplex(M, value, derivatives, certify, max_iter: int, failure: str):
     """Minimize the convex F(z) = sum_i g_i((M z)_i) over distributions z,
-    from the uniform one, with g_i smooth and convex on (0, inf).
-
-    `value(s)` is F at M z = s > 0 and `derivatives(s)` the pair
-    (g'(s), g''(s)), g'' > 0.  The gradient is M^T g'(M z).  The
+    from the uniform one.  `value(s)` is F at M z = s > 0, `derivatives(s)`
+    the pair (g'(s), g''(s)), g'' > 0; the gradient is M^T g'(M z).  The
     Frank-Wolfe gap <grad F(z), z> - min grad F bounds F(z) - min F without
     knowledge of the optimal support (Jaggi, ICML 2013); `certify(F, gap)`
     maps it to (gap, limit), the certificate in the caller's units and the
@@ -119,14 +120,15 @@ def _minimize_on_simplex(M, value, derivatives, certify, max_iter: int, failure:
             return None
         return grad, dg, curv, float(z @ grad - grad.min())
 
-    def line_search(z, val, fw, step, newton):
+    def line_search(z, val, least_fw, step, newton):
         """The point of least F along `step` among the lengths t, t/2, ...
         from the longest feasible t, after the whole Newton step clipped
         onto the simplex, which lets every coordinate it empties leave at
         once.  F is convex along the step, so no Armijo slope is needed
         (near a boundary where g' is unbounded it is too steep).  When no
         length lowers F by more than rounding, as near the optimum, the
-        first Newton point is taken if it halves the Frank-Wolfe gap."""
+        first Newton point is taken if it halves the least Frank-Wolfe gap
+        so far (not the current one, which a step lowering F may raise)."""
         shrink = np.flatnonzero(step < 0.0)
         ratios = z[shrink] / -step[shrink]
         t = min(1.0, float(ratios.min())) if shrink.size else 1.0
@@ -147,7 +149,7 @@ def _minimize_on_simplex(M, value, derivatives, certify, max_iter: int, failure:
                 return best
             elif newton and k == 0 and math.isfinite(cand_val):
                 moved = derivs(cand)
-                if moved is not None and moved[3] <= fw / 2:
+                if moved is not None and moved[3] <= least_fw / 2:
                     return cand, cand_val, moved
         return best
 
@@ -156,22 +158,24 @@ def _minimize_on_simplex(M, value, derivatives, certify, max_iter: int, failure:
     val = objective(z)
     grad, dg, curv, fw = derivs(z)
     gap, limit = certify(val, fw)
+    least_fw = fw
     iterations = 0
     while not gap <= limit:  # a NaN gap certifies nothing
         if iterations == max_iter:
             break
         iterations += 1
         step = _support_newton_step(M, z, grad, dg, curv, fw)
-        moved = line_search(z, val, fw, step, True)
+        moved = line_search(z, val, least_fw, step, True)
         if moved is None:
             # The Frank-Wolfe step is a descent direction whenever gap > 0.
             step = -z
             step[np.argmin(grad)] += 1.0
-            moved = line_search(z, val, fw, step, False)
+            moved = line_search(z, val, least_fw, step, False)
         if moved is None:
             break
         z, val, (grad, dg, curv, fw) = moved
         gap, limit = certify(val, fw)
+        least_fw = min(least_fw, fw)
     else:
         return z, val, gap, iterations
     raise ConvergenceError(
@@ -301,9 +305,8 @@ def maximal_alpha_leakage(
 
     alpha > 1: the order-alpha capacity sup_P I^S_alpha(P, W), found by
     maximizing the concave S(P) = sum_y (sum_x P(x) W(y|x)^alpha)^(1/alpha)
-    with `_minimize_on_simplex`.  The solve stops once the measured
-    gap upper - lower (see CapacityResult) is at most `tol` nats, in
-    absolute terms; when it cannot get there within `max_iter` iterations,
+    with `_minimize_on_simplex` until the measured gap upper - lower (see
+    CapacityResult) is at most `tol` nats, in absolute terms; otherwise
     ConvergenceError is raised with that gap as `residual` and the
     iterations taken as `iterations`.
 
@@ -444,14 +447,11 @@ def capacity_lower_bound(channel: Channel, alpha: float) -> tuple[float, bool]:
 def _min_fdiv_over_reference(
     px: np.ndarray, W: np.ndarray, gen: FGenerator, tol: float, max_iter: int
 ) -> tuple[float, np.ndarray]:
-    """Minimize sum_x px[x] D_f(W_x || Q) over output distributions Q.
-
-    The objective sum_y g_y(Q(y)), g_y(q) = sum_x px[x] q f(W_xy / q), is
-    convex in Q and minimized by `_minimize_on_simplex` with the
-    identity for M, certified by the Frank-Wolfe gap.  Outputs that no
-    input of positive probability reaches get no mass: their derivative
-    f(0) is at least that of every other output.
-    """
+    """Minimize sum_x px[x] D_f(W_x || Q) over output distributions Q with
+    `_minimize_on_simplex`: M = I and g_y(q) = sum_x px[x] q f(W_xy / q),
+    certified by the Frank-Wolfe gap.  Outputs that no input of positive
+    probability reaches get no mass: their derivative f(0) is at least that
+    of every other output."""
     reach = px @ W > 0
     P, W_reach = px[:, None], W[:, reach]
 

@@ -237,11 +237,12 @@ class TestMaximalAlphaLeakage:
     def test_certificate_is_the_measured_two_sided_gap(self):
         # kkt_residual is max_x D_a(W_x || Q) - I^S_a(P) at the returned
         # laws, recomputed here by direct summation, and is within tol; on
-        # dense 64x64 channels, channels with zero entries, and channels
-        # with outputs no input reaches
+        # 64x64 channels, channels with zero entries, and channels with
+        # outputs no input reaches
         rng = np.random.default_rng(26)
         for n_in, n_out, zero_share, dead_outputs in (
             (64, 64, 0.0, 0),
+            (64, 64, 0.3, 3),
             (8, 10, 0.4, 0),
             (9, 7, 0.3, 2),
             (5, 6, 0.0, 1),

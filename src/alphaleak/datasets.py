@@ -109,8 +109,8 @@ def build_type_distance_spec(n: int, m: int) -> DistortionSpec:
     """
     _check_nm(n, m)
     types = Alphabet(str(i) for i in range(n + 1))
-    d = [[abs(i - j) for j in range(n + 1)] for i in range(n + 1)]
-    return DistortionSpec(types, types, d, m)
+    i = np.arange(n + 1)
+    return DistortionSpec(types, types, np.abs(i[:, None] - i[None]), m)
 
 
 def type_distance_crosscheck(n: int, m: int, tol: float = 1e-9) -> bool:
@@ -185,8 +185,8 @@ def build_hamming_spec(n: int, m: int, q: int) -> DistortionSpec:
     _check_nm(n, m)
     datasets = enumerate_datasets(n, q)
     alpha = Alphabet(datasets)
-    d = [[sum(a != b for a, b in zip(x, y)) for y in datasets] for x in datasets]
-    return DistortionSpec(alpha, alpha, d, m)
+    digits = np.frombuffer("".join(datasets).encode(), dtype=np.uint8).reshape(-1, n)
+    return DistortionSpec(alpha, alpha, (digits[:, None] != digits[None]).sum(-1), m)
 
 
 def hamming_crosscheck(n: int, m: int, q: int, tol: float = 1e-9) -> bool:

@@ -1,6 +1,13 @@
 import numpy as np
 
 from alphaleak import type_index_set
+from alphaleak.datasets import (
+    build_hamming_spec,
+    build_type_distance_spec,
+    enumerate_datasets,
+    hamming_crosscheck,
+    type_distance_crosscheck,
+)
 
 
 def test_type_index_set_covers_every_type_with_the_fewest_balls():
@@ -13,3 +20,27 @@ def test_type_index_set_covers_every_type_with_the_fewest_balls():
             assert len(index_set.members) == -(-(n + 1) // (2 * m + 1))
             assigned = np.fromiter(map(index_set.member_for, range(n + 1)), int, n + 1)
             assert np.abs(assigned - types).max() <= m
+
+
+def test_spec_distances_match_pairwise_counts():
+    # the vectorized builders against a direct pairwise count
+    for n, q in ((1, 2), (3, 3), (4, 2), (2, 10)):
+        words = enumerate_datasets(n, q)
+        d = [[sum(a != b for a, b in zip(x, y)) for y in words] for x in words]
+        assert np.array_equal(build_hamming_spec(n, 1, q).d, d)
+    for n in (1, 2, 9):
+        d = [[abs(i - j) for j in range(n + 1)] for i in range(n + 1)]
+        assert np.array_equal(build_type_distance_spec(n, 1).d, d)
+
+
+def test_hamming_crosscheck_up_to_256_points():
+    specs = [(n, m, q) for q in range(2, 11) for n in range(1, 9) if q**n <= 256 for m in range(min(n, 2) + 1)]
+    assert len(specs) == 84
+    for n, m, q in specs:
+        assert hamming_crosscheck(n, m, q), (n, m, q)
+
+
+def test_type_distance_crosscheck_grid():
+    for n in (1, 2, 3, 5, 8, 13, 25, 50, 80, 120, 160, 200):
+        for m in sorted({0, 1, 2, 3, n // 8, n // 4, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
+            assert type_distance_crosscheck(n, m), (n, m)

@@ -103,27 +103,32 @@ class TestQStar:
             assert (sol.dual @ A).max() <= sol.q + sol.gap + 1e-12
 
     def test_agrees_with_scipy(self):
-        rng = np.random.default_rng(31)
-        for _ in range(50):
-            n_in, n_out = rng.integers(2, 10), rng.integers(2, 10)
-            balls = []
-            for _ in range(n_in):
-                size = rng.integers(1, n_out + 1)
-                balls.append(tuple(sorted(rng.choice(n_out, size=size, replace=False))))
-            sol = q_star(balls, int(n_out))
-            A = np.zeros((len(balls), n_out))
-            for x, ball in enumerate(balls):
-                A[x, list(ball)] = 1.0
-            res = linprog(
-                c=np.r_[np.zeros(n_out), -1.0],
-                A_ub=np.hstack([-A, np.ones((len(balls), 1))]),
-                b_ub=np.zeros(len(balls)),
-                A_eq=np.r_[np.ones(n_out), 0.0][None, :],
-                b_eq=[1.0],
-                bounds=[(0, None)] * n_out + [(None, None)],
-                method="highs",
-            )
-            assert sol.q == pytest.approx(-res.fun, abs=1e-9)
+        # 0/1 games up to 120 x 120; every third one repeats some of its
+        # rows and columns, which makes the LP degenerate.  Game 105 of
+        # seed 50 pivots on a rounding residue of a zero unless tiny pivot
+        # elements are refused; game 41 of seed 65 needs the tableau rebuild.
+        for seed, count in ((50, 106), (65, 42)):
+            rng = np.random.default_rng(seed)
+            for k in range(count):
+                n_in, n_out = rng.integers(2, 121, size=2) if k % 2 else rng.integers(2, 10, size=2)
+                A = (rng.random((n_in, n_out)) < rng.uniform(0.02, 0.7)).astype(float)
+                A[np.arange(n_in), rng.integers(0, n_out, n_in)] = 1.0
+                if k % 3 == 0:
+                    A = np.vstack([A, A[rng.integers(0, n_in, rng.integers(1, n_in + 1))]])
+                    A = np.hstack([A, A[:, rng.integers(0, n_out, rng.integers(1, n_out + 1))]])
+                n_in, n_out = A.shape
+                sol = q_star([tuple(np.flatnonzero(row)) for row in A], n_out)
+                res = linprog(
+                    c=np.r_[np.zeros(n_out), -1.0],
+                    A_ub=np.hstack([-A, np.ones((n_in, 1))]),
+                    b_ub=np.zeros(n_in),
+                    A_eq=np.r_[np.ones(n_out), 0.0][None, :],
+                    b_eq=[1.0],
+                    bounds=[(0, None)] * n_out + [(None, None)],
+                    method="highs",
+                )
+                assert sol.q == pytest.approx(-res.fun, abs=1e-9)
+                assert sol.gap <= 1e-10
 
 
 class TestOptimalMechanism:
@@ -258,6 +263,15 @@ class TestPutMaxAlphaLeakage:
     def test_hamming_instance(self):
         value, _ = put_max_alpha_leakage(build_hamming_spec(2, 1, 3), 5.0)
         assert value == pytest.approx(math.log(9.0 / 5.0), abs=1e-12)
+
+    def test_degenerate_hamming_lps(self):
+        # vertex-transitive covering LPs: many tied ratio tests, and
+        # rounding leaves duals a few ulps below zero unless they are clipped
+        for n, q in ((5, 2), (4, 3), (7, 2), (8, 2)):
+            _, sol = put_max_alpha_leakage(build_hamming_spec(n, 1, q), 2.0)
+            assert sol.q_star == pytest.approx((1 + n * (q - 1)) / q**n, rel=0, abs=1e-12)
+            assert sol.target_output.p.min() >= 0.0
+            assert sol.dual_certificate.p.min() >= 0.0
 
     def test_full_balls_zero_for_every_order(self):
         spec = DistortionSpec(B, B, np.zeros((2, 2)), 1.0)

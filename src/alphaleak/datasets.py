@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .prob import Alphabet, Channel, Dist
-from .put import DistortionSpec, optimal_mechanism, q_star
+from .put import DistortionSpec, q_star
 
 ENUMERATION_LIMIT = 1024  # largest q**n materialized as an explicit spec
 

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConvergenceError, ValidationError
 from .measures import (
@@ -43,6 +42,7 @@ from .prob import (
     binary_channel,
     conditional_of,
     log_alpha_norm,
+    logsumexp,
 )
 
 
@@ -232,9 +232,7 @@ def tilted_row(row: np.ndarray, order: AlphaOrder) -> np.ndarray:
     if order.is_inf:
         best = row == row.max()
         return best / best.sum()
-    logs = np.full_like(row, -np.inf)
-    np.log(row, out=logs, where=row > 0)
-    logs *= order.value
+    logs = order.value * _log_rows(row)
     out = np.exp(logs - logsumexp(logs))
     return out / out.sum()
 
@@ -378,38 +376,40 @@ def maximal_alpha_leakage(
     )
 
 
-def _log_abs_pow_diff(x: float, y: float, a: float) -> tuple[float, float]:
-    """(log |x^a - y^a|, relative gap |1 - (min/max)^a|) computed in logs."""
-    hi, lo = (x, y) if x >= y else (y, x)
-    if hi <= 0.0:
-        return -math.inf, 0.0
-    if lo <= 0.0:
-        return a * math.log(hi), 1.0
-    rel = -math.expm1(a * (math.log(lo) - math.log(hi)))
-    if rel <= 0.0:
-        return -math.inf, 0.0
-    return a * math.log(hi) + math.log(rel), rel
+def _log_abs_pow_diff(x, y, a: float):
+    """Elementwise (log |x^a - y^a|, relative gap 1 - (min/max)^a), computed
+    in logs; both 0 where x = y."""
+    hi, lo = np.maximum(x, y), np.minimum(x, y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_hi = np.log(hi)
+        rel = np.where(hi > 0.0, -np.expm1(a * (np.log(lo) - log_hi)), 0.0)
+        return a * log_hi + np.log(rel), rel
 
 
-def binary_maximal_alpha_leakage(rho1: float, rho2: float, alpha: float) -> float:
+def binary_maximal_alpha_leakage(rho1, rho2, alpha: float):
     """Closed-form maximal alpha-leakage of the 2x2 channel with crossover
-    probabilities (rho1, rho2), for alpha > 1.
+    probabilities (rho1, rho2), for alpha > 1.  Elementwise on arrays of
+    crossover pairs; a float for scalar ones.
 
     Near the rank-one locus rho1 + rho2 = 1 the closed form degenerates
-    (the absolute differences it is built from vanish); such inputs are
-    routed to the capacity solver instead.
+    (the absolute differences it is built from vanish); such pairs are
+    routed one by one to the capacity solver instead.
     """
     alpha = float(alpha)
     if not alpha > 1.0:
         raise ValidationError(f"binary closed form requires alpha > 1, got {alpha}")
-    if not (0.0 <= rho1 <= 1.0 and 0.0 <= rho2 <= 1.0):
+    r1, r2 = np.broadcast_arrays(np.asarray(rho1, dtype=float), np.asarray(rho2, dtype=float))
+    if not (np.all((0.0 <= r1) & (r1 <= 1.0)) and np.all((0.0 <= r2) & (r2 <= 1.0))):
         raise ValidationError("crossover probabilities must lie in [0, 1]")
-    lm, rel_m = _log_abs_pow_diff((1.0 - rho1) * (1.0 - rho2), rho1 * rho2, alpha)
-    lb1, rel_1 = _log_abs_pow_diff(1.0 - rho2, rho1, alpha)
-    lb2, rel_2 = _log_abs_pow_diff(1.0 - rho1, rho2, alpha)
-    if min(rel_m, rel_1, rel_2) < 1e-12:
-        return maximal_alpha_leakage(binary_channel(rho1, rho2), alpha).value
-    return lm / (alpha - 1.0) + float(logsumexp(np.array([lb1, lb2]) / (1.0 - alpha)))
+    lm, rel_m = _log_abs_pow_diff((1.0 - r1) * (1.0 - r2), r1 * r2, alpha)
+    lb1, rel_1 = _log_abs_pow_diff(1.0 - r2, r1, alpha)
+    lb2, rel_2 = _log_abs_pow_diff(1.0 - r1, r2, alpha)
+    with np.errstate(invalid="ignore"):
+        lsum = logsumexp(np.stack([lb1, lb2]) / (1.0 - alpha), axis=0)
+        value = np.asarray(lm / (alpha - 1.0) + lsum)
+    for k in np.flatnonzero(np.minimum(np.minimum(rel_m, rel_1), rel_2) < 1e-12):
+        value.flat[k] = maximal_alpha_leakage(binary_channel(r1.flat[k], r2.flat[k]), alpha).value
+    return float(value) if value.ndim == 0 else value
 
 
 def capacity_lower_bound(channel: Channel, alpha: float) -> tuple[float, bool]:

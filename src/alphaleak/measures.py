@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
 
 from .errors import ValidationError
-from .prob import AlphaOrder, Channel, Dist, Joint, as_order, log_alpha_norm
+from .prob import AlphaOrder, Channel, Dist, Joint, as_order, log_alpha_norm, logsumexp, xlogy
 
 _LN2 = math.log(2.0)
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)

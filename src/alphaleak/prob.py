@@ -1,4 +1,4 @@
-"""Finite-alphabet probability objects and log-domain alpha-norm primitives.
+"""Finite-alphabet probability objects and log-domain primitives (logsumexp, xlogy, alpha-norms).
 
 Everything downstream (information measures, leakage solvers, PUT programs)
 works on the three value types defined here: `Dist` (a pmf), `Channel` (a
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ValidationError
 
@@ -326,6 +325,24 @@ def product_channel(components: Sequence[Channel]) -> Channel:
     out_alpha = _product_labels([c.output_alphabet for c in components])
     rows = rows / rows.sum(axis=1, keepdims=True)
     return Channel(in_alpha, out_alpha, rows)
+
+
+def logsumexp(a, axis=None):
+    """log sum exp(a) over `axis` (all entries when None, else that axis is
+    removed), shifted by the finite maximum so that no term overflows; all
+    -inf gives -inf and any +inf gives +inf, as `scipy.special.logsumexp`."""
+    a = np.asarray(a, dtype=float)
+    top = np.max(a, axis=axis, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - top), axis=axis))
+    return out + np.squeeze(top, axis=axis)
+
+
+def xlogy(x, y):
+    """x * log(y), 0 where x == 0 and -inf (warning as `np.log(0)`) where
+    x > 0 = y.  Bare ufuncs: the KL generator calls it on every f(t)."""
+    return x * np.log(np.where(x == 0, 1.0, y))
 
 
 def log_alpha_norm(values, order) -> float:

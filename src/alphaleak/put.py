@@ -20,6 +20,9 @@ sensitive-attribute lower bound complete the module.
 Ball membership uses the inclusive comparison d <= D on the caller's
 values with no epsilon: the combinatorics of the dataset constructions
 depend on exact membership.
+
+Only the tightness check of `sensitive_lower_bound` needs scipy (HiGHS
+`linprog`); it imports it on first use, so importing `put` loads no scipy.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import ConvergenceError, IncompatibleGeneratorError, ValidationError
 from .leakage import _minimize_on_simplex, _relative_certificate, binary_maximal_alpha_leakage
@@ -125,7 +127,11 @@ def q_star(balls: Sequence[Sequence[int]], n_outputs: int, tol: float = 1e-10) -
     max_y sum_x mu(x) 1(y in B(x)) upper-bounds q*, and `gap` is the
     difference of the two game values.  A gap above `tol` raises.
     """
-    A = _ball_matrix(balls, n_outputs)
+    return _certified_game(_ball_matrix(balls, n_outputs), tol)
+
+
+def _certified_game(A: np.ndarray, tol: float) -> QStarSolution:
+    """`q_star` on the 0/1 ball matrix A[x, y] = 1(y in B(x))."""
     game = covering_game(A)
     if game.gap > tol:
         raise ConvergenceError(
@@ -144,7 +150,11 @@ def optimal_mechanism(
     """
     if input_alphabet is None:
         input_alphabet = Alphabet.of_size(len(balls))
-    A = _ball_matrix(balls, len(target))
+    return _restricted_mechanism(target, _ball_matrix(balls, len(target)), input_alphabet)
+
+
+def _restricted_mechanism(target: Dist, A: np.ndarray, input_alphabet: Alphabet) -> Channel:
+    """`optimal_mechanism` on the 0/1 ball matrix A[x, y] = 1(y in B(x))."""
     masses = A @ target.p
     zero = np.flatnonzero(masses <= 0.0)
     if zero.size:
@@ -186,6 +196,23 @@ def _require_compatible(gen: FGenerator) -> None:
         )
 
 
+def _hard_put(spec: DistortionSpec, tol: float, value_of_q) -> tuple[float, PutSolution]:
+    """Solve q* on the spec's ball matrix, built once for both the LP and
+    the ball-restricted mechanism, and value it by `value_of_q(q*)`."""
+    A = spec.ball_mask.astype(float)
+    sol = _certified_game(A, tol)
+    target = Dist(spec.output_alphabet, sol.primal)
+    solution = PutSolution(
+        mechanism=_restricted_mechanism(target, A, spec.input_alphabet),
+        q_star=sol.q,
+        target_output=target,
+        value=value_of_q(sol.q),
+        dual_certificate=Dist(spec.input_alphabet, sol.dual),
+        duality_gap=sol.gap,
+    )
+    return solution.value, solution
+
+
 def put_max_f_leakage(
     spec: DistortionSpec, gen: FGenerator, tol: float = 1e-10
 ) -> tuple[float, PutSolution]:
@@ -193,19 +220,7 @@ def put_max_f_leakage(
     q* f(1/q*) + (1 - q*) f(0), with the ball-restricted mechanism built
     on the q* maximizer."""
     _require_compatible(gen)
-    balls = distortion_balls(spec)
-    sol = q_star(balls, len(spec.output_alphabet), tol)
-    value = float(sol.q * gen.f(1.0 / sol.q) + (1.0 - sol.q) * gen.f_at_zero)
-    target = Dist(spec.output_alphabet, sol.primal)
-    solution = PutSolution(
-        mechanism=optimal_mechanism(target, balls, spec.input_alphabet),
-        q_star=sol.q,
-        target_output=target,
-        value=value,
-        dual_certificate=Dist(spec.input_alphabet, sol.dual),
-        duality_gap=sol.gap,
-    )
-    return value, solution
+    return _hard_put(spec, tol, lambda q: float(q * gen.f(1.0 / q) + (1.0 - q) * gen.f_at_zero))
 
 
 def _aware_problem(prior: Dist, spec: DistortionSpec, gen: FGenerator):
@@ -282,7 +297,6 @@ def put_max_alpha_leakage(
     place of an LP duality gap.
     """
     order = as_order(order).require_at_least_one("put_max_alpha_leakage")
-    balls = distortion_balls(spec)
     if order.is_one:
         if prior_for_one is None:
             raise ValidationError("the alpha = 1 tradeoff needs an input distribution")
@@ -307,18 +321,7 @@ def put_max_alpha_leakage(
             duality_gap=float(q @ grad - grad.min()),
         )
         return value, solution
-    sol = q_star(balls, len(spec.output_alphabet), tol)
-    value = -math.log(sol.q)
-    target = Dist(spec.output_alphabet, sol.primal)
-    solution = PutSolution(
-        mechanism=optimal_mechanism(target, balls, spec.input_alphabet),
-        q_star=sol.q,
-        target_output=target,
-        value=value,
-        dual_certificate=Dist(spec.input_alphabet, sol.dual),
-        duality_gap=sol.gap,
-    )
-    return value, solution
+    return _hard_put(spec, tol, lambda q: -math.log(q))
 
 
 # --------------------------------------------------------------------------
@@ -369,23 +372,20 @@ def sensitive_lower_bound(sj: SensitiveJoint, order) -> tuple[float, bool]:
     # maxima can be 0/0; mask them out of every branch.
     live_x = px > 0
 
-    if order.is_one or order.is_inf:
-        n_y = ps @ s_feasible  # N(y) = sum_{s in S_D(y)} P(s)
-        m_x = np.array([n_y[ball[x]].max() for x in range(ball.shape[0])])
-        m_safe = np.where(live_x, m_x, 1.0)
-        if order.is_one:
-            bound = float(-(px[live_x] @ np.log(m_safe[live_x])))
-        else:
-            total = float(((ps[:, None] * psx) / m_safe[None, :]).sum())
-            bound = math.log(total) - math.log(ps.max())
+    weights = ps if order.is_one or order.is_inf else ps**order.value
+    n_y = weights @ s_feasible  # N(y) = sum_{s in S_D(y)} P(s), of P(s)^alpha for finite alpha
+    m_x = np.array([n_y[ball[x]].max() for x in range(ball.shape[0])])
+    m_safe = np.where(live_x, m_x, 1.0)
+    if order.is_one:
+        bound = float(-(px[live_x] @ np.log(m_safe[live_x])))
+    elif order.is_inf:
+        total = float(((ps[:, None] * psx) / m_safe[None, :]).sum())
+        bound = math.log(total) - math.log(ps.max())
     else:
         a = order.value
-        n_y = (ps**a) @ s_feasible  # sum_{s in S_D(y)} P(s)^alpha
-        m_x = np.array([n_y[ball[x]].max() for x in range(ball.shape[0])])
-        m_safe = np.where(live_x, m_x, 1.0)
         px_given_s = np.where(ps[:, None] > 0, psx / np.where(ps > 0, ps, 1.0)[:, None], 0.0)
-        norm = float((ps**a).sum()) ** (1.0 / a)
-        total = float(((ps**a)[:, None] * px_given_s * m_safe[None, :] ** ((1.0 - a) / a)).sum())
+        norm = float(weights.sum()) ** (1.0 / a)
+        total = float((weights[:, None] * px_given_s * m_safe[None, :] ** ((1.0 - a) / a)).sum())
         bound = a / (a - 1.0) * math.log(total / norm)
 
     return bound, _tightness_feasible(sj)
@@ -451,6 +451,8 @@ def _tightness_feasible(sj: SensitiveJoint) -> bool:
 
     if n_var == 0:
         return False
+    from scipy.optimize import linprog  # on use: a top-level import loads scipy at every start-up
+
     res = linprog(
         c=np.zeros(n_var),
         A_eq=np.vstack(rows_eq),
@@ -470,25 +472,6 @@ class AvgHammingSolution(NamedTuple):
     rho2: float
     value: float
     guess_prob: float
-
-
-def _binary_closed_form_grid(r1: np.ndarray, r2: np.ndarray, a: float) -> np.ndarray:
-    """Vectorized log-domain evaluation of the binary maximal alpha-leakage
-    closed form on arrays with r1 + r2 < 1."""
-    with np.errstate(divide="ignore"):
-        l1, l2 = np.log1p(-r1), np.log1p(-r2)
-        lr1, lr2 = np.log(r1), np.log(r2)
-
-    def log_pow_diff(log_hi, log_lo):
-        return a * log_hi + np.log1p(-np.exp(np.minimum(a * (log_lo - log_hi), -1e-300)))
-
-    lm = log_pow_diff(l1 + l2, lr1 + lr2)
-    lb1 = log_pow_diff(l2, lr1)
-    lb2 = log_pow_diff(l1, lr2)
-    stack = np.stack([lb1, lb2]) / (1.0 - a)
-    hi = stack.max(axis=0)
-    lsum = hi + np.log(np.exp(stack - hi[None]).sum(axis=0))
-    return lm / (a - 1.0) + lsum
 
 
 def _map_success(p: float, r1: float, r2: float) -> float:
@@ -530,7 +513,7 @@ def avg_hamming_binary_put(
     R1, R2 = np.meshgrid(r1, r2, indexing="ij")
     feasible = (1.0 - p) * R1 + p * R2 <= D + 1e-12
     values = np.full_like(R1, np.inf)
-    values[feasible] = _binary_closed_form_grid(R1[feasible], R2[feasible], alpha)
+    values[feasible] = binary_maximal_alpha_leakage(R1[feasible], R2[feasible], alpha)
     flat = int(np.argmin(values))
     best1, best2 = float(R1.ravel()[flat]), float(R2.ravel()[flat])
     best_val = float(values.ravel()[flat])

@@ -18,6 +18,7 @@ from alphaleak import (
     make_joint,
     product_channel,
 )
+from alphaleak.prob import logsumexp, xlogy
 from util import random_channel, random_dist
 
 B = Alphabet(("0", "1"))
@@ -240,3 +241,68 @@ class TestLogAlphaNorm:
             norms = [log_alpha_norm(p, a) for a in orders]
             for lo, hi in zip(norms, norms[1:]):
                 assert hi <= lo + 1e-12
+
+
+class TestLogsumexp:
+    """Against `scipy.special.logsumexp`, which the helper replaces."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.3, -1.2, 2.5, 0.0, -40.0],
+            [-math.inf, 0.5, -math.inf, -2.0],
+            [-math.inf, -math.inf],
+            [1.0, math.inf, -3.0],
+            [800.0, 799.0],  # exp would overflow without the shift
+        ],
+    )
+    def test_vectors(self, values):
+        from scipy.special import logsumexp as reference
+
+        got = logsumexp(values)
+        want = reference(values)
+        assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
+
+    def test_axis_with_an_all_minus_inf_column(self):
+        from scipy.special import logsumexp as reference
+
+        a = np.array([[0.0, -math.inf, 1.5], [-2.0, -math.inf, 3.0], [0.7, -math.inf, -1.0]])
+        for axis in (0, 1):
+            got = logsumexp(a, axis=axis)
+            assert got.shape == reference(a, axis=axis).shape == (3,)
+            np.testing.assert_allclose(got, reference(a, axis=axis), rtol=1e-15, atol=0)
+        assert logsumexp(a, axis=0)[1] == -math.inf
+
+    def test_scalar_output(self):
+        from scipy.special import logsumexp as reference
+
+        got = logsumexp(np.array([0.1, 0.2, 0.3]))
+        assert np.ndim(got) == 0 and isinstance(got, float)
+        assert type(got) is type(reference(np.array([0.1, 0.2, 0.3])))
+
+
+class TestXlogy:
+    """Against `scipy.special.xlogy`, which the helper replaces."""
+
+    def test_zero_times_log_zero_is_zero(self):
+        assert xlogy(0.0, 0.0) == 0.0
+        assert xlogy(np.asarray(0.0), np.asarray(0.0)) == 0.0
+
+    def test_positive_times_log_zero_is_minus_inf(self):
+        with np.errstate(divide="ignore"):
+            assert xlogy(0.5, 0.0) == -math.inf
+            assert xlogy(np.array([0.0, 2.0]), np.array([0.0, 0.0])).tolist() == [0.0, -math.inf]
+
+    def test_scalars_and_arrays(self):
+        from scipy.special import xlogy as reference
+
+        for x, y in [(0.3, 0.3), (2.0, 5.0), (1e-300, 1e-300), (0.0, 7.0)]:
+            assert xlogy(x, y) == pytest.approx(reference(x, y), rel=1e-15, abs=0)
+        rng = np.random.default_rng(11)
+        x = rng.uniform(0.0, 3.0, size=(4, 5))
+        x[0, :2] = 0.0
+        y = rng.uniform(0.0, 3.0, size=(4, 5))
+        y[1, 1] = 0.0
+        x[1, 1] = 0.0
+        np.testing.assert_allclose(xlogy(x, y), reference(x, y), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(xlogy(x, x), reference(x, x), rtol=1e-15, atol=0)

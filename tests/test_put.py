@@ -396,6 +396,34 @@ class TestAvgHammingBinary:
                 continue
             assert binary_maximal_alpha_leakage(r1, r2, 3.0) >= res.value - 1e-6
 
+    @staticmethod
+    def grid_reference(r1, r2, a):
+        """The closed form as the grid search evaluated it before it shared
+        `binary_maximal_alpha_leakage`: in logs, for r1 + r2 < 1."""
+        with np.errstate(divide="ignore"):
+            l1, l2, lr1, lr2 = np.log1p(-r1), np.log1p(-r2), np.log(r1), np.log(r2)
+
+        def log_pow_diff(log_hi, log_lo):
+            return a * log_hi + np.log1p(-np.exp(np.minimum(a * (log_lo - log_hi), -1e-300)))
+
+        stack = np.stack([log_pow_diff(l2, lr1), log_pow_diff(l1, lr2)]) / (1.0 - a)
+        hi = stack.max(axis=0)
+        lsum = hi + np.log(np.exp(stack - hi[None]).sum(axis=0))
+        return log_pow_diff(l1 + l2, lr1 + lr2) / (a - 1.0) + lsum
+
+    @pytest.mark.parametrize("p, D", [(0.2, 0.15), (0.5, 0.3)])
+    @pytest.mark.parametrize("a", [1.5, 2.0, 4.0])
+    def test_closed_form_on_the_grid(self, p, D, a):
+        from alphaleak import binary_maximal_alpha_leakage
+
+        R1, R2 = np.meshgrid(np.linspace(0, D / (1 - p), 101), np.linspace(0, D / p, 101), indexing="ij")
+        feasible = (1 - p) * R1 + p * R2 <= D + 1e-12
+        r1, r2 = R1[feasible], R2[feasible]
+        got = binary_maximal_alpha_leakage(r1, r2, a)
+        np.testing.assert_allclose(got, self.grid_reference(r1, r2, a), rtol=0, atol=1e-12)
+        for k in range(0, r1.size, 97):
+            assert binary_maximal_alpha_leakage(float(r1[k]), float(r2[k]), a) == got[k]
+
     def test_monotone_in_alpha_and_distortion(self):
         values_a = [avg_hamming_binary_put(0.4, 0.2, a, grid=121, refine_iters=30).value
                     for a in (1.2, 1.6, 2.0, 3.0, 4.0)]

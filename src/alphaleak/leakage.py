@@ -6,12 +6,15 @@ to the truth; log-loss at alpha = 1, probability of error at alpha = inf.
 The induced leakage of a joint equals the Arimoto mutual information; the
 leakage maximized over every function of X equals, for alpha > 1, the
 order-alpha channel capacity sup_P I^S_alpha(P, W).  This module solves
-it, and the reference-distribution minimization of an f-leakage, with the
-certified Newton / Frank-Wolfe descent `_minimize_on_simplex`, which the
-distribution-aware PUT of `put` shares.  A capacity is certified
-two-sidedly by the minimax identity C_alpha = min_Q max_x D_alpha(W_x || Q):
-I^S_alpha(P) at the returned input law P is a lower bound, and
-max_x D_alpha(W_x || Q_P) at its output law Q_P an upper bound.
+it, and the reference-distribution minimization of an f-leakage, with
+`_minimize_on_simplex`, shared with the distribution-aware PUT of `put`:
+Newton steps to the minimizer of the quadratic model over the simplex, as
+in mix-SQP (Kim, Carbonetto, Stephens & Anitescu, JCGS 2020), Frank-Wolfe
+steps as the fallback, the Frank-Wolfe gap as the stopping rule.  A
+capacity is certified two-sidedly by the minimax identity
+C_alpha = min_Q max_x D_alpha(W_x || Q): I^S_alpha(P) at the returned input
+law P is a lower bound, and max_x D_alpha(W_x || Q_P) at its output law Q_P
+an upper bound.
 
 Leakage operations require alpha >= 1 (orders below 1 have no loss
 interpretation here and are rejected); the raw information measures in
@@ -49,14 +52,15 @@ from .prob import (
 # --------------------------------------------------------------------------
 # Certified descent over the probability simplex, shared with `put`
 
-# A coordinate joins the support of the Newton step when its reduced cost
-# is within _SUPPORT_FACTOR Frank-Wolfe gaps of the smallest or when it
-# holds more than _SUPPORT_MASS of the mass.
-_SUPPORT_FACTOR = 10.0
-_SUPPORT_MASS = 1e-6
 # Newton leaves out directions of singular value below _FLAT times the
 # largest (near-duplicate inputs): F is flat along them in double precision.
 _FLAT = 1e-12
+# Block exchanges that leave no fewer infeasible coordinates before the
+# Newton subproblem turns to Lawson-Hanson steps, and the cap on its solves.
+_BLOCK_TRIES = 3
+_PIVOTS = 100
+# Multipliers within _NOISE of the largest gradient entry are rounding.
+_NOISE = 1e-13
 
 
 def _relative_certificate(tol: float):
@@ -65,30 +69,62 @@ def _relative_certificate(tol: float):
     return lambda val, fw: (fw, tol * max(1.0, abs(val)))
 
 
-def _support_newton_step(M, z, grad, dg, curv, gap):
-    """Newton direction on the support of z.  Coordinates off the support
-    give up their mass; on it the step d minimizes the model
-    g'.(M d) + |c^(1/2) M d|^2 / 2, c = g'', under sum(d) = 0, solved as
-    least squares over a basis of the zero-sum steps, which copes with a
-    singular Hessian and does not square the condition number as the KKT
-    system would.  A coordinate of negligible mass that the step drives
-    down leaves the support and the step is solved again."""
-    on = (grad - grad.min() <= _SUPPORT_FACTOR * gap) | (z > _SUPPORT_MASS)
-    root = np.sqrt(curv)
-    while True:
-        step = np.where(on, 0.0, -z)
-        idx = np.flatnonzero(on)
-        step[idx] = -step.sum() / idx.size
-        if idx.size > 1:
-            basis = M[:, idx[:-1]] - M[:, idx[-1:]]
-            target = root * (M @ step) + dg / root
-            w = np.linalg.lstsq(root[:, None] * basis, -target, rcond=_FLAT)[0]
-            step[idx[:-1]] += w
-            step[idx[-1]] -= w.sum()
-        blocked = on & (z <= _SUPPORT_MASS) & (step < 0.0)
-        if not blocked.any():
-            return step
-        on &= ~blocked
+def _simplex_qp_step(A, r, z, start):
+    """Step d = w - z to the minimizer w of |A (w - z) + r|^2 over the
+    simplex.  Block principal pivoting (Kim & Park, SISC 2011) from the free
+    set supp(start) solves the least squares under sum(w) = 1 on the free
+    set (zero-sum basis, singular values below _FLAT dropped), then swaps
+    at once every free w < 0 and every fixed coordinate whose gradient
+    A^T (A d + r) is below w . grad.  Singular A can make that cycle; when
+    the count stops falling, Lawson-Hanson from w = start takes over, which
+    lowers the model monotonically.  Returns the last feasible step if that
+    stalls or takes _PIVOTS solves, None if it is zero."""
+    free = start > 0.0
+    cur = start.copy()
+    fewest, tries, lawson = z.size + 1, _BLOCK_TRIES, False
+    noise = _NOISE * np.abs(A.T @ r).max()
+    for _ in range(_PIVOTS):
+        idx = np.flatnonzero(free)
+        ref = idx[np.argmax(z[idx])]
+        others = idx[idx != ref]
+        d = np.where(free, 0.0, -z)
+        d[ref] = z[~free].sum()
+        res = A @ d + r
+        basis = A[:, others] - A[:, ref, None]
+        y = np.linalg.lstsq(basis, -res, rcond=_FLAT)[0]
+        d[others] = y
+        d[ref] -= y.sum()
+        res += basis @ y
+        w = z + d
+        neg = free & (w < 0.0)
+        if lawson and neg.any():
+            ratios = cur[neg] / (cur[neg] - w[neg])
+            t = ratios.min()
+            if t == 0.0:  # only the coordinate just freed would leave again
+                break
+            cur += t * (w - cur)
+            out = np.flatnonzero(neg)[ratios <= t]
+            cur[out] = 0.0
+            free[out] = False
+            continue
+        grad = A.T @ res
+        low = ~free & (grad < w @ grad - noise)
+        bad = neg | low
+        if not bad.any():
+            return d
+        if lawson:
+            cur = w
+            free[np.argmin(np.where(low, grad, np.inf))] = True
+            continue
+        if bad.sum() < fewest:
+            fewest, tries = bad.sum(), _BLOCK_TRIES
+        elif tries:
+            tries -= 1
+        else:
+            free, lawson = start > 0.0, True
+            continue
+        free ^= bad
+    return None if np.array_equal(cur, z) else cur - z
 
 
 def _minimize_on_simplex(M, value, derivatives, certify, max_iter: int, failure: str):
@@ -98,8 +134,9 @@ def _minimize_on_simplex(M, value, derivatives, certify, max_iter: int, failure:
     Frank-Wolfe gap <grad F(z), z> - min grad F bounds F(z) - min F without
     knowledge of the optimal support (Jaggi, ICML 2013); `certify(F, gap)`
     maps it to (gap, limit), the certificate in the caller's units and the
-    bound that accepts it.  Each iteration takes a Newton step on the
-    support of z, or, when that does not help, a Frank-Wolfe step towards
+    bound that accepts it.  Each iteration steps to the minimizer w over
+    the simplex of the model |c^(1/2) M (w - z) + g'/c^(1/2)|^2, c = g''
+    (`_simplex_qp_step`, from where the last step ended), or else towards
     the coordinate of least gradient.  Steps may empty coordinates exactly;
     a point where the derivatives overflow counts as outside the domain.
 
@@ -121,36 +158,27 @@ def _minimize_on_simplex(M, value, derivatives, certify, max_iter: int, failure:
         return grad, dg, curv, float(z @ grad - grad.min())
 
     def line_search(z, val, least_fw, step, newton):
-        """The point of least F along `step` among the lengths t, t/2, ...
-        from the longest feasible t, after the whole Newton step clipped
-        onto the simplex, which lets every coordinate it empties leave at
-        once.  F is convex along the step, so no Armijo slope is needed
-        (near a boundary where g' is unbounded it is too steep).  When no
-        length lowers F by more than rounding, as near the optimum, the
-        first Newton point is taken if it halves the least Frank-Wolfe gap
-        so far (not the current one, which a step lowering F may raise)."""
-        shrink = np.flatnonzero(step < 0.0)
-        ratios = z[shrink] / -step[shrink]
-        t = min(1.0, float(ratios.min())) if shrink.size else 1.0
-        lengths = t * 0.5 ** np.arange(60)
-        if newton and t < 1.0:
-            lengths = np.concatenate(([1.0], lengths))
+        """The whole Newton step if it lowers F by more than rounding, else
+        the least F at lengths 1, 1/2, ... (both steps end on the simplex,
+        emptied coordinates exactly 0); F is convex along the step, and an
+        Armijo slope is too steep near a boundary where g' is unbounded.
+        When no length lowers F by more than rounding, as near the optimum,
+        the Newton point is taken if it halves the least Frank-Wolfe gap so
+        far (not the current one, which a step lowering F may raise)."""
         best = None
         floor = val - 1e-15 * max(1.0, abs(val))
-        for k, length in enumerate(lengths):
+        for k, length in enumerate(0.5 ** np.arange(60)):
             cand = np.maximum(z + length * step, 0.0)
-            cand[shrink[ratios <= length]] = 0.0
             cand /= cand.sum()
             cand_val = objective(cand)
-            moved = derivs(cand) if cand_val < floor else None
-            if moved is not None:
+            if newton and k == 0 and math.isfinite(cand_val):
+                moved = derivs(cand)
+                if moved is not None and (cand_val < floor or moved[3] <= least_fw / 2):
+                    return cand, cand_val, moved
+            elif cand_val < floor and (moved := derivs(cand)) is not None:
                 best, floor = (cand, cand_val, moved), cand_val
             elif best is not None:
                 return best
-            elif newton and k == 0 and math.isfinite(cand_val):
-                moved = derivs(cand)
-                if moved is not None and moved[3] <= least_fw / 2:
-                    return cand, cand_val, moved
         return best
 
     n = M.shape[1]
@@ -159,13 +187,15 @@ def _minimize_on_simplex(M, value, derivatives, certify, max_iter: int, failure:
     grad, dg, curv, fw = derivs(z)
     gap, limit = certify(val, fw)
     least_fw = fw
+    start = z
     iterations = 0
     while not gap <= limit:  # a NaN gap certifies nothing
         if iterations == max_iter:
             break
         iterations += 1
-        step = _support_newton_step(M, z, grad, dg, curv, fw)
-        moved = line_search(z, val, least_fw, step, True)
+        root = np.sqrt(curv)
+        step = _simplex_qp_step(root[:, None] * M, dg / root, z, start)
+        moved = None if step is None else line_search(z, val, least_fw, step, True)
         if moved is None:
             # The Frank-Wolfe step is a descent direction whenever gap > 0.
             step = -z
@@ -173,6 +203,7 @@ def _minimize_on_simplex(M, value, derivatives, certify, max_iter: int, failure:
             moved = line_search(z, val, least_fw, step, False)
         if moved is None:
             break
+        start = z + step
         z, val, (grad, dg, curv, fw) = moved
         gap, limit = certify(val, fw)
         least_fw = min(least_fw, fw)

@@ -223,17 +223,15 @@ def put_max_f_leakage(
     return _hard_put(spec, tol, lambda q: float(q * gen.f(1.0 / q) + (1.0 - q) * gen.f_at_zero))
 
 
-def _aware_problem(prior: Dist, spec: DistortionSpec, gen: FGenerator):
-    """The aware-PUT objective F = f(0) + sum_x P_X(x) phi(m_x),
-    phi(m) = m (f(1/m) - f(0)), of the ball masses m = A Q, with A the ball
-    matrix of the inputs of positive probability (the others contribute
-    nothing).  Returns A, F and the derivatives (P_X phi'(m), P_X phi''(m)).
-    """
+def _solve_aware(prior: Dist, spec: DistortionSpec, A, gen: FGenerator, tol, max_iter=50_000):
+    """Minimize the aware-PUT objective F = f(0) + sum_x P_X(x) phi(m_x),
+    phi(m) = m (f(1/m) - f(0)), of the ball masses m = A Q, with A the
+    spec's 0/1 ball matrix (inputs of zero probability contribute nothing).
+    Returns F, Q and the Frank-Wolfe gap certifying them."""
     if prior.alphabet != spec.input_alphabet:
         raise ValidationError("prior alphabet does not match the distortion input alphabet")
     live = prior.p > 0
-    A, px = spec.ball_mask[live].astype(float), prior.p[live]
-    f0 = gen.f_at_zero
+    px, f0 = prior.p[live], gen.f_at_zero
 
     def value(masses):
         with np.errstate(over="ignore"):
@@ -243,7 +241,11 @@ def _aware_problem(prior: Dist, spec: DistortionSpec, gen: FGenerator):
         inv = 1.0 / masses
         return px * (gen.f(inv) - inv * gen.fprime(inv) - f0), px * gen.fsecond(inv) * inv**3
 
-    return A, value, derivatives
+    q, val, gap, _ = _minimize_on_simplex(
+        A[live], value, derivatives, _relative_certificate(tol), max_iter,
+        "output-distribution descent did not reach tolerance: Frank-Wolfe gap",
+    )
+    return val, q, gap
 
 
 def put_f_leakage(
@@ -269,15 +271,7 @@ def put_f_leakage(
     reached as `residual` and the iterations taken as `iterations`.
     """
     _require_compatible(gen)
-    A, value, derivatives = _aware_problem(prior, spec, gen)
-    q, val, _, _ = _minimize_on_simplex(
-        A,
-        value,
-        derivatives,
-        _relative_certificate(tol),
-        max_iter,
-        "output-distribution descent did not reach tolerance: Frank-Wolfe gap",
-    )
+    val, q, _ = _solve_aware(prior, spec, spec.ball_mask.astype(float), gen, tol, max_iter)
     return val, Dist(spec.output_alphabet, q)
 
 
@@ -300,27 +294,22 @@ def put_max_alpha_leakage(
     if order.is_one:
         if prior_for_one is None:
             raise ValidationError("the alpha = 1 tradeoff needs an input distribution")
-        kl = kl_generator()
-        value, target = put_f_leakage(prior_for_one, spec, kl, tol)
-        q = target.p
-        live_balls, _, derivatives = _aware_problem(prior_for_one, spec, kl)
-        grad = live_balls.T @ derivatives(live_balls @ q)[0]
         A = spec.ball_mask.astype(float)
+        value, q, gap = _solve_aware(prior_for_one, spec, A, kl_generator(), tol)
         masses = A @ q
         # Q serves the inputs of positive probability only; an input of zero
         # probability whose ball Q leaves empty releases uniformly on its ball.
         rows = np.where(masses[:, None] > 0.0, A * q, A)
-        solution = PutSolution(
+        return value, PutSolution(
             mechanism=Channel(
                 spec.input_alphabet, spec.output_alphabet, rows / rows.sum(axis=1, keepdims=True)
             ),
             q_star=float(masses[prior_for_one.p > 0].min()),
-            target_output=target,
+            target_output=Dist(spec.output_alphabet, q),
             value=value,
             dual_certificate=None,
-            duality_gap=float(q @ grad - grad.min()),
+            duality_gap=gap,
         )
-        return value, solution
     return _hard_put(spec, tol, lambda q: -math.log(q))
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 
 from alphaleak import type_index_set
@@ -6,6 +8,7 @@ from alphaleak.datasets import (
     build_type_distance_spec,
     enumerate_datasets,
     hamming_crosscheck,
+    hamming_put,
     type_distance_crosscheck,
 )
 
@@ -44,3 +47,20 @@ def test_type_distance_crosscheck_grid():
     for n in (1, 2, 3, 5, 8, 13, 25, 50, 80, 120, 160, 200):
         for m in sorted({0, 1, 2, 3, n // 8, n // 4, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
             assert type_distance_crosscheck(n, m), (n, m)
+
+
+def test_uniform_ball_mechanism_is_uniform_on_each_ball():
+    # prob is 1/|ball| inside the Hamming ball and exactly 0 outside; the
+    # rows of the materialized channel sum to 1
+    for n, m, q in ((3, 1, 2), (2, 1, 3)):
+        mech = hamming_put(n, m, q).mechanism
+        words = enumerate_datasets(n, q)
+        for x in words:
+            row = [mech.prob(x, y) for y in words]
+            inside = [sum(a != b for a, b in zip(x, y)) <= m for y in words]
+            assert all(p == Fraction(1, mech.ball_size) for p, i in zip(row, inside) if i)
+            assert all(p == 0 for p, i in zip(row, inside) if not i)
+            assert sum(row) == 1
+        rows = mech.materialize().rows
+        assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-15
+        assert np.array_equal(rows > 0, build_hamming_spec(n, m, q).ball_mask)

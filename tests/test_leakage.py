@@ -29,6 +29,7 @@ from alphaleak import (
     sibson_mi,
     strategy_for,
 )
+from alphaleak.leakage import _simplex_qp_step
 from util import (
     capacity_gap,
     expected_alpha_loss_of,
@@ -37,6 +38,8 @@ from util import (
     random_dist,
     random_joint,
     random_strategies,
+    sweep_channel,
+    tall_sparse_channel,
 )
 
 B = Alphabet(("0", "1"))
@@ -259,6 +262,35 @@ class TestMaximalAlphaLeakage:
                 assert res.kkt_residual == pytest.approx(gap, abs=1e-12)
                 assert res.kkt_residual <= 1e-10
 
+    def test_fixed_256_channel_certifies_in_few_iterations(self):
+        # the 256x256 Dirichlet(0.1) channel of the benchmark's fixed set
+        # (the fourth matrix drawn from seed 1809), alpha = 2; the
+        # least-squares step on a guessed support took 103 iterations
+        rng = np.random.default_rng(1809)
+        for n, conc in ((128, 1.0), (128, 0.1), (256, 1.0), (256, 0.1)):
+            W = rng.dirichlet(np.full(n, conc), size=n)
+        W /= W.sum(axis=1, keepdims=True)
+        ch = Channel(Alphabet.of_size(256, "x"), Alphabet.of_size(256, "y"), W)
+        res = maximal_alpha_leakage(ch, 2.0, tol=1e-10)
+        assert res.kkt_residual <= 1e-10
+        assert res.iterations <= 15
+
+    def test_tall_sparse_channels_certify(self):
+        # many inputs onto few outputs make the Newton model singular, where
+        # block pivoting alone cycles; alpha = 1.05 asks F to ~5e-12.  Plus
+        # four channels of the random sweep, (5, 355) being the one the
+        # least-squares step on a guessed support failed
+        rng = np.random.default_rng(27)
+        cases = [(tall_sparse_channel(rng), 1.05) for _ in range(37)]
+        cases += [sweep_channel(s, k) for s, k in ((2, 256), (2, 465), (3, 113), (5, 355))]
+        for W, a in cases:
+            ch = Channel(Alphabet.of_size(W.shape[0], "x"), Alphabet.of_size(W.shape[1], "y"), W)
+            res = maximal_alpha_leakage(ch, a, tol=1e-10)
+            gap = capacity_gap(W, a, res.optimal_input.p, res.target_output.p)
+            assert res.kkt_residual == pytest.approx(gap, abs=1e-12)
+            assert res.kkt_residual <= 1e-10
+            assert res.iterations <= 20
+
     def test_alpha_one_needs_prior(self):
         with pytest.raises(ValidationError):
             maximal_alpha_leakage(binary_channel(0.1, 0.1), 1.0)
@@ -280,6 +312,40 @@ class TestMaximalAlphaLeakage:
             maximal_alpha_leakage(binary_channel(0.3, 0.1), 2.0, tol=1e-16, max_iter=2)
         assert info.value.iterations == 2
         assert info.value.residual > 1e-16
+
+
+class TestSimplexQP:
+    def test_kkt_on_random_problems(self):
+        # w = z + d minimizes |A (w - z) + r|^2 over the simplex: w >= 0,
+        # sum(w) = 1, and the gradient A^T (A d + r) equals its multiplier
+        # on supp(w) and is at least it elsewhere.  Wide A (a singular
+        # model, as from a channel with more inputs than outputs),
+        # duplicated columns, zero rows, and warm starts anywhere
+        rng = np.random.default_rng(31)
+        for k in range(400):
+            m, n = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+            A = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-3, 4)
+            if k % 3 == 0 and n > 1:
+                A[:, rng.integers(n, size=n // 2)] = A[:, rng.integers(n, size=n // 2)]
+            if k % 4 == 0:
+                A[rng.random(m) < 0.4] = 0.0
+            r = rng.normal(size=m)
+            z = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.7)
+            if z.sum() == 0.0:
+                z[0] = 1.0
+            z /= z.sum()
+            start = z if k % 2 else rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.5)
+            if start.sum() == 0.0:
+                start = z
+            d = _simplex_qp_step(A, r, z, start / start.sum())
+            w = z + (0.0 if d is None else d)
+            assert w.min() >= 0.0
+            assert w.sum() == pytest.approx(1.0, abs=1e-12)
+            grad = A.T @ (A @ (w - z) + r)
+            scale = max(1.0, np.abs(A.T @ r).max())
+            mult = w @ grad
+            assert np.abs(grad[w > 0] - mult).max() <= 1e-9 * scale
+            assert grad.min() >= mult - 1e-9 * scale
 
 
 class TestBinaryClosedForm:

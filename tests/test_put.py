@@ -231,6 +231,19 @@ class TestPutFLeakage:
             gap = aware_put_gap(spec.ball_mask, prior.p, q.p, gen.alpha)
             assert gap <= 1e-9 * max(1.0, abs(aware))
 
+    def test_binomial_prior_on_type_specs(self):
+        # the optimal ball masses span 1e-43 to 0.2 at (50, 5); the
+        # least-squares step on a guessed support stopped at gap 0.237
+        kl = kl_generator()
+        for n, m in ((50, 5), (200, 10)):
+            spec = build_type_distance_spec(n, m)
+            weights = np.array([math.comb(n, i) for i in range(n + 1)], dtype=float)
+            prior = Dist(spec.input_alphabet, weights / weights.sum())
+            value, q = put_f_leakage(prior, spec, kl, tol=1e-10)
+            gap = aware_put_gap(spec.ball_mask, prior.p, q.p)
+            assert gap <= 1e-10 * max(1.0, abs(value))
+            assert value <= put_max_alpha_leakage(spec, 2.0)[0] + 1e-10
+
     def test_convergence_error_carries_frank_wolfe_gap(self):
         spec = build_type_distance_spec(9, 2)
         prior = Dist.uniform(spec.input_alphabet)
@@ -318,6 +331,16 @@ class TestPutMaxAlphaLeakage:
         gap = aware_put_gap(spec.ball_mask, prior.p, sol.target_output.p)
         assert sol.duality_gap == pytest.approx(gap, rel=0, abs=1e-14)
         assert sol.duality_gap <= 1e-10
+
+    def test_alpha_one_builds_the_ball_matrix_once(self, monkeypatch):
+        spec = build_type_distance_spec(20, 2)
+        reads = []
+        mask = DistortionSpec.ball_mask.fget
+        monkeypatch.setattr(
+            DistortionSpec, "ball_mask", property(lambda s: reads.append(1) or mask(s))
+        )
+        put_max_alpha_leakage(spec, 1.0, prior_for_one=Dist.uniform(spec.input_alphabet))
+        assert len(reads) == 1
 
     def test_alpha_one_zero_probability_input(self):
         # Q may leave the ball of an input of zero probability empty; that

@@ -26,6 +26,32 @@ def random_channel(rng: np.random.Generator, n_in: int, n_out: int, conc: float 
     return Channel(Alphabet.of_size(n_in, "x"), Alphabet.of_size(n_out, "y"), rows)
 
 
+def sweep_channel(seed: int, index: int) -> tuple[np.ndarray, float]:
+    """Channel `index` of the random capacity sweep, with its order: 2-64
+    inputs and outputs, rows Dirichlet(0.05, 0.2, 1 or 5), 40% of channels
+    with 30% zero entries, 30% with an output no input reaches, alpha in
+    {1.05, 1.5, 2, 4, 20}."""
+    rng = np.random.default_rng([seed, index])
+    n_in, n_out = (int(v) for v in rng.integers(2, 65, size=2))
+    W = rng.dirichlet(np.full(n_out, rng.choice([0.05, 0.2, 1.0, 5.0])), size=n_in)
+    if rng.random() < 0.4:
+        W[rng.random(W.shape) < 0.3] = 0.0
+    if rng.random() < 0.3:
+        W[:, rng.integers(n_out)] = 0.0
+    W[W.sum(axis=1) == 0.0, -1] = 1.0
+    return W / W.sum(axis=1, keepdims=True), float(rng.choice([1.05, 1.5, 2.0, 4.0, 20.0]))
+
+
+def tall_sparse_channel(rng: np.random.Generator) -> np.ndarray:
+    """27-64 inputs onto 2-25 outputs, rows Dirichlet(0.05-0.2) with 30% of
+    the entries zeroed: many inputs, so the Newton model is singular."""
+    n_in, n_out = int(rng.integers(27, 65)), int(rng.integers(2, 26))
+    W = rng.dirichlet(np.full(n_out, rng.choice([0.05, 0.1, 0.2])), size=n_in)
+    W[rng.random(W.shape) < 0.3] = 0.0
+    W[W.sum(axis=1) == 0.0, -1] = 1.0
+    return W / W.sum(axis=1, keepdims=True)
+
+
 def random_joint(rng: np.random.Generator, n_row: int, n_col: int, conc: float = 1.0) -> Joint:
     m = rng.dirichlet(np.full(n_row * n_col, conc)).reshape(n_row, n_col)
     return Joint(Alphabet.of_size(n_row, "x"), Alphabet.of_size(n_col, "y"), m)

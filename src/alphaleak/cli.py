@@ -359,14 +359,25 @@ def cmd_put_avg_binary(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser, sweep: bool = True) -> None:
-    if sweep:
-        parser.add_argument("--alpha", help="single order: a float, '1', or 'inf'")
-        parser.add_argument("--alpha-sweep", help="sweep: start:stop:step or comma list")
-    parser.add_argument("--base", default="nats", help="output unit: nats or bits")
+_BASE_HELP = "output unit: nats or bits"
+
+
+def _add_common(parser: argparse.ArgumentParser, base_help: str = _BASE_HELP) -> None:
+    parser.add_argument("--alpha", help="single order: a float, '1', or 'inf'")
+    parser.add_argument("--alpha-sweep", help="sweep: start:stop:step or comma list")
+    parser.add_argument("--base", default="nats", help=base_help)
     parser.add_argument("--tol", type=float, default=1e-10, help="certificate tolerance")
     parser.add_argument("--max-iter", type=int, default=100_000, help="solver iteration cap")
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
+
+
+def _add_closed_form_output(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--base",
+        default="nats",
+        help="unit of the summary line on stderr: nats or bits (the JSON holds both)",
+    )
+    parser.add_argument("--out", default=None, help="write the JSON to this path instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,7 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measures", help="per-alpha information measures of a joint")
     p.add_argument("joint", help="joint pmf JSON file")
-    _add_common(p)
+    _add_common(
+        p,
+        base_help=_BASE_HELP + " for the entropy and leakage columns; "
+        "min_expected_alpha_loss is printed unconverted (nats at alpha = 1)",
+    )
     p.set_defaults(func=cmd_measures)
 
     p = sub.add_parser("capacity", help="maximal alpha-leakage of one or two channels")
@@ -410,16 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = put_sub.add_parser("types", help="binary datasets, type-distance distortion")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--base", default="nats")
-    p.add_argument("--out", default=None)
+    _add_closed_form_output(p)
     p.set_defaults(func=cmd_put_types)
 
     p = put_sub.add_parser("hamming", help="q-ary datasets, Hamming distortion")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--base", default="nats")
-    p.add_argument("--out", default=None)
+    _add_closed_form_output(p)
     p.set_defaults(func=cmd_put_hamming)
 
     p = put_sub.add_parser("avg-binary", help="binary average-Hamming tradeoff sweep")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .prob import Alphabet, Channel, Dist
-from .put import DistortionSpec, q_star
+from .put import DistortionSpec, _certified_game
 
 ENUMERATION_LIMIT = 1024  # largest q**n materialized as an explicit spec
 
@@ -115,10 +115,9 @@ def build_type_distance_spec(n: int, m: int) -> DistortionSpec:
 
 def type_distance_crosscheck(n: int, m: int, tol: float = 1e-9) -> bool:
     """Re-derive the type-distance value through the maximin LP."""
-    if n > 200:
-        raise ValidationError("crosscheck LP is limited to n <= 200")
-    spec = build_type_distance_spec(n, m)
-    sol = q_star([tuple(np.flatnonzero(row)) for row in spec.ball_mask], n + 1)
+    if n + 1 > ENUMERATION_LIMIT:
+        raise ValidationError(f"crosscheck LP is limited to n + 1 <= {ENUMERATION_LIMIT} types")
+    sol = _certified_game(build_type_distance_spec(n, m).ball_mask)
     return abs(-math.log(sol.q) - type_distance_put(n, m).value) < tol
 
 
@@ -194,8 +193,7 @@ def hamming_crosscheck(n: int, m: int, q: int, tol: float = 1e-9) -> bool:
     spec; for binary alphabets additionally confirm that Hamming balls
     nest inside type balls, so the Hamming value dominates the
     type-distance value."""
-    spec = build_hamming_spec(n, m, q)
-    sol = q_star([tuple(np.flatnonzero(row)) for row in spec.ball_mask], q**n)
+    sol = _certified_game(build_hamming_spec(n, m, q).ball_mask)
     closed = hamming_put(n, m, q).value
     ok = abs(-math.log(sol.q) - closed) < tol
     if q == 2:

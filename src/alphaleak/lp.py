@@ -1,31 +1,59 @@
-"""Dense primal simplex for the maximin mass-covering game.
+"""Dense primal simplex for the maximin mass-covering game, solved on the
+coarsest equitable partition of the ball matrix.
 
 The hard-distortion PUT reduces to the matrix game
 
-    q* = sup_Q inf_x Q(B(x)),
+    q* = sup_Q inf_x Q(B(x)),        A[x, y] = 1(y in B(x)).
 
-a linear program over the output simplex, solved through the standard
-positive-value transform: q* > 0 because every ball is nonempty, so
+**Quotient.**  Colour refinement (1-dimensional Weisfeiler-Leman) on the
+bipartite ball graph splits the inputs into classes R_i and the outputs
+into classes C_j such that every x in R_i has the same count
+N[i, j] = |B(x) ∩ C_j| and every y in C_j is reached by the same number of
+inputs of R_i.  On such an equitable partition the LP may be solved on the
+quotient and lifted back exactly (Grohe, Kersting, Mladenov & Selman,
+"Dimension reduction via colour refinement", ESA 2014; orbit reduction,
+as in the uniform-over-ball and type-class mechanisms, is a special case):
+a Q uniform on each C_j gives (A Q)_x = sum_j N[i, j] Q(C_j) / |C_j|, the
+same for all x in R_i.  Averaging any Q over its classes makes (A Q)_x the
+mean of A Q over the class of x, which leaves min_x (A Q)_x no smaller, so
+the quotient game has value q* too.  The LP is solved with integer counts
+and per-element masses w_j = Q(y), y in C_j,
 
-    max 1'v  s.t.  A'v <= 1, v >= 0        (A[x, y] = 1(y in B(x)))
+    max 1'v  s.t.  N'v <= |C|, v >= 0,
 
-has optimum 1/q*; v/1'v is the optimal mu and the constraint duals u
-give Q* = u/1'u.  The slack basis is feasible, so no phase 1 is needed.
+whose optimum is 1/q*; the constraint duals are the masses w, and the
+lift is Q(y) = w_j / sum_j |C_j| w_j and mu(x) = v_i / (|R_i| 1'v).  With
+every class a single point (N = A, |C| = 1) this is the standard
+positive-value transform of the game; q* > 0 because every ball is
+nonempty, and the slack basis is feasible, so no phase 1 is needed.
 
-Most instances have under ten outputs, so a dense tableau beats a sparse
-solver's per-call set-up.  The column of most negative reduced cost
-enters (Dantzig's rule); among rows tied in the ratio test, the one with
-the largest pivot element leaves, and entries below `_PIVOT_MIN` never
-pivot.  The Hamming LPs are highly degenerate, so after `_DEGENERATE_RUN`
-degenerate pivots in a row both choices follow Bland's smallest-index
-rule, which cannot cycle, until a pivot makes progress.  Each pivot is
-one rank-1 update of the whole tableau.
+Refinement hashes each vertex's multiset of neighbour colours as a sum of
+fixed random uint64 weights (wrapping arithmetic), one pass over the
+nonzeros per round; path-like games (type distance) need about n/2
+rounds.  A hash collision can only merge classes, so the partition it
+ends with is checked for equitability exactly, from the class counts of
+every vertex, and the full matrix is solved when the check fails or no
+class has two members.  Games with fewer than `_REFINE_MIN` inputs or
+outputs skip refinement.  Measured on random 0/1 games (one BLAS thread,
+2-vCPU machine), refining costs 190-215 us at 4 x 4 and 8 x 8 against
+70-110 us for the whole full-matrix solve, and 210 us at 16 x 16 against
+260 us.
 
-The answer is certified from the returned vectors, not from the tableau:
-q and mu are clipped at 0 and renormalized, and the gap
-max_y (mu A)_y - min_x (A q)_x bounds how far min_x (A q)_x lies below
-q*.  A gap above `_REBUILD_GAP` means rounding has drifted the tableau;
-it is then recomputed once from the final basis by one linear solve, and
+**Tableau.**  Most instances have under ten classes, so a dense tableau
+beats a sparse solver's per-call set-up.  The column of most negative
+reduced cost enters (Dantzig's rule); among rows tied in the ratio test,
+the one with the largest pivot element leaves, and entries below
+`_PIVOT_MIN` never pivot.  The Hamming LPs are highly degenerate, so
+after `_DEGENERATE_RUN` degenerate pivots in a row both choices follow
+Bland's smallest-index rule, which cannot cycle, until a pivot makes
+progress.  Each pivot is one rank-1 update of the whole tableau.
+
+**Certificate.**  The answer is certified from the lifted vectors on the
+full matrix, not from the tableau or the quotient, so the reduction needs
+no trust: v and w are clipped at 0, lifted, renormalized, and the gap
+max_y (mu A)_y - min_x (A q)_x bounds how far min_x (A q)_x lies below q*.
+A gap above `_REBUILD_GAP` means rounding has drifted the tableau; it is
+then recomputed once from the final basis by one linear solve, and
 pivoting resumes before the certificate is measured again.
 """
 
@@ -43,6 +71,7 @@ _PIVOT_EPS = 1e-11
 _PIVOT_MIN = 1e-7
 _DEGENERATE_RUN = 50
 _REBUILD_GAP = 1e-13
+_REFINE_MIN = 16  # fewer inputs or outputs than this: solve the full matrix
 
 
 class GameSolution(NamedTuple):
@@ -79,29 +108,103 @@ def _pivot_to_optimum(T: np.ndarray, basis: np.ndarray) -> None:
         basis[i] = j
 
 
-def covering_game(ball_matrix: np.ndarray) -> GameSolution:
-    """Solve q* = sup_Q inf_x sum_y ball_matrix[x, y] Q(y) for a 0/1
-    matrix whose every row has at least one 1."""
-    A = np.asarray(ball_matrix, dtype=float)
-    n_in, n_out = A.shape
-    # Constraint rows [A' I 1]; the last row holds the reduced costs
-    # c_B B^-1 [A' I 1] - c of the objective c = (1, 0, 0), at first -c.
+def _simplex(N: np.ndarray, sizes: np.ndarray | float, certify) -> GameSolution:
+    """Solve max 1'v s.t. N'v <= sizes, v >= 0 and return `certify(v, w)`
+    of v and the constraint duals w, both clipped at 0."""
+    n_in, n_out = N.shape
+    # Constraint rows [N' I sizes]; the last row holds the reduced costs
+    # c_B B^-1 [N' I sizes] - c of the objective c = (1, 0, 0), at first -c.
     T = np.zeros((n_out + 1, n_in + n_out + 1))
-    T[:-1, :n_in] = A.T
-    T[:-1, n_in:] = np.eye(n_out, n_out + 1)
-    T[:-1, -1], T[-1, :n_in] = 1.0, -1.0
+    T[:-1, :n_in] = N.T
+    T[:-1, n_in:-1].flat[:: n_out + 1] = 1.0
+    T[:-1, -1], T[-1, :n_in] = sizes, -1.0
     start = T.copy()
     basis = np.arange(n_in, n_in + n_out)
     for rebuilt in (False, True):
         _pivot_to_optimum(T, basis)
         v = np.zeros(n_in + n_out)
         v[basis] = T[:-1, -1]
-        mu, q = np.maximum(v[:n_in], 0.0), np.maximum(T[-1, n_in:-1], 0.0)
-        mu, q = mu / mu.sum(), q / q.sum()
-        primal_value = float((A @ q).min())
-        gap = float((mu @ A).max()) - primal_value
-        if gap <= _REBUILD_GAP or rebuilt:
+        solution = certify(np.maximum(v[:n_in], 0.0), np.maximum(T[-1, n_in:-1], 0.0))
+        if solution.gap <= _REBUILD_GAP or rebuilt:
             break
         T[:-1] = np.linalg.solve(start[:-1, basis], start[:-1])
         T[-1] = start[-1] - start[-1, basis] @ T[:-1]
-    return GameSolution(primal_value, q, mu, gap)
+    return solution
+
+
+def _equitable_partition(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Colour refinement of the bipartite graph of the 0/1 matrix A.
+
+    Returns the class of every row and every column and the count matrix
+    N[i, j] = |{y in C_j : A[x, y] = 1}| of any x in R_i, after checking
+    exactly that every row and every column agrees with its class; None
+    when that check fails or every class is a single point.
+    """
+    n_in, n_out = A.shape
+    xs, ys = np.nonzero(A)  # row-major: xs ascending
+    xs_by_col = xs[np.argsort(ys, kind="stable")]
+    own, nbr = np.random.default_rng(0).integers(
+        0, np.iinfo(np.uint64).max, size=(2, max(n_in, n_out)), dtype=np.uint64, endpoint=True
+    )
+
+    def recolourer(degrees):
+        # New colour: the own colour and the neighbours' colours, hashed
+        # as own[colour] + sum of nbr[neighbour colour] (wrapping uint64).
+        nonempty = degrees > 0
+        starts = (np.cumsum(degrees) - degrees)[nonempty]
+
+        def recolour(colour, neighbours):
+            key = own[colour]
+            key[nonempty] += np.add.reduceat(nbr[neighbours], starts)
+            return np.unique(key, return_inverse=True)[1]
+
+        return recolour
+
+    recolour_rows = recolourer(np.bincount(xs, minlength=n_in))
+    recolour_cols = recolourer(np.bincount(ys, minlength=n_out))
+    rows, cols = np.zeros(n_in, np.intp), np.zeros(n_out, np.intp)
+    counts = (1, 1)
+    while True:
+        rows = recolour_rows(rows, cols[ys])
+        cols = recolour_cols(cols, rows[xs_by_col])
+        new = (int(rows.max()) + 1, int(cols.max()) + 1)
+        if new == counts:
+            break
+        counts = new
+    a, b = counts
+    if (a, b) == (n_in, n_out):
+        return None
+    row_counts = np.bincount(xs * b + cols[ys], minlength=n_in * b).reshape(n_in, b)
+    col_counts = np.bincount(ys * a + rows[xs], minlength=n_out * a).reshape(n_out, a)
+    row_rep, col_rep = np.empty(a, np.intp), np.empty(b, np.intp)
+    row_rep[rows], col_rep[cols] = np.arange(n_in), np.arange(n_out)
+    N = row_counts[row_rep]
+    if (row_counts != N[rows]).any() or (col_counts != col_counts[col_rep][cols]).any():
+        return None
+    return rows, cols, N.astype(float)
+
+
+def covering_game(ball_matrix: np.ndarray) -> GameSolution:
+    """Solve q* = sup_Q inf_x sum_y ball_matrix[x, y] Q(y) for a 0/1
+    matrix whose every row has at least one 1.
+
+    The LP is solved on the coarsest equitable partition of the matrix
+    (skipped below `_REFINE_MIN` inputs or outputs), its solution lifted
+    uniformly onto each class, and the gap measured on the full matrix.
+    """
+    A = np.asarray(ball_matrix, dtype=float)
+    classes = _equitable_partition(A) if min(A.shape) >= _REFINE_MIN else None
+    if classes is None:
+        N, sizes, lift = A, 1.0, lambda v, w: (v, w)
+    else:
+        rows, cols, N = classes
+        sizes, row_sizes = np.bincount(cols).astype(float), np.bincount(rows)
+        lift = lambda v, w: ((v / row_sizes)[rows], w[cols])
+
+    def certify(v, w):
+        mu, q = lift(v, w)
+        mu, q = mu / mu.sum(), q / q.sum()
+        primal_value = float((A @ q).min())
+        return GameSolution(primal_value, q, mu, float((mu @ A).max()) - primal_value)
+
+    return _simplex(N, sizes, certify)

@@ -11,6 +11,15 @@ mechanism distributing Q* restricted to each ball:
 
     P*(y | x) = 1(d(x, y) <= D) Q*(y) / Q*(B_D(x)).
 
+The LP runs on the coarsest equitable partition of the ball matrix, so
+symmetric specs shrink to a few classes: a Hamming spec of 16 datasets or
+more collapses to one input and one output class, and Q* comes back
+uniform (the uniform-over-ball mechanism), while a type-distance spec
+halves under its reflection.  The duality gap is measured on the full
+ball matrix.  The hard solves build that matrix once from
+`DistortionSpec.ball_mask` and use it for the LP and the mechanism;
+`q_star` and `optimal_mechanism` also take per-input index tuples.
+
 For maximal alpha-leakage with alpha > 1 the value is -log q*, so the
 optimal mechanism and tradeoff do not depend on alpha.  Distribution-aware
 variants (f-leakage, alpha = 1) instead minimize a convex expectation over
@@ -130,8 +139,8 @@ def q_star(balls: Sequence[Sequence[int]], n_outputs: int, tol: float = 1e-10) -
     return _certified_game(_ball_matrix(balls, n_outputs), tol)
 
 
-def _certified_game(A: np.ndarray, tol: float) -> QStarSolution:
-    """`q_star` on the 0/1 ball matrix A[x, y] = 1(y in B(x))."""
+def _certified_game(A: np.ndarray, tol: float = 1e-10) -> QStarSolution:
+    """`q_star` on the 0/1 ball matrix (or ball mask) A[x, y] = 1(y in B(x))."""
     game = covering_game(A)
     if game.gap > tol:
         raise ConvergenceError(

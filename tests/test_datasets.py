@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from alphaleak import type_index_set
+from alphaleak import ValidationError, type_index_set
 from alphaleak.datasets import (
+    ENUMERATION_LIMIT,
     build_hamming_spec,
     build_type_distance_spec,
     enumerate_datasets,
@@ -47,6 +49,15 @@ def test_type_distance_crosscheck_grid():
     for n in (1, 2, 3, 5, 8, 13, 25, 50, 80, 120, 160, 200):
         for m in sorted({0, 1, 2, 3, n // 8, n // 4, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
             assert type_distance_crosscheck(n, m), (n, m)
+
+
+def test_type_distance_crosscheck_up_to_the_enumeration_limit():
+    # n + 1 = 1024 types: the LP runs on the quotient by the reflection
+    for n in (500, 1023):
+        for m in (0, 1, 10, n // 3, n):
+            assert type_distance_crosscheck(n, m), (n, m)
+    with pytest.raises(ValidationError):
+        type_distance_crosscheck(ENUMERATION_LIMIT, 1)
 
 
 def test_uniform_ball_mechanism_is_uniform_on_each_ball():

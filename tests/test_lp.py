@@ -1,0 +1,122 @@
+"""The covering LP on the coarsest equitable partition of the ball matrix."""
+
+import numpy as np
+import pytest
+from scipy.optimize import linprog
+
+from alphaleak import lp
+from alphaleak.datasets import build_hamming_spec
+
+
+def highs_value(A: np.ndarray) -> float:
+    n_in, n_out = A.shape
+    res = linprog(
+        c=np.r_[np.zeros(n_out), -1.0],
+        A_ub=np.hstack([-A, np.ones((n_in, 1))]),
+        b_ub=np.zeros(n_in),
+        A_eq=np.r_[np.ones(n_out), 0.0][None, :],
+        b_eq=[1.0],
+        bounds=[(0, None)] * n_out + [(None, None)],
+        method="highs",
+    )
+    assert res.status == 0
+    return -res.fun
+
+
+def random_01(rng, n_in, n_out) -> np.ndarray:
+    A = (rng.random((n_in, n_out)) < rng.uniform(0.1, 0.6)).astype(float)
+    A[np.arange(n_in), rng.integers(0, n_out, n_in)] = 1.0
+    return A
+
+
+def circulant(rng, n) -> np.ndarray:
+    first = rng.random(n) < rng.uniform(0.1, 0.5)
+    first[rng.integers(n)] = True
+    return np.array([np.roll(first, k) for k in range(n)], dtype=float)
+
+
+def planted_games(rng):
+    """Games with planted symmetry, each with its rows and columns shuffled."""
+    for k in range(60):
+        kind = k % 4
+        if kind == 0:
+            A = circulant(rng, int(rng.integers(16, 60)))
+        elif kind == 1:
+            small = random_01(rng, int(rng.integers(3, 7)), int(rng.integers(3, 7)))
+            A = np.kron(small, circulant(rng, int(rng.integers(6, 11))))
+        elif kind == 2:
+            small = random_01(rng, int(rng.integers(3, 6)), int(rng.integers(2, 5)))
+            A = np.kron(np.kron(small, np.ones((2, 3))), random_01(rng, 3, 3))
+        else:  # every row and column of a random game, some of them repeated
+            base = random_01(rng, int(rng.integers(5, 30)), int(rng.integers(5, 30)))
+            rows = np.r_[np.arange(base.shape[0]), rng.integers(0, base.shape[0], 20)]
+            cols = np.r_[np.arange(base.shape[1]), rng.integers(0, base.shape[1], 20)]
+            A = base[rows][:, cols]
+        yield kind, A[rng.permutation(A.shape[0])][:, rng.permutation(A.shape[1])]
+
+
+def assert_equitable(A: np.ndarray, rows: np.ndarray, cols: np.ndarray, N: np.ndarray) -> None:
+    # every input of class i has N[i, j] outputs of class j in its ball,
+    # and every output of class j lies in the balls of the same number of
+    # inputs of each class
+    for x in range(A.shape[0]):
+        counts = [A[x, cols == j].sum() for j in range(N.shape[1])]
+        assert counts == list(N[rows[x]])
+    for j in range(N.shape[1]):
+        members = np.flatnonzero(cols == j)
+        per_class = [[A[rows == i, y].sum() for i in range(N.shape[0])] for y in members]
+        assert all(c == per_class[0] for c in per_class)
+
+
+def test_planted_symmetry_is_found_and_solved_exactly():
+    rng = np.random.default_rng(71)
+    for kind, A in planted_games(rng):
+        classes = lp._equitable_partition(A)
+        assert classes is not None  # every game above has a nontrivial symmetry
+        assert_equitable(A, *classes)
+        if kind == 0:  # regular on both sides: one class each
+            assert classes[2].shape == (1, 1)
+        sol = lp.covering_game(A)
+        assert sol.value == pytest.approx(highs_value(A), abs=1e-9)
+        # the certificate, recomputed here on the full matrix
+        assert (sol.mu @ A).max() - (A @ sol.q).min() <= 1e-10
+        assert sol.gap <= 1e-10
+        assert sol.q.min() >= 0.0 and sol.mu.min() >= 0.0
+
+
+def test_failed_equitability_check_falls_back_to_the_full_matrix(monkeypatch):
+    # With every hash weight equal, refinement only tells degrees apart,
+    # which on a random game leaves a partition that is not equitable; the
+    # exact check must reject it and the full matrix must be solved.
+    A = random_01(np.random.default_rng(73), 20, 20)
+
+    class EqualWeights(np.random.Generator):
+        def integers(self, *args, size, dtype, **kwargs):
+            return np.ones(size, dtype)
+
+    monkeypatch.setattr(lp.np.random, "default_rng", lambda seed: EqualWeights(np.random.PCG64(seed)))
+    assert lp._equitable_partition(A) is None
+    sol = lp.covering_game(A)
+    assert sol.value == pytest.approx(highs_value(A), abs=1e-9)
+    assert sol.gap <= 1e-10
+
+
+def test_small_games_skip_refinement(monkeypatch):
+    def refuse(A):
+        raise AssertionError("refinement ran on a game below the size limit")
+
+    monkeypatch.setattr(lp, "_equitable_partition", refuse)
+    rng = np.random.default_rng(72)
+    for k in range(50):
+        shape = rng.integers(2, lp._REFINE_MIN), rng.integers(2, 40)
+        sol = lp.covering_game(random_01(rng, *(shape if k % 2 else shape[::-1])))
+        assert sol.gap <= 1e-10
+
+
+def test_full_tableau_on_a_degenerate_hamming_game(monkeypatch):
+    # The quotient of a Hamming game is 1 x 1; the full tableau still has to
+    # get through its thousands of tied, degenerate pivots.
+    monkeypatch.setattr(lp, "_equitable_partition", lambda A: None)
+    sol = lp.covering_game(build_hamming_spec(5, 1, 3).ball_mask)
+    assert sol.value == pytest.approx(11 / 243, rel=0, abs=1e-12)
+    assert sol.gap <= 1e-12

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from alphaleak import (
     q_star,
     sensitive_lower_bound,
 )
-from alphaleak.datasets import build_hamming_spec, build_type_distance_spec
+from alphaleak.datasets import build_hamming_spec, build_type_distance_spec, hamming_ball_size
 from util import aware_put_gap, random_dist
 
 B = Alphabet(("0", "1"))
@@ -285,6 +286,19 @@ class TestPutMaxAlphaLeakage:
             assert sol.q_star == pytest.approx((1 + n * (q - 1)) / q**n, rel=0, abs=1e-12)
             assert sol.target_output.p.min() >= 0.0
             assert sol.dual_certificate.p.min() >= 0.0
+
+    def test_hamming_lps_at_the_enumeration_limit(self):
+        # 729 and 1024 datasets; the full tableau took 37 s and 144 s on the
+        # 1024-point ones, the quotient of each is one class per side
+        for n, m, q in ((10, 1, 2), (5, 1, 4), (6, 2, 3)):
+            spec = build_hamming_spec(n, m, q)
+            start = time.perf_counter()
+            _, sol = put_max_alpha_leakage(spec, 2)
+            assert time.perf_counter() - start < 5.0
+            assert sol.q_star == pytest.approx(hamming_ball_size(n, m, q) / q**n, rel=0, abs=1e-12)
+            A = spec.ball_mask.astype(float)
+            gap = (sol.dual_certificate.p @ A).max() - (A @ sol.target_output.p).min()
+            assert gap <= 1e-10
 
     def test_full_balls_zero_for_every_order(self):
         spec = DistortionSpec(B, B, np.zeros((2, 2)), 1.0)

@@ -57,7 +57,6 @@ from .put import (
     PutSolution,
     SensitiveJoint,
     avg_hamming_binary_put,
-    distortion_balls,
     optimal_mechanism,
     put_f_leakage,
     put_max_alpha_leakage,

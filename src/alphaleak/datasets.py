@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .prob import Alphabet, Channel, Dist
-from .put import DistortionSpec, _certified_game
+from .put import DistortionSpec, optimal_mechanism, q_star
 
 ENUMERATION_LIMIT = 1024  # largest q**n materialized as an explicit spec
 
@@ -117,8 +117,8 @@ def type_distance_crosscheck(n: int, m: int, tol: float = 1e-9) -> bool:
     """Re-derive the type-distance value through the maximin LP."""
     if n + 1 > ENUMERATION_LIMIT:
         raise ValidationError(f"crosscheck LP is limited to n + 1 <= {ENUMERATION_LIMIT} types")
-    sol = _certified_game(build_type_distance_spec(n, m).ball_mask)
-    return abs(-math.log(sol.q) - type_distance_put(n, m).value) < tol
+    game = q_star(build_type_distance_spec(n, m))
+    return abs(-math.log(game.value) - type_distance_put(n, m).value) < tol
 
 
 def hamming_ball_size(n: int, m: int, q: int) -> int:
@@ -133,8 +133,9 @@ def hamming_ball_size(n: int, m: int, q: int) -> int:
 @dataclass(frozen=True)
 class UniformBallMechanism:
     """Symbolic uniform-over-ball mechanism: 1/|ball| on each feasible
-    output, exactly zero elsewhere.  Entries are rationals so row sums are
-    exactly one."""
+    output, exactly zero elsewhere.  `prob` gives the entries as rationals,
+    so row sums are exactly one; `materialize` builds the float channel as
+    the uniform law restricted to each ball of the explicit spec."""
 
     n: int
     m: int
@@ -148,10 +149,8 @@ class UniformBallMechanism:
         return Fraction(1, self.ball_size) if mismatches <= self.m else Fraction(0)
 
     def materialize(self) -> Channel:
-        datasets = enumerate_datasets(self.n, self.q)
-        alpha = Alphabet(datasets)
-        rows = [[float(self.prob(x, y)) for y in datasets] for x in datasets]
-        return Channel(alpha, alpha, rows)
+        spec = build_hamming_spec(self.n, self.m, self.q)
+        return optimal_mechanism(Dist.uniform(spec.output_alphabet), spec)
 
 
 @dataclass(frozen=True)
@@ -193,9 +192,9 @@ def hamming_crosscheck(n: int, m: int, q: int, tol: float = 1e-9) -> bool:
     spec; for binary alphabets additionally confirm that Hamming balls
     nest inside type balls, so the Hamming value dominates the
     type-distance value."""
-    sol = _certified_game(build_hamming_spec(n, m, q).ball_mask)
+    game = q_star(build_hamming_spec(n, m, q))
     closed = hamming_put(n, m, q).value
-    ok = abs(-math.log(sol.q) - closed) < tol
+    ok = abs(-math.log(game.value) - closed) < tol
     if q == 2:
         ok = ok and closed >= type_distance_put(n, m).value - tol
     return ok

@@ -33,7 +33,7 @@ from .measures import (
     FGenerator,
     arimoto_cond_entropy,
     arimoto_mi,
-    sibson_mi,
+    _log_rows,
     _shannon_mi_from_joint,
 )
 from .prob import (
@@ -317,12 +317,6 @@ def maximal_leakage(channel: Channel) -> float:
     return float(np.log(channel.rows.max(axis=0).sum()))
 
 
-def _log_rows(W: np.ndarray) -> np.ndarray:
-    out = np.full_like(W, -np.inf)
-    np.log(W, out=out, where=W > 0)
-    return out
-
-
 def maximal_alpha_leakage(
     channel: Channel,
     order,
@@ -523,15 +517,14 @@ def f_leakage(joint: Joint, gen: FGenerator, tol: float = 1e-10, max_iter: int =
     if gen.kind == "kl":
         return _shannon_mi_from_joint(joint.m), joint.col_marginal()
     if gen.kind == "hellinger":
-        a = gen.alpha
-        i_sibson = sibson_mi(prior, channel, a)
-        value = float(np.expm1((a - 1.0) * i_sibson) / (a - 1.0))
-        log_wa = a * _log_rows(channel.rows)
-        sup = prior.p > 0
-        log_ay = logsumexp(np.log(prior.p[sup])[:, None] + log_wa[sup], axis=0)
-        log_q = log_ay / a - logsumexp(log_ay / a)
-        q = np.exp(log_q)
-        return value, Dist(out_alpha, q / q.sum())
+        # Sibson's sums A(y) = sum_x P(x) W(y|x)^a give the value
+        # (S^a - 1)/(a - 1), S = sum_y A(y)^(1/a), and Q = A^(1/a) / S.
+        a, sup = gen.alpha, prior.p > 0
+        log_pw = np.log(prior.p[sup])[:, None] + a * _log_rows(channel.rows[sup])
+        log_ay = logsumexp(log_pw, axis=0)
+        log_s = logsumexp(log_ay / a)
+        q = np.exp(log_ay / a - log_s)
+        return float(np.expm1(a * log_s) / (a - 1.0)), Dist(out_alpha, q / q.sum())
     value, q = _min_fdiv_over_reference(prior.p, channel.rows, gen, tol, max_iter)
     return value, Dist(out_alpha, q)
 

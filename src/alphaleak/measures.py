@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,22 +79,25 @@ def renyi_divergence(p: Dist, q: Dist, order) -> float:
     _require_same_alphabet(p, q)
     pv, qv = p.p, q.p
     sup = pv > 0
+    if order.value >= 1.0 and np.any(sup & (qv == 0)):
+        return math.inf
     if order.is_one:
-        if np.any(sup & (qv == 0)):
-            return math.inf
         return float((pv[sup] * (np.log(pv[sup]) - np.log(qv[sup]))).sum())
     if order.is_inf:
-        if np.any(sup & (qv == 0)):
-            return math.inf
         return float(np.log(np.max(pv[sup] / qv[sup])))
     a = order.value
-    if a > 1.0 and np.any(sup & (qv == 0)):
-        return math.inf
     both = sup & (qv > 0)
     if not np.any(both):
         return math.inf
     log_terms = a * np.log(pv[both]) + (1.0 - a) * np.log(qv[both])
     return float(logsumexp(log_terms) / (a - 1.0))
+
+
+def _log_rows(W: np.ndarray) -> np.ndarray:
+    """Elementwise log of the nonnegative W, -inf where W = 0."""
+    out = np.full_like(W, -np.inf)
+    np.log(W, out=out, where=W > 0)
+    return out
 
 
 def _shannon_mi_from_joint(m: np.ndarray) -> float:
@@ -126,13 +129,9 @@ def sibson_mi(prior: Dist, channel: Channel, order) -> float:
     if order.is_inf:
         return float(np.log(W[support].max(axis=0).sum()))
     a = order.value
-    logW = np.full_like(W, -np.inf)
-    np.log(W, out=logW, where=W > 0)
-    logpx = np.log(px[support])
     # log A(y) = logsumexp_x (log P(x) + alpha log W(y|x)) over the support
-    log_a = logsumexp(logpx[:, None] + a * logW[support], axis=0)
-    finite = log_a > -np.inf
-    return float(a / (a - 1.0) * logsumexp(log_a[finite] / a))
+    log_a = logsumexp(np.log(px[support])[:, None] + a * _log_rows(W[support]), axis=0)
+    return float(a / (a - 1.0) * logsumexp(log_a / a))
 
 
 def arimoto_cond_entropy(joint: Joint, order) -> float:
@@ -174,9 +173,24 @@ _CONVEXITY_PROBES = 10_000
 _CONVEXITY_SEED = 20240817
 
 
+def _elementwise(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """`fn` of float arrays, applied to the array of t; a float for scalar t."""
+
+    def apply(t):
+        out = fn(np.asarray(t, dtype=float))
+        return out if out.ndim else float(out)
+
+    return apply
+
+
 @dataclass(frozen=True)
 class FGenerator:
     """Convex generator f with f(1) = 0 defining an f-divergence.
+
+    `f` (also at t = 0), `fprime` and `fsecond` are f, f' and f'' on t > 0,
+    elementwise, supplied by the constructor.  Equality ignores them: KL
+    generators are equal, Hellinger ones by alpha, custom ones by `fn` and
+    constants.
 
     `f_at_zero` is f(0) and `slope_at_inf` is lim_{t->inf} f(t)/t; both
     enter the hard-distortion PUT formulas and the q = 0 boundary terms of
@@ -189,67 +203,33 @@ class FGenerator:
     f_at_zero: float
     slope_at_inf: float
     label: str
+    f: Callable = field(compare=False, repr=False)
+    fprime: Callable = field(compare=False, repr=False)
+    fsecond: Callable = field(compare=False, repr=False)
     _fn: Callable[[float], float] | None = None
-
-    def f(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "kl":
-            out = xlogy(t, t)
-        elif self.kind == "hellinger":
-            a = self.alpha
-            out = (np.power(t, a) - 1.0) / (a - 1.0)
-        else:
-            out = np.vectorize(self._fn, otypes=[float])(t)
-            out = np.where(t == 0.0, self.f_at_zero, out)
-        return out if out.ndim else float(out)
-
-    def fprime(self, t):
-        """Derivative of f on t > 0 (central difference for custom f)."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "kl":
-            out = np.log(t) + 1.0
-        elif self.kind == "hellinger":
-            a = self.alpha
-            out = a * np.power(t, a - 1.0) / (a - 1.0)
-        else:
-            # eps^(1/3) balances the O(h^2) truncation error of the central
-            # difference against the O(eps / h) rounding error.
-            h = _CBRT_EPS * np.maximum(np.abs(t), 1e-6)
-            out = (self.f(t + h) - self.f(np.maximum(t - h, 0.0))) / (h + np.minimum(t, h))
-        return out if out.ndim else float(out)
-
-    def fsecond(self, t):
-        """Second derivative of f on t > 0 (central second difference for
-        custom f)."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "kl":
-            out = 1.0 / t
-        elif self.kind == "hellinger":
-            a = self.alpha
-            out = a * np.power(t, a - 2.0)
-        else:
-            h = 1e-4 * t
-            out = (self.f(t + h) - 2.0 * self.f(t) + self.f(t - h)) / (h * h)
-        return out if out.ndim else float(out)
 
 
 def kl_generator() -> FGenerator:
     """f(t) = t log t; its f-divergence is Kullback-Leibler."""
-    return FGenerator(kind="kl", alpha=None, f_at_zero=0.0, slope_at_inf=math.inf, label="kl")
+    return FGenerator(
+        "kl", None, 0.0, math.inf, "kl",
+        f=_elementwise(lambda t: xlogy(t, t)),
+        fprime=_elementwise(lambda t: np.log(t) + 1.0),
+        fsecond=_elementwise(lambda t: 1.0 / t),
+    )
 
 
 def hellinger_generator(alpha: float) -> FGenerator:
     """f_alpha(t) = (t^alpha - 1)/(alpha - 1), the Hellinger divergence of
     order alpha > 1."""
-    alpha = float(alpha)
-    if not alpha > 1.0:
-        raise ValidationError(f"Hellinger generator requires alpha > 1, got {alpha}")
+    a = float(alpha)
+    if not a > 1.0:
+        raise ValidationError(f"Hellinger generator requires alpha > 1, got {a}")
     return FGenerator(
-        kind="hellinger",
-        alpha=alpha,
-        f_at_zero=-1.0 / (alpha - 1.0),
-        slope_at_inf=math.inf,
-        label=f"hellinger({alpha:g})",
+        "hellinger", a, -1.0 / (a - 1.0), math.inf, f"hellinger({a:g})",
+        f=_elementwise(lambda t: (np.power(t, a) - 1.0) / (a - 1.0)),
+        fprime=_elementwise(lambda t: a * np.power(t, a - 1.0) / (a - 1.0)),
+        fsecond=_elementwise(lambda t: a * np.power(t, a - 2.0)),
     )
 
 
@@ -263,7 +243,8 @@ def custom_generator(
 
     Convexity is not machine-checkable from an evaluator; construction runs
     10^4 seeded random chord probes on [0, 1e4] and rejects any violation
-    beyond 1e-9 (relative to the chord scale).
+    beyond 1e-9 (relative to the chord scale).  f' and f'' are central
+    differences of `fn`.
     """
     if abs(fn(1.0)) > 1e-12:
         raise ValidationError(f"generator must satisfy f(1) = 0, got f(1) = {fn(1.0)!r}")
@@ -279,32 +260,36 @@ def custom_generator(
     scale = np.maximum(1.0, np.abs(chord))
     if np.any(mid - chord > 1e-9 * scale):
         raise ValidationError("custom generator failed random convexity probes")
+    f_at_zero = float(f_at_zero)
+
+    def f(t):
+        return np.where(t == 0.0, f_at_zero, fv(t))
+
+    def fprime(t):
+        # eps^(1/3) balances the O(h^2) truncation error of the central
+        # difference against the O(eps / h) rounding error.
+        h = _CBRT_EPS * np.maximum(np.abs(t), 1e-6)
+        return (f(t + h) - f(np.maximum(t - h, 0.0))) / (h + np.minimum(t, h))
+
+    def fsecond(t):
+        h = 1e-4 * t
+        return (f(t + h) - 2.0 * f(t) + f(t - h)) / (h * h)
+
     return FGenerator(
-        kind="custom",
-        alpha=None,
-        f_at_zero=float(f_at_zero),
-        slope_at_inf=float(slope_at_inf),
-        label=label,
-        _fn=fn,
+        "custom", None, f_at_zero, float(slope_at_inf), label,
+        _elementwise(f), _elementwise(fprime), _elementwise(fsecond), fn,
     )
 
 
 def f_divergence(p: Dist, q: Dist, gen: FGenerator) -> float:
-    """D_f(p || q) = sum_{q(y)>0} q(y) f(p(y)/q(y)) + p(q = 0) * lim f(t)/t."""
+    """D_f(p || q) = sum_{q(y)>0} q(y) f(p(y)/q(y)) + p(q = 0) * lim f(t)/t;
+    Hellinger as (k_alpha(p || q) - 1)/(alpha - 1): q f(p/q) overflows where q is tiny."""
+    if gen.kind == "hellinger":
+        return (k_alpha(p, q, gen.alpha) - 1.0) / (gen.alpha - 1.0)
     _require_same_alphabet(p, q)
     pv, qv = p.p, q.p
     pos = qv > 0
-    if gen.kind == "kl":
-        val = float(xlogy(pv[pos], pv[pos] / qv[pos]).sum())
-    elif gen.kind == "hellinger":
-        a = gen.alpha
-        ppos = pv[pos]
-        terms = np.zeros_like(ppos)
-        nz = ppos > 0
-        terms[nz] = np.exp(a * np.log(ppos[nz]) + (1.0 - a) * np.log(qv[pos][nz]))
-        val = float((terms.sum() - 1.0) / (a - 1.0))
-    else:
-        val = float((qv[pos] * gen.f(pv[pos] / qv[pos])).sum())
+    val = float((qv[pos] * gen.f(pv[pos] / qv[pos])).sum())
     escaped = float(pv[~pos].sum())
     if escaped > 0.0:
         val = val + escaped * gen.slope_at_inf if math.isfinite(gen.slope_at_inf) else math.inf
@@ -324,9 +309,7 @@ def k_alpha(p: Dist, q: Dist, alpha: float) -> float:
     pv, qv = p.p, q.p
     if np.any((pv > 0) & (qv == 0)):
         return math.inf
-    both = (pv > 0) & (qv > 0)
-    if not np.any(both):
-        return 0.0
+    both = pv > 0  # and so q > 0 there
     return float(np.exp(logsumexp(alpha * np.log(pv[both]) + (1.0 - alpha) * np.log(qv[both]))))
 
 

@@ -13,6 +13,7 @@ looser 1e-9 so accumulated float error is not mistaken for bad input.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ DERIVED_ATOL = 1e-9
 ALPHA_ONE_SNAP = 1e-9
 
 
-def _as_prob_array(values, name: str, ndim: int) -> np.ndarray:
+def _nonnegative_array(values, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != ndim:
         raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
@@ -41,6 +42,25 @@ def _as_prob_array(values, name: str, ndim: int) -> np.ndarray:
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
+
+
+def _json_fields(obj, **parsers) -> list:
+    """The entries of the JSON object `obj` named in `parsers`, each parsed
+    by its parser; ValidationError names a missing key or a bad entry."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"expected a JSON object, got {type(obj).__name__}")
+    values = []
+    for key, parse in parsers.items():
+        if key not in obj:
+            raise ValidationError(f"JSON object has no {key!r} key")
+        try:
+            values.append(parse(obj[key]))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"bad {key!r} entry: {exc}") from None
+    return values
+
+
+_floats = functools.partial(np.asarray, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -134,7 +154,7 @@ class Dist:
     p: np.ndarray = field(repr=False)
 
     def __init__(self, alphabet: Alphabet, p):
-        arr = _as_prob_array(p, "mass", ndim=1)
+        arr = _nonnegative_array(p, "mass", ndim=1)
         if len(arr) != len(alphabet):
             raise ValidationError(f"mass length {len(arr)} != alphabet size {len(alphabet)}")
         if abs(arr.sum() - 1.0) > CONSTRUCT_ATOL:
@@ -155,7 +175,7 @@ class Dist:
 
     @staticmethod
     def from_json(obj: dict) -> "Dist":
-        return Dist(Alphabet(obj["alphabet"]), obj["mass"])
+        return Dist(*_json_fields(obj, alphabet=Alphabet, mass=_floats))
 
     def to_json(self) -> dict:
         return {"alphabet": list(self.alphabet.labels), "mass": [float(v) for v in self.p]}
@@ -173,7 +193,7 @@ class Channel:
     rows: np.ndarray = field(repr=False)
 
     def __init__(self, input_alphabet: Alphabet, output_alphabet: Alphabet, rows):
-        arr = _as_prob_array(rows, "rows", ndim=2)
+        arr = _nonnegative_array(rows, "rows", ndim=2)
         if arr.shape != (len(input_alphabet), len(output_alphabet)):
             raise ValidationError(
                 f"rows shape {arr.shape} incompatible with alphabets "
@@ -202,7 +222,7 @@ class Channel:
 
     @staticmethod
     def from_json(obj: dict) -> "Channel":
-        return Channel(Alphabet(obj["input"]), Alphabet(obj["output"]), obj["rows"])
+        return Channel(*_json_fields(obj, input=Alphabet, output=Alphabet, rows=_floats))
 
     def to_json(self) -> dict:
         return {
@@ -222,7 +242,7 @@ class Joint:
     m: np.ndarray = field(repr=False)
 
     def __init__(self, row_alphabet: Alphabet, col_alphabet: Alphabet, m):
-        arr = _as_prob_array(m, "mass", ndim=2)
+        arr = _nonnegative_array(m, "mass", ndim=2)
         if arr.shape != (len(row_alphabet), len(col_alphabet)):
             raise ValidationError(
                 f"mass shape {arr.shape} incompatible with alphabets "
@@ -245,7 +265,7 @@ class Joint:
 
     @staticmethod
     def from_json(obj: dict) -> "Joint":
-        return Joint(Alphabet(obj["rows"]), Alphabet(obj["cols"]), obj["mass"])
+        return Joint(*_json_fields(obj, rows=Alphabet, cols=Alphabet, mass=_floats))
 
     def to_json(self) -> dict:
         return {

@@ -16,9 +16,7 @@ symmetric specs shrink to a few classes: a Hamming spec of 16 datasets or
 more collapses to one input and one output class, and Q* comes back
 uniform (the uniform-over-ball mechanism), while a type-distance spec
 halves under its reflection.  The duality gap is measured on the full
-ball matrix.  The hard solves build that matrix once from
-`DistortionSpec.ball_mask` and use it for the LP and the mechanism;
-`q_star` and `optimal_mechanism` also take per-input index tuples.
+ball matrix.
 
 For maximal alpha-leakage with alpha > 1 the value is -log q*, so the
 optimal mechanism and tradeoff do not depend on alpha.  Distribution-aware
@@ -38,15 +36,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, IncompatibleGeneratorError, ValidationError
 from .leakage import _minimize_on_simplex, _relative_certificate, binary_maximal_alpha_leakage
-from .lp import covering_game
+from .lp import GameSolution, covering_game
 from .measures import FGenerator, kl_generator
 from .prob import Alphabet, Channel, Dist, Joint, as_order
+from .prob import _floats, _json_fields, _nonnegative_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,19 +63,15 @@ class DistortionSpec:
     bound: float
 
     def __init__(self, input_alphabet, output_alphabet, d, bound):
-        d = np.asarray(d, dtype=float)
+        d = _nonnegative_array(d, "distortion", ndim=2)
         if d.shape != (len(input_alphabet), len(output_alphabet)):
             raise ValidationError(
                 f"distortion shape {d.shape} incompatible with alphabets "
                 f"({len(input_alphabet)}, {len(output_alphabet)})"
             )
-        if not np.all(np.isfinite(d)) or np.any(d < 0):
-            raise ValidationError("distortion values must be finite and nonnegative")
         bound = float(bound)
         if not math.isfinite(bound):
             raise ValidationError("distortion bound must be finite")
-        d = d.copy()
-        d.flags.writeable = False
         object.__setattr__(self, "input_alphabet", input_alphabet)
         object.__setattr__(self, "output_alphabet", output_alphabet)
         object.__setattr__(self, "d", d)
@@ -94,7 +89,7 @@ class DistortionSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "DistortionSpec":
-        return DistortionSpec(Alphabet(obj["input"]), Alphabet(obj["output"]), obj["d"], obj["D"])
+        return DistortionSpec(*_json_fields(obj, input=Alphabet, output=Alphabet, d=_floats, D=float))
 
     def to_json(self) -> dict:
         return {
@@ -105,74 +100,35 @@ class DistortionSpec:
         }
 
 
-def distortion_balls(spec: DistortionSpec) -> list[tuple[int, ...]]:
-    """Per-input feasible output index sets, membership exact on d <= D."""
-    return [tuple(np.flatnonzero(row)) for row in spec.ball_mask]
-
-
-def _ball_matrix(balls: Sequence[Sequence[int]], n_outputs: int) -> np.ndarray:
-    A = np.zeros((len(balls), n_outputs))
-    for x, ball in enumerate(balls):
-        if len(ball) == 0:
-            raise ValidationError(f"input index {x} has an empty ball")
-        idx = np.asarray(ball, dtype=int)
-        if idx.min() < 0 or idx.max() >= n_outputs:
-            raise ValidationError(f"ball of input index {x} references an invalid output")
-        A[x, idx] = 1.0
-    return A
-
-
-class QStarSolution(NamedTuple):
-    q: float
-    primal: np.ndarray  # optimal Q* over outputs
-    dual: np.ndarray  # minimax certificate distribution over inputs
-    gap: float
-
-
-def q_star(balls: Sequence[Sequence[int]], n_outputs: int, tol: float = 1e-10) -> QStarSolution:
-    """Solve q* = sup_Q inf_x Q(B(x)) by the dense simplex.
-
-    The dual distribution mu certifies optimality: its game value
-    max_y sum_x mu(x) 1(y in B(x)) upper-bounds q*, and `gap` is the
-    difference of the two game values.  A gap above `tol` raises.
-    """
-    return _certified_game(_ball_matrix(balls, n_outputs), tol)
-
-
-def _certified_game(A: np.ndarray, tol: float = 1e-10) -> QStarSolution:
-    """`q_star` on the 0/1 ball matrix (or ball mask) A[x, y] = 1(y in B(x))."""
-    game = covering_game(A)
+def q_star(spec: DistortionSpec, tol: float = 1e-10) -> GameSolution:
+    """Solve q* = sup_Q inf_x Q(B_D(x)) on the spec's ball mask: the
+    `lp.covering_game` solution, with q* as `value`, Q* as `q` and the
+    minimax certificate over inputs as `mu`.  A duality `gap` above `tol`
+    raises ConvergenceError."""
+    game = covering_game(spec.ball_mask)
     if game.gap > tol:
         raise ConvergenceError(
             f"LP duality gap {game.gap:.3e} above tolerance {tol:.3e}", residual=game.gap
         )
-    return QStarSolution(game.value, game.q, game.mu, game.gap)
+    return game
 
 
-def optimal_mechanism(
-    target: Dist, balls: Sequence[Sequence[int]], input_alphabet: Alphabet | None = None
-) -> Channel:
-    """Mechanism distributing `target` restricted to each input's ball.
-
-    Row x is target / target(B(x)) inside the ball and exactly zero
-    outside, so the hard-distortion constraint holds with probability one.
-    """
-    if input_alphabet is None:
-        input_alphabet = Alphabet.of_size(len(balls))
-    return _restricted_mechanism(target, _ball_matrix(balls, len(target)), input_alphabet)
-
-
-def _restricted_mechanism(target: Dist, A: np.ndarray, input_alphabet: Alphabet) -> Channel:
-    """`optimal_mechanism` on the 0/1 ball matrix A[x, y] = 1(y in B(x))."""
+def optimal_mechanism(target: Dist, spec: DistortionSpec) -> Channel:
+    """Mechanism distributing `target`, a law on the spec's outputs,
+    restricted to each input's ball: row x is target / target(B_D(x))
+    inside the ball and exactly zero outside, so the hard-distortion
+    constraint holds with probability one."""
+    if target.alphabet != spec.output_alphabet:
+        raise ValidationError("target distribution is not on the distortion output alphabet")
+    A = spec.ball_mask
     masses = A @ target.p
     zero = np.flatnonzero(masses <= 0.0)
     if zero.size:
         raise ValidationError(
             f"target distribution puts no mass on the ball of input "
-            f"{input_alphabet.labels[zero[0]]!r}"
+            f"{spec.input_alphabet.labels[zero[0]]!r}"
         )
-    rows = A * target.p[None, :] / masses[:, None]
-    return Channel(input_alphabet, target.alphabet, rows)
+    return Channel(spec.input_alphabet, spec.output_alphabet, A * target.p / masses[:, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,18 +162,17 @@ def _require_compatible(gen: FGenerator) -> None:
 
 
 def _hard_put(spec: DistortionSpec, tol: float, value_of_q) -> tuple[float, PutSolution]:
-    """Solve q* on the spec's ball matrix, built once for both the LP and
-    the ball-restricted mechanism, and value it by `value_of_q(q*)`."""
-    A = spec.ball_mask.astype(float)
-    sol = _certified_game(A, tol)
-    target = Dist(spec.output_alphabet, sol.primal)
+    """Solve q* on the spec, build the ball-restricted mechanism on its
+    maximizer, and value it by `value_of_q(q*)`."""
+    game = q_star(spec, tol)
+    target = Dist(spec.output_alphabet, game.q)
     solution = PutSolution(
-        mechanism=_restricted_mechanism(target, A, spec.input_alphabet),
-        q_star=sol.q,
+        mechanism=optimal_mechanism(target, spec),
+        q_star=game.value,
         target_output=target,
-        value=value_of_q(sol.q),
-        dual_certificate=Dist(spec.input_alphabet, sol.dual),
-        duality_gap=sol.gap,
+        value=value_of_q(game.value),
+        dual_certificate=Dist(spec.input_alphabet, game.mu),
+        duality_gap=game.gap,
     )
     return solution.value, solution
 

@@ -29,6 +29,28 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+SPEC = {"input": ["a", "b"], "output": ["a", "b"], "d": [[0, 1], [1, 0]], "D": 0}
+
+
+@pytest.mark.parametrize(
+    "command, obj, named",
+    [
+        (["put", "hard"], {k: v for k, v in SPEC.items() if k != "D"}, "'D'"),
+        (["put", "hard"], {**SPEC, "d": [[0, "x"], [1, 0]]}, "'d'"),
+        (["put", "hard"], [SPEC], "JSON object"),
+        (["measures"], SPEC, "'rows'"),
+    ],
+    ids=["no-bound", "bad-distortion-entry", "top-level-list", "spec-as-joint"],
+)
+def test_schema_mismatch_exits_2(tmp_path, capsys, command, obj, named):
+    # well-formed JSON that does not fit the schema: an error line, no traceback
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert main([*command, str(path), "--alpha", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
 def test_reverse_kl_under_hard_distortion_exits_4(hamming_file):
     assert main(["put", "hard", hamming_file, "--alpha", "2", "--generator", "reverse-kl"]) == 4
 

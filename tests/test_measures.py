@@ -246,6 +246,41 @@ class TestFGenerator:
         err = np.abs(custom.fprime(t) - exact) / np.maximum(1.0, np.abs(exact))
         assert err.max() <= 1e-10
 
+    def test_constructor_fields(self):
+        fn = lambda t: 0.5 * abs(t - 1.0)
+        fields = lambda g: (g.kind, g.alpha, g.label, g.f_at_zero, g.slope_at_inf)
+        assert fields(kl_generator()) == ("kl", None, "kl", 0.0, math.inf)
+        assert fields(hellinger_generator(2.5)) == ("hellinger", 2.5, "hellinger(2.5)", -1.0 / 1.5, math.inf)
+        assert fields(custom_generator(fn, 0.5, 0.5, label="tv")) == ("custom", None, "tv", 0.5, 0.5)
+
+    def test_scalar_gives_float_array_gives_array(self):
+        t = np.array([0.5, 1.0, 3.0])
+        custom = custom_generator(lambda s: (s**2.5 - 1.0) / 1.5, -1.0 / 1.5, math.inf)
+        for gen in (kl_generator(), hellinger_generator(2.5), custom):
+            for fn in (gen.f, gen.fprime, gen.fsecond):
+                assert type(fn(2.0)) is float
+                out = fn(t)
+                assert isinstance(out, np.ndarray) and out.shape == t.shape
+                assert out[2] == pytest.approx(fn(3.0), rel=1e-15)
+            assert gen.f(0.0) == gen.f_at_zero
+
+    def test_equality(self):
+        # the evaluators do not take part: kl == kl, Hellinger by alpha,
+        # custom by the same fn object and constants
+        assert kl_generator() == kl_generator()
+        assert hellinger_generator(2.0) == hellinger_generator(2.0)
+        assert hash(hellinger_generator(2.0)) == hash(hellinger_generator(2.0))
+        assert hellinger_generator(2.0) != hellinger_generator(3.0)
+        fn = lambda t: t * math.log(t) if t > 0 else 0.0
+        assert custom_generator(fn, 0.0, math.inf) == custom_generator(fn, 0.0, math.inf)
+        assert custom_generator(fn, 0.0, math.inf) != custom_generator(lambda t: fn(t), 0.0, math.inf)
+        assert custom_generator(fn, 0.0, math.inf, label="kl") != kl_generator()
+
+    def test_hellinger_with_tiny_reference_mass(self):
+        # q f(p/q) overflows at q = 1e-200: (p/q)^2 = 2.5e399
+        p, q = Dist(B, [0.5, 0.5]), Dist(B, [1e-200, 1.0 - 1e-200])
+        assert f_divergence(p, q, hellinger_generator(2.0)) == pytest.approx(2.5e199, rel=1e-12)
+
     def test_hellinger_renyi_bridge(self):
         # D_alpha = log(1 + (alpha-1) H_alpha) / (alpha-1), two code paths
         rng = np.random.default_rng(11)

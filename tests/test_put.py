@@ -15,7 +15,6 @@ from alphaleak import (
     SensitiveJoint,
     ValidationError,
     avg_hamming_binary_put,
-    distortion_balls,
     hellinger_generator,
     kl_generator,
     custom_generator,
@@ -31,6 +30,12 @@ from alphaleak.datasets import build_hamming_spec, build_type_distance_spec, ham
 from util import aware_put_gap, random_dist
 
 B = Alphabet(("0", "1"))
+
+
+def ball_spec(A) -> DistortionSpec:
+    """The spec whose balls are the rows of the 0/1 matrix A."""
+    A = np.asarray(A, dtype=float)
+    return DistortionSpec(Alphabet.of_size(A.shape[0]), Alphabet.of_size(A.shape[1]), 1.0 - A, 0.0)
 
 
 def random_spec(rng, n_in, n_out) -> DistortionSpec:
@@ -58,50 +63,51 @@ class TestDistortionSpec:
 
     def test_balls_full_when_bound_dominates(self):
         spec = DistortionSpec(B, B, [[0.0, 1.0], [1.0, 0.0]], 2.0)
-        assert distortion_balls(spec) == [(0, 1), (0, 1)]
+        assert spec.ball_mask.tolist() == [[True, True], [True, True]]
 
     def test_singleton_balls_for_identity_distortion(self):
         spec = DistortionSpec(B, B, [[0.0, 1.0], [1.0, 0.0]], 0.0)
-        assert distortion_balls(spec) == [(0,), (1,)]
+        assert spec.ball_mask.tolist() == [[True, False], [False, True]]
 
     def test_ternary_hamming_balls_have_five_elements(self):
         spec = build_hamming_spec(2, 1, 3)
-        assert all(len(ball) == 5 for ball in distortion_balls(spec))
+        assert np.all(spec.ball_mask.sum(axis=1) == 5)
 
 
 class TestQStar:
     def test_full_balls(self):
-        sol = q_star([(0, 1, 2)] * 4, 3)
-        assert sol.q == pytest.approx(1.0, abs=1e-12)
+        sol = q_star(ball_spec(np.ones((4, 3))))
+        assert sol.value == pytest.approx(1.0, abs=1e-12)
         assert sol.gap <= 1e-12
 
     def test_binary_type_balls(self):
         spec = build_type_distance_spec(9, 2)
-        sol = q_star(distortion_balls(spec), 10)
-        assert sol.q == pytest.approx(0.5, abs=1e-12)
+        sol = q_star(spec)
+        assert sol.value == pytest.approx(0.5, abs=1e-12)
 
     def test_ternary_hamming(self):
         spec = build_hamming_spec(2, 1, 3)
-        sol = q_star(distortion_balls(spec), 9)
-        assert sol.q == pytest.approx(5.0 / 9.0, abs=1e-12)
+        sol = q_star(spec)
+        assert sol.value == pytest.approx(5.0 / 9.0, abs=1e-12)
+
+    def test_gap_above_tolerance_raises(self):
+        with pytest.raises(ConvergenceError, match="duality gap"):
+            q_star(build_type_distance_spec(9, 2), tol=-1.0)
 
     def test_duality_on_random_ball_structures(self):
         rng = np.random.default_rng(30)
         for _ in range(500):
             n_in, n_out = rng.integers(2, 13), rng.integers(2, 13)
-            balls = []
-            for _ in range(n_in):
+            A = np.zeros((n_in, n_out))
+            for x in range(n_in):
                 size = rng.integers(1, n_out + 1)
-                balls.append(tuple(sorted(rng.choice(n_out, size=size, replace=False))))
-            sol = q_star(balls, int(n_out))
+                A[x, rng.choice(n_out, size=size, replace=False)] = 1.0
+            sol = q_star(ball_spec(A))
             assert sol.gap <= 1e-10
-            assert 0.0 < sol.q <= 1.0 + 1e-12
+            assert 0.0 < sol.value <= 1.0 + 1e-12
             # feasibility of both certificates
-            A = np.zeros((len(balls), n_out))
-            for x, ball in enumerate(balls):
-                A[x, list(ball)] = 1.0
-            assert (A @ sol.primal).min() >= sol.q - 1e-12
-            assert (sol.dual @ A).max() <= sol.q + sol.gap + 1e-12
+            assert (A @ sol.q).min() >= sol.value - 1e-12
+            assert (sol.mu @ A).max() <= sol.value + sol.gap + 1e-12
 
     def test_agrees_with_scipy(self):
         # 0/1 games up to 120 x 120; every third one repeats some of its
@@ -118,7 +124,7 @@ class TestQStar:
                     A = np.vstack([A, A[rng.integers(0, n_in, rng.integers(1, n_in + 1))]])
                     A = np.hstack([A, A[:, rng.integers(0, n_out, rng.integers(1, n_out + 1))]])
                 n_in, n_out = A.shape
-                sol = q_star([tuple(np.flatnonzero(row)) for row in A], n_out)
+                sol = q_star(ball_spec(A))
                 res = linprog(
                     c=np.r_[np.zeros(n_out), -1.0],
                     A_ub=np.hstack([-A, np.ones((n_in, 1))]),
@@ -128,32 +134,37 @@ class TestQStar:
                     bounds=[(0, None)] * n_out + [(None, None)],
                     method="highs",
                 )
-                assert sol.q == pytest.approx(-res.fun, abs=1e-9)
+                assert sol.value == pytest.approx(-res.fun, abs=1e-9)
                 assert sol.gap <= 1e-10
 
 
 class TestOptimalMechanism:
     def test_uniform_target_full_balls(self):
         target = Dist.uniform(Alphabet.of_size(3))
-        mech = optimal_mechanism(target, [(0, 1, 2)] * 2)
+        mech = optimal_mechanism(target, ball_spec(np.ones((2, 3))))
         assert np.allclose(mech.rows, 1.0 / 3.0, atol=0)
 
     def test_singleton_balls_are_deterministic(self):
         target = Dist(Alphabet.of_size(2), [0.3, 0.7])
-        mech = optimal_mechanism(target, [(0,), (1,)])
+        mech = optimal_mechanism(target, ball_spec(np.eye(2)))
         assert np.array_equal(mech.rows, np.eye(2))
 
     def test_uniform_over_nine_ternary_strings(self):
         spec = build_hamming_spec(2, 1, 3)
         target = Dist.uniform(spec.output_alphabet)
-        mech = optimal_mechanism(target, distortion_balls(spec), spec.input_alphabet)
+        mech = optimal_mechanism(target, spec)
         inside = mech.rows[mech.rows > 0]
         assert np.allclose(inside, 0.2, atol=1e-15)
 
     def test_zero_mass_ball_rejected(self):
         target = Dist(Alphabet.of_size(2), [1.0, 0.0])
         with pytest.raises(ValidationError):
-            optimal_mechanism(target, [(0,), (1,)])
+            optimal_mechanism(target, ball_spec(np.eye(2)))
+
+    def test_target_on_another_alphabet_rejected(self):
+        target = Dist.uniform(Alphabet.of_size(2, "z"))
+        with pytest.raises(ValidationError, match="output alphabet"):
+            optimal_mechanism(target, ball_spec(np.eye(2)))
 
 
 class TestPutMaxFLeakage:

@@ -339,13 +339,12 @@ def cmd_put_hamming(args) -> int:
 
 def cmd_put_avg_binary(args) -> int:
     config = _config_from_args(args)
-    header = ["alpha", "value", "rho1", "rho2", "guess_prob"]
+    header = ["alpha", "value", "rho1", "rho2", "guess_prob", "gap"]
     rows = []
     for order in config.alphas:
         if not order.is_finite_gt_one:
             raise ValidationError("avg-binary requires finite alpha > 1")
-        res = avg_hamming_binary_put(args.p, args.D, order.value, grid=args.grid,
-                                     refine_iters=args.refine_iters)
+        res = avg_hamming_binary_put(args.p, args.D, order.value)
         rows.append(
             [
                 _alpha_text(order),
@@ -353,6 +352,7 @@ def cmd_put_avg_binary(args) -> int:
                 _fmt(res.rho1),
                 _fmt(res.rho2),
                 _fmt(res.guess_prob),
+                _fmt(config.base.from_nats(res.gap)),
             ]
         )
     _emit(_csv(header, rows), config.output_path)
@@ -438,8 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = put_sub.add_parser("avg-binary", help="binary average-Hamming tradeoff sweep")
     p.add_argument("--p", type=float, required=True, help="input Bernoulli parameter")
     p.add_argument("--D", type=float, required=True, help="average distortion bound")
-    p.add_argument("--grid", type=int, default=401)
-    p.add_argument("--refine-iters", type=int, default=60)
     _add_common(p)
     p.set_defaults(func=cmd_put_avg_binary)
 

@@ -55,7 +55,7 @@ def _json_fields(obj, **parsers) -> list:
             raise ValidationError(f"JSON object has no {key!r} key")
         try:
             values.append(parse(obj[key]))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ValidationError) as exc:
             raise ValidationError(f"bad {key!r} entry: {exc}") from None
     return values
 
@@ -70,6 +70,8 @@ class Alphabet:
     labels: tuple[str, ...]
 
     def __init__(self, labels: Iterable[str]):
+        if isinstance(labels, str):
+            raise ValidationError(f"alphabet must be a list of labels, not the string {labels!r}")
         labels = tuple(str(x) for x in labels)
         if not labels:
             raise ValidationError("alphabet must be nonempty")

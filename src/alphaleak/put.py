@@ -21,8 +21,10 @@ ball matrix.
 For maximal alpha-leakage with alpha > 1 the value is -log q*, so the
 optimal mechanism and tradeoff do not depend on alpha.  Distribution-aware
 variants (f-leakage, alpha = 1) instead minimize a convex expectation over
-the output simplex; the average-Hamming binary program and the
-sensitive-attribute lower bound complete the module.
+the output simplex.  The sensitive-attribute lower bound and the
+average-Hamming binary program complete the module; the latter is solved
+by a line search on its distortion boundary and, like the others, returns
+a certified gap.
 
 Ball membership uses the inclusive comparison d <= D on the caller's
 values with no epsilon: the combinatorics of the dataset constructions
@@ -359,58 +361,31 @@ def _tightness_feasible(sj: SensitiveJoint) -> bool:
     ball = sj.spec.ball_mask
     s_feasible = _feasible_sensitive_sets(sj)
     n_y = ps @ s_feasible.astype(float)
-    n_s, n_x = psx.shape
-    n_out = ball.shape[1]
 
     # Argmax output sets per input (condition (i) support restriction).
-    best: list[np.ndarray] = []
-    for x in range(n_x):
-        idx = np.flatnonzero(ball[x])
-        top = n_y[idx].max()
-        best.append(idx[n_y[idx] >= top - 1e-12 * max(1.0, top)])
+    top = np.where(ball, n_y, -np.inf).max(axis=1, keepdims=True)
+    best = ball & (n_y >= top - 1e-12 * np.maximum(1.0, top))
+    # One variable per entry P(y | s, x) of a live pair on its argmax set.
+    s, x, y = np.argwhere((psx > 0)[:, :, None] & best[None, :, :]).T
+    pair = s * psx.shape[1] + x
+    stochastic = np.unique(pair)[:, None] == pair  # each row sums to one
 
-    pairs = [(s, x) for s in range(n_s) for x in range(n_x) if psx[s, x] > 0]
-    var_index: dict[tuple[int, int, int], int] = {}
-    for s, x in pairs:
-        for y in best[x]:
-            var_index[(s, x, int(y))] = len(var_index)
-    n_var = len(var_index)
+    # Output-law coupling (condition (ii)), one row per used output y and
+    # sensitive value s consistent with it.
+    used = np.unique(y)
+    cy, cs = np.nonzero((s_feasible[:, used] & (ps > 0)[:, None]).T)
+    cy = used[cy]
+    coupling = (y == cy[:, None]) * psx[s, x] * (
+        (s == cs[:, None]) / ps[cs, None] - 1.0 / n_y[cy, None]
+    )
 
-    rows_eq: list[np.ndarray] = []
-    rhs_eq: list[float] = []
-    for s, x in pairs:  # row-stochasticity on the support
-        row = np.zeros(n_var)
-        for y in best[x]:
-            row[var_index[(s, x, int(y))]] = 1.0
-        rows_eq.append(row)
-        rhs_eq.append(1.0)
-
-    used_outputs = sorted({int(y) for x in range(n_x) for y in best[x]})
-    for y in used_outputs:  # output-law coupling (condition (ii))
-        marginal = np.zeros(n_var)
-        for (s2, x2, y2), j in var_index.items():
-            if y2 == y:
-                marginal[j] = psx[s2, x2]
-        for s in np.flatnonzero(s_feasible[:, y]):
-            if ps[s] == 0:
-                continue
-            row = -marginal / n_y[y]
-            for x in np.flatnonzero(ball[:, y]):
-                j = var_index.get((s, x, y))
-                if j is not None:
-                    row[j] += psx[s, x] / ps[s]
-            rows_eq.append(row)
-            rhs_eq.append(0.0)
-
-    if n_var == 0:
-        return False
     from scipy.optimize import linprog  # on use: a top-level import loads scipy at every start-up
 
     res = linprog(
-        c=np.zeros(n_var),
-        A_eq=np.vstack(rows_eq),
-        b_eq=np.array(rhs_eq),
-        bounds=[(0.0, None)] * n_var,
+        c=np.zeros(s.size),
+        A_eq=np.vstack([stochastic, coupling]),
+        b_eq=np.r_[np.ones(len(stochastic)), np.zeros(len(coupling))],
+        bounds=(0.0, None),
         method="highs",
     )
     return bool(res.status == 0)
@@ -425,6 +400,7 @@ class AvgHammingSolution(NamedTuple):
     rho2: float
     value: float
     guess_prob: float
+    gap: float  # value - optimum <= gap, nats
 
 
 def _map_success(p: float, r1: float, r2: float) -> float:
@@ -432,64 +408,67 @@ def _map_success(p: float, r1: float, r2: float) -> float:
     return float(joint.max(axis=0).sum())
 
 
-def avg_hamming_binary_put(
-    p: float,
-    D: float,
-    alpha: float,
-    grid: int = 401,
-    refine_iters: int = 60,
-) -> AvgHammingSolution:
-    """Minimize the binary maximal alpha-leakage over crossover pairs
-    (rho1, rho2) subject to the average Hamming distortion
-    (1-p) rho1 + p rho2 <= D, for an input Bernoulli(p).
+_SEGMENT_POINTS = 9
+_SEGMENT_ROUNDS = 40
+_SEGMENT_GAP = 1e-10
 
-    Two-stage solve: a dense grid over the feasible triangle, then
-    coordinate descent from the grid argmin with steps shrinking from the
-    grid pitch.  The feasible region stays strictly inside the closed
-    form's degenerate locus because D < min(p, 1-p).  Also reports the
-    MAP success probability sum_y max_x P_XY(x, y) of the solution.
+
+def avg_hamming_binary_put(p: float, D: float, alpha: float) -> AvgHammingSolution:
+    """Minimize the binary maximal alpha-leakage L(rho1, rho2) over crossover
+    pairs subject to the average Hamming distortion (1-p) rho1 + p rho2 <= D,
+    for an input Bernoulli(p), with a certified bound on the answer.
+
+    An optimum lies on the segment (1-p) rho1 + p rho2 = D, parametrized by
+    t from (D/(1-p), 0) at t = 0 to (0, D/p) at t = 1: while
+    rho1 + rho2 < 1, raising rho1 by delta post-processes the channel,
+    W' = W K with K = [[1-a, a], [b, 1-b]], b = a rho2/(1-rho2) and
+    a = delta (1-rho2) / ((1-rho1)(1-rho2) - rho1 rho2), so by the
+    data-processing inequality L cannot rise (likewise for rho2).  The
+    bound D < min(p, 1-p) keeps the feasible set off the rank-one locus.
+
+    Along the segment G(t) = exp((alpha-1)/alpha L) is convex: it is
+    sup_P sum_y ||(P(x)^(1/alpha) W(y|x))_x||_alpha, a supremum of norms
+    of linear maps of W.  Each round evaluates G on 9 equispaced points
+    of a bracket holding the minimizer; with k the argmin, convexity puts
+    the minimizer in [t_(k-1), t_(k+1)] and bounds G there from below by
+    G_k - rise, rise = max(G_(k-1) - G_k, G_(k+1) - G_k) (at an end point,
+    the second difference G_0 - 2 G_1 + G_2).  The rise maps to the gap
+    alpha/(alpha-1) (-log(1 - rise/G_k)) >= value - optimum in nats.  The
+    search stops at gap <= 1e-10, returning the best point (end points
+    exact, so a vertex optimum has rho1 or rho2 exactly 0), or raises
+    ConvergenceError after 40 rounds.  Also reports the MAP success
+    probability sum_y max_x P_XY(x, y) of the solution.
     """
     p, D, alpha = float(p), float(D), float(alpha)
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p must lie in (0, 1), got {p}")
     if not 0.0 < D < 1.0 - max(p, 1.0 - p):
         raise ValidationError(f"D must lie in (0, {1.0 - max(p, 1.0 - p)}), got {D}")
-    if not alpha > 1.0:
-        raise ValidationError(f"alpha must exceed 1, got {alpha}")
-    if grid < 2 or refine_iters < 0:
-        raise ValidationError("grid must be >= 2 and refine_iters >= 0")
+    if not 1.0 < alpha < math.inf:
+        raise ValidationError(f"alpha must be finite and exceed 1, got {alpha}")
 
-    r1_max = min(1.0, D / (1.0 - p))
-    r2_max = min(1.0, D / p)
-    r1 = np.linspace(0.0, r1_max, grid)
-    r2 = np.linspace(0.0, r2_max, grid)
-    R1, R2 = np.meshgrid(r1, r2, indexing="ij")
-    feasible = (1.0 - p) * R1 + p * R2 <= D + 1e-12
-    values = np.full_like(R1, np.inf)
-    values[feasible] = binary_maximal_alpha_leakage(R1[feasible], R2[feasible], alpha)
-    flat = int(np.argmin(values))
-    best1, best2 = float(R1.ravel()[flat]), float(R2.ravel()[flat])
-    best_val = float(values.ravel()[flat])
-
-    def clamp(c1, c2):
-        c1 = min(max(c1, 0.0), r1_max)
-        c2 = min(max(c2, 0.0), r2_max)
-        if (1.0 - p) * c1 + p * c2 > D:
-            return None
-        return c1, c2
-
-    step1, step2 = r1_max / (grid - 1), r2_max / (grid - 1)
-    for _ in range(refine_iters):
-        moved = False
-        for d1, d2 in ((step1, 0.0), (-step1, 0.0), (0.0, step2), (0.0, -step2)):
-            cand = clamp(best1 + d1, best2 + d2)
-            if cand is None:
-                continue
-            cand_val = binary_maximal_alpha_leakage(cand[0], cand[1], alpha)
-            if cand_val < best_val:
-                best1, best2, best_val = cand[0], cand[1], cand_val
-                moved = True
-        if not moved:
-            step1 *= 0.5
-            step2 *= 0.5
-    return AvgHammingSolution(best1, best2, best_val, _map_success(p, best1, best2))
+    e = (alpha - 1.0) / alpha
+    last = _SEGMENT_POINTS - 1
+    lo, hi = 0.0, 1.0
+    for _ in range(_SEGMENT_ROUNDS):
+        t = np.linspace(lo, hi, _SEGMENT_POINTS)
+        r1, r2 = (1.0 - t) * (D / (1.0 - p)), t * (D / p)
+        values = binary_maximal_alpha_leakage(r1, r2, alpha)
+        G = np.exp(e * values)
+        k = int(np.argmin(G))
+        if 0 < k < last:
+            rise = max(G[k - 1], G[k + 1]) - G[k]
+        else:
+            s = 1 if k == 0 else -1
+            rise = G[k] - 2.0 * G[k + s] + G[k + 2 * s]
+        gap = -math.log1p(-max(rise, 0.0) / G[k]) / e
+        if gap <= _SEGMENT_GAP:
+            r1k, r2k = float(r1[k]), float(r2[k])
+            return AvgHammingSolution(r1k, r2k, float(values[k]), _map_success(p, r1k, r2k), gap)
+        lo, hi = t[max(k - 1, 0)], t[min(k + 1, last)]
+    raise ConvergenceError(
+        f"distortion-boundary line search did not reach tolerance: gap {gap:.3e} above "
+        f"{_SEGMENT_GAP:.3e} after {_SEGMENT_ROUNDS} rounds",
+        residual=gap,
+        iterations=_SEGMENT_ROUNDS,
+    )

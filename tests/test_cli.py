@@ -39,8 +39,9 @@ SPEC = {"input": ["a", "b"], "output": ["a", "b"], "d": [[0, 1], [1, 0]], "D": 0
         (["put", "hard"], {**SPEC, "d": [[0, "x"], [1, 0]]}, "'d'"),
         (["put", "hard"], [SPEC], "JSON object"),
         (["measures"], SPEC, "'rows'"),
+        (["put", "hard"], {**SPEC, "input": "ab"}, "'input'"),
     ],
-    ids=["no-bound", "bad-distortion-entry", "top-level-list", "spec-as-joint"],
+    ids=["no-bound", "bad-distortion-entry", "top-level-list", "spec-as-joint", "string-alphabet"],
 )
 def test_schema_mismatch_exits_2(tmp_path, capsys, command, obj, named):
     # well-formed JSON that does not fit the schema: an error line, no traceback
@@ -207,17 +208,17 @@ def test_put_hamming(capsys):
 
 
 AVG_BINARY = """
-alpha,value,rho1,rho2,guess_prob
-1.5,0.374487994893,0.00178571428571,0.329166666667,0.9
-2,0.405465108108,0,0.333333333333,0.9
-4,0.460460454942,0,0.333333333333,0.9
+alpha,value,rho1,rho2,guess_prob,gap
+1.5,0.374487437692,0.00162015642439,0.329552968343,0.9,9.56260543421e-12
+2,0.405465108108,0,0.333333333333,0.9,2.4877802226e-12
+4,0.460460454942,0,0.333333333333,0.9,4.50883188992e-11
 """
 
 
 def test_put_avg_binary(capsys):
     code, out, _ = run(["put", "avg-binary", "--p", "0.3", "--D", "0.1", "--alpha-sweep", "1.5,2,4"], capsys)
     assert code == 0
-    check_csv(out, AVG_BINARY)
+    check_csv(out, AVG_BINARY, bounded={"gap": 1e-10})
 
 
 def test_solver_non_convergence_exits_3(files, capsys):

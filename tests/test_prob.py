@@ -31,6 +31,11 @@ class TestAlphabet:
         with pytest.raises(ValidationError):
             Alphabet(("a", "a"))
 
+    def test_rejects_a_string(self):
+        # a string is an iterable of characters, never a list of labels
+        with pytest.raises(ValidationError, match="not the string 'ab'"):
+            Alphabet("ab")
+
     def test_index_lookup(self):
         al = Alphabet(("a", "b", "c"))
         assert al.index("b") == 1

@@ -411,6 +411,30 @@ class TestSensitiveLowerBound:
             bound, _ = sensitive_lower_bound(sj, a)
             assert bound <= alpha_leakage(joint, a) + 1e-6
 
+    @staticmethod
+    def random_sensitive_joint(seed: int) -> SensitiveJoint:
+        """2-4 sensitive values, 2-5 inputs and outputs, ~30% zero masses,
+        distortions in {0, 1, 2} at bound 1 with a zero in every row."""
+        rng = np.random.default_rng(seed)
+        n_s, n_x, n_y = (int(v) for v in rng.integers(2, [5, 6, 6]))
+        m = rng.dirichlet(np.ones(n_s * n_x)).reshape(n_s, n_x)
+        m[rng.random(m.shape) < 0.3] = 0.0
+        m[0, 0] += 1e-3
+        d = rng.integers(0, 3, size=(n_x, n_y)).astype(float)
+        d[np.arange(n_x), rng.integers(n_y, size=n_x)] = 0.0
+        xs = Alphabet.of_size(n_x, "x")
+        return SensitiveJoint(
+            Joint(Alphabet.of_size(n_s, "s"), xs, m / m.sum()),
+            DistortionSpec(xs, Alphabet.of_size(n_y, "y"), d, 1.0),
+        )
+
+    def test_tightness_on_random_joints(self):
+        # recorded from the loop-built feasibility program; 7 of 60 are False
+        want = "TTTTTTTTFTTTTFTTTTFTTTTTTTTTTTTTTTFTTTTFTFTTTTTTTTTTTTTTFTTT"
+        got = "".join("T" if sensitive_lower_bound(self.random_sensitive_joint(seed), 2.0)[1] else "F"
+                      for seed in range(60))
+        assert got == want
+
     def test_alphabet_coupling_validated(self):
         joint = Joint(B, Alphabet(("u", "v")), [[0.25, 0.25], [0.25, 0.25]])
         spec = DistortionSpec(B, B, np.zeros((2, 2)), 1.0)
@@ -427,15 +451,67 @@ class TestAvgHammingBinary:
         with pytest.raises(ValidationError):
             avg_hamming_binary_put(0.4, 0.2, 1.0)
 
+    @staticmethod
+    def random_case(rng):
+        p = rng.uniform(0.05, 0.95)
+        return p, rng.uniform(0.001, 0.999) * min(p, 1 - p), float(rng.choice([1.01, 1.1, 1.5, 2, 4, 20]))
+
+    @pytest.mark.parametrize(
+        "p, D, certified, old",
+        [(0.7, 0.09, 0.3995430678, 0.3995442366), (0.3, 0.1, 0.3744874377, 0.374487994893)],
+    )
+    def test_cases_the_grid_search_missed(self, p, D, certified, old):
+        # `old` is what the 401 x 401 grid with coordinate descent returned
+        res = avg_hamming_binary_put(p, D, 1.5)
+        assert res.value <= certified
+        assert res.value + res.gap < old
+        assert (1 - p) * res.rho1 + p * res.rho2 == pytest.approx(D, rel=1e-12)
+
+    def test_gap_bounds_every_feasible_pair(self):
+        # the data-processing argument: no pair of the feasible triangle, and
+        # no point of the boundary segment near the answer, lies below
+        # value - gap
+        from alphaleak import binary_maximal_alpha_leakage
+
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            p, D, a = self.random_case(rng)
+            res = avg_hamming_binary_put(p, D, a)
+            w = rng.dirichlet(np.ones(3), size=500)  # barycentric weights on the triangle
+            r1, r2 = w[:, 1] * D / (1 - p), w[:, 2] * D / p
+            t = np.clip(res.rho2 * p / D + rng.uniform(-1e-3, 1e-3, 200) * 10.0 ** -rng.integers(0, 5, 200), 0, 1)
+            r1, r2 = np.r_[r1, (1 - t) * D / (1 - p)], np.r_[r2, t * D / p]
+            assert binary_maximal_alpha_leakage(r1, r2, a).min() >= res.value - res.gap
+
+    def test_gap_certified_on_every_solve(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            res = avg_hamming_binary_put(*self.random_case(rng))
+            assert 0.0 <= res.gap <= 1e-10
+
+    def test_vertex_optimum_is_exact(self):
+        # at alpha = 2 the optimum for p = 0.3, D = 0.1 is the vertex (0, D/p)
+        res = avg_hamming_binary_put(0.3, 0.1, 2.0)
+        assert res.rho1 == 0.0
+        assert res.rho2 == 0.1 / 0.3
+
+    def test_round_cap_raises(self, monkeypatch):
+        import alphaleak.put as put
+
+        monkeypatch.setattr(put, "_SEGMENT_ROUNDS", 2)
+        with pytest.raises(ConvergenceError) as info:
+            avg_hamming_binary_put(0.3, 0.1, 1.5)
+        assert info.value.iterations == 2 and info.value.residual > 1e-10
+
     def test_constraint_active_at_optimum(self):
-        res = avg_hamming_binary_put(0.4, 0.2, 2.0, grid=201, refine_iters=40)
+        res = avg_hamming_binary_put(0.4, 0.2, 2.0)
         assert 0.6 * res.rho1 + 0.4 * res.rho2 == pytest.approx(0.2, abs=1e-3)
         assert res.guess_prob == pytest.approx(0.8, abs=1e-6)
 
     def test_beats_dense_grid(self):
         from alphaleak import binary_maximal_alpha_leakage
 
-        res = avg_hamming_binary_put(0.4, 0.1, 3.0, grid=151, refine_iters=40)
+        res = avg_hamming_binary_put(0.4, 0.1, 3.0)
         rng = np.random.default_rng(35)
         for _ in range(2000):
             r1 = rng.uniform(0, min(1.0, 0.1 / 0.6))
@@ -473,9 +549,9 @@ class TestAvgHammingBinary:
             assert binary_maximal_alpha_leakage(float(r1[k]), float(r2[k]), a) == got[k]
 
     def test_monotone_in_alpha_and_distortion(self):
-        values_a = [avg_hamming_binary_put(0.4, 0.2, a, grid=121, refine_iters=30).value
+        values_a = [avg_hamming_binary_put(0.4, 0.2, a).value
                     for a in (1.2, 1.6, 2.0, 3.0, 4.0)]
         assert all(hi >= lo - 1e-8 for lo, hi in zip(values_a, values_a[1:]))
-        values_d = [avg_hamming_binary_put(0.4, d, 2.0, grid=121, refine_iters=30).value
+        values_d = [avg_hamming_binary_put(0.4, d, 2.0).value
                     for d in (0.05, 0.1, 0.2, 0.3)]
         assert all(hi <= lo + 1e-8 for lo, hi in zip(values_d, values_d[1:]))

@@ -124,13 +124,9 @@ def _config_from_args(args) -> RunConfig:
         alphas = [as_order(args.alpha)]
     else:
         raise ValidationError("provide --alpha or --alpha-sweep")
-    return RunConfig(
-        alphas=alphas,
-        base=LogBase.parse(args.base),
-        tol=args.tol,
-        max_iter=args.max_iter,
-        output_path=args.out,
-    )
+    # --tol and --max-iter exist only on the subcommands whose solver reads them
+    solver = {key: getattr(args, key) for key in ("tol", "max_iter") if hasattr(args, key)}
+    return RunConfig(alphas=alphas, base=LogBase.parse(args.base), output_path=args.out, **solver)
 
 
 def cmd_measures(args) -> int:
@@ -366,9 +362,13 @@ def _add_common(parser: argparse.ArgumentParser, base_help: str = _BASE_HELP) ->
     parser.add_argument("--alpha", help="single order: a float, '1', or 'inf'")
     parser.add_argument("--alpha-sweep", help="sweep: start:stop:step or comma list")
     parser.add_argument("--base", default="nats", help=base_help)
-    parser.add_argument("--tol", type=float, default=1e-10, help="certificate tolerance")
-    parser.add_argument("--max-iter", type=int, default=100_000, help="solver iteration cap")
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
+
+
+def _add_solver(parser: argparse.ArgumentParser, max_iter: bool = True) -> None:
+    parser.add_argument("--tol", type=float, default=1e-10, help="certificate tolerance")
+    if max_iter:
+        parser.add_argument("--max-iter", type=int, default=100_000, help="solver iteration cap")
 
 
 def _add_closed_form_output(parser: argparse.ArgumentParser) -> None:
@@ -400,6 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity", help="maximal alpha-leakage of one or two channels")
     p.add_argument("channel", nargs="+", help="channel JSON file(s)")
     _add_common(p)
+    _add_solver(p)
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("strategy", help="loss-minimizing estimation strategies of a joint")
@@ -420,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="privacy measure: maximal alpha-leakage (default) or a maximal f-leakage",
     )
     _add_common(p)
+    _add_solver(p, max_iter=False)
     p.set_defaults(func=cmd_put_hard)
 
     p = put_sub.add_parser("types", help="binary datasets, type-distance distortion")

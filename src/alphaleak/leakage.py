@@ -9,8 +9,10 @@ order-alpha channel capacity sup_P I^S_alpha(P, W).  This module solves
 it, and the reference-distribution minimization of an f-leakage, with
 `_minimize_on_simplex`, shared with the distribution-aware PUT of `put`:
 Newton steps to the minimizer of the quadratic model over the simplex, as
-in mix-SQP (Kim, Carbonetto, Stephens & Anitescu, JCGS 2020), Frank-Wolfe
-steps as the fallback, the Frank-Wolfe gap as the stopping rule.  A
+in mix-SQP (Kim, Carbonetto, Stephens & Anitescu, JCGS 2020), each block
+pivot solving its least squares by the normal equations (an SVD only where
+they are rank-deficient or ill-conditioned), Frank-Wolfe steps as the
+fallback, the Frank-Wolfe gap as the stopping rule.  A
 capacity is certified two-sidedly by the minimax identity
 C_alpha = min_Q max_x D_alpha(W_x || Q): I^S_alpha(P) at the returned input
 law P is a lower bound, and max_x D_alpha(W_x || Q_P) at its output law Q_P
@@ -52,8 +54,13 @@ from .prob import (
 # --------------------------------------------------------------------------
 # Certified descent over the probability simplex, shared with `put`
 
-# Newton leaves out directions of singular value below _FLAT times the
-# largest (near-duplicate inputs): F is flat along them in double precision.
+# `_free_least_squares` accepts a solution y of the scaled normal equations
+# while |y| is at most _AMPLIFY times their right side: LU leaves a residual
+# of about eps |y|, so the free gradients then agree to ~1e-10 relative.
+# Its SVD fallback leaves out directions of singular value below _FLAT
+# times the largest (near-duplicate inputs): F is flat along them in double
+# precision.
+_AMPLIFY = 1e6
 _FLAT = 1e-12
 # Block exchanges that leave no fewer infeasible coordinates before the
 # Newton subproblem turns to Lawson-Hanson steps, and the cap on its solves.
@@ -69,15 +76,46 @@ def _relative_certificate(tol: float):
     return lambda val, fw: (fw, tol * max(1.0, abs(val)))
 
 
+def _free_least_squares(basis, b):
+    """A minimizer y of |basis y - b|.  While basis is tall: the normal
+    equations (basis^T basis) y = basis^T b, scaled to a unit diagonal (the
+    Newton weights can span tens of orders of magnitude across the rows)
+    and solved by LU, one Gram product and a small solve, several times
+    cheaper than an SVD; one column needs no solve.  The SVD takes over
+    when basis is rank-deficient by shape (at least as many columns as
+    rows, or a zero column), or when the solve is singular, not finite, or
+    amplifies the right side by more than _AMPLIFY (nearly dependent
+    columns).  A poor direction costs Newton iterations only; the
+    Frank-Wolfe gap still decides."""
+    if basis.shape[1] < basis.shape[0]:
+        gram = basis.T @ basis
+        diag = gram.diagonal()
+        if diag.all():
+            scale = 1.0 / np.sqrt(diag)
+            rhs = scale * (b @ basis)
+            if rhs.size <= 1:  # the scaled Gram matrix of one column is [[1]]
+                y = rhs
+            else:
+                gram *= scale
+                gram *= scale[:, None]
+                try:
+                    y = np.linalg.solve(gram, rhs)
+                except np.linalg.LinAlgError:
+                    y = None
+            if y is not None and y @ y <= _AMPLIFY**2 * (rhs @ rhs) < np.inf:
+                return scale * y
+    return np.linalg.lstsq(basis, b, rcond=_FLAT)[0]
+
+
 def _simplex_qp_step(A, r, z, start):
     """Step d = w - z to the minimizer w of |A (w - z) + r|^2 over the
     simplex.  Block principal pivoting (Kim & Park, SISC 2011) from the free
     set supp(start) solves the least squares under sum(w) = 1 on the free
-    set (zero-sum basis, singular values below _FLAT dropped), then swaps
-    at once every free w < 0 and every fixed coordinate whose gradient
-    A^T (A d + r) is below w . grad.  Singular A can make that cycle; when
-    the count stops falling, Lawson-Hanson from w = start takes over, which
-    lowers the model monotonically.  Returns the last feasible step if that
+    set (zero-sum basis, `_free_least_squares`), then swaps at once every
+    free w < 0 and every fixed coordinate whose gradient A^T (A d + r) is
+    below w . grad.  Singular A can make that cycle; when the count stops
+    falling, Lawson-Hanson from w = start takes over, which lowers the
+    model monotonically.  Returns the last feasible step if that
     stalls or takes _PIVOTS solves, None if it is zero."""
     free = start > 0.0
     cur = start.copy()
@@ -90,8 +128,9 @@ def _simplex_qp_step(A, r, z, start):
         d = np.where(free, 0.0, -z)
         d[ref] = z[~free].sum()
         res = A @ d + r
-        basis = A[:, others] - A[:, ref, None]
-        y = np.linalg.lstsq(basis, -res, rcond=_FLAT)[0]
+        basis = A[:, others]
+        basis -= A[:, ref, None]
+        y = _free_least_squares(basis, -res)
         d[others] = y
         d[ref] -= y.sum()
         res += basis @ y
@@ -155,7 +194,8 @@ def _minimize_on_simplex(M, value, derivatives, certify, max_iter: int, failure:
         grad = M.T @ dg
         if not (np.isfinite(grad).all() and np.isfinite(curv).all()):
             return None
-        return grad, dg, curv, float(z @ grad - grad.min())
+        # Nonnegative in exact arithmetic; rounding must not make it less.
+        return grad, dg, curv, max(0.0, float(z @ grad - grad.min()))
 
     def line_search(z, val, least_fw, step, newton):
         """The whole Newton step if it lowers F by more than rounding, else

@@ -229,3 +229,23 @@ def test_solver_non_convergence_exits_3(files, capsys):
     assert out == ""
     assert err.startswith("error: input-distribution ascent did not reach tolerance")
     assert "(residual 0.0786746554" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["put", "avg-binary", "--p", "0.3", "--D", "0.1"], ["--tol", "1e-3"]),
+        (["put", "avg-binary", "--p", "0.3", "--D", "0.1"], ["--max-iter", "0"]),
+        (["measures", "joint"], ["--tol", "1e-3"]),
+        (["strategy", "joint"], ["--max-iter", "0"]),
+        (["put", "hard", "spec.json"], ["--max-iter", "0"]),
+    ],
+    ids=["avg-binary-tol", "avg-binary-max-iter", "measures-tol", "strategy-max-iter", "hard-max-iter"],
+)
+def test_solver_flags_only_where_a_solver_reads_them(files, capsys, command, flag):
+    # a flag the subcommand would ignore is a usage error, not a silent no-op
+    argv = [files.get(word, word) for word in command] + ["--alpha", "1.5", *flag]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err

@@ -7,15 +7,31 @@ from pathlib import Path
 import alphaleak
 
 
-def test_import_loads_no_scipy():
-    """scipy costs most of a CLI start-up; only `sensitive_lower_bound`
-    needs it, and imports it on use."""
+def scipy_modules_after(statements: str) -> list[str]:
+    """The scipy modules loaded in a fresh interpreter that runs `statements`."""
     src = str(Path(alphaleak.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
-        "import alphaleak, alphaleak.cli, json, sys; "
+        f"import json, sys; {statements}; "
         "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_no_scipy():
+    """scipy costs most of a CLI start-up; only `sensitive_lower_bound`
+    needs it, and imports it on use."""
+    assert scipy_modules_after("import alphaleak, alphaleak.cli") == []
+
+
+def test_capacity_solve_loads_no_scipy():
+    """The capacity solver's Newton steps use numpy's LAPACK only: importing
+    scipy.linalg would cost a CLI `capacity` run more than its solves."""
+    statements = (
+        "import numpy as np, alphaleak as al; "
+        "W = np.random.default_rng(0).dirichlet(np.ones(40), size=30); "
+        "al.maximal_alpha_leakage(al.Channel(al.Alphabet.of_size(30, 'x'), al.Alphabet.of_size(40, 'y'), W), 2.0)"
+    )
+    assert scipy_modules_after(statements) == []

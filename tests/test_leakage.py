@@ -29,9 +29,10 @@ from alphaleak import (
     sibson_mi,
     strategy_for,
 )
-from alphaleak.leakage import _simplex_qp_step
+from alphaleak.leakage import _free_least_squares, _simplex_qp_step
 from util import (
     capacity_gap,
+    count_linalg_calls,
     expected_alpha_loss_of,
     maximize_over_simplex,
     random_channel,
@@ -262,18 +263,37 @@ class TestMaximalAlphaLeakage:
                 assert res.kkt_residual == pytest.approx(gap, abs=1e-12)
                 assert res.kkt_residual <= 1e-10
 
-    def test_fixed_256_channel_certifies_in_few_iterations(self):
+    def test_fixed_256_channel_certifies_in_few_iterations(self, monkeypatch):
         # the 256x256 Dirichlet(0.1) channel of the benchmark's fixed set
         # (the fourth matrix drawn from seed 1809), alpha = 2; the
-        # least-squares step on a guessed support took 103 iterations
+        # least-squares step on a guessed support took 103 iterations.
+        # Every free set is tall here, so no pivot needs the SVD fallback
         rng = np.random.default_rng(1809)
         for n, conc in ((128, 1.0), (128, 0.1), (256, 1.0), (256, 0.1)):
             W = rng.dirichlet(np.full(n, conc), size=n)
         W /= W.sum(axis=1, keepdims=True)
         ch = Channel(Alphabet.of_size(256, "x"), Alphabet.of_size(256, "y"), W)
+        calls = count_linalg_calls(monkeypatch, "lstsq")
         res = maximal_alpha_leakage(ch, 2.0, tol=1e-10)
         assert res.kkt_residual <= 1e-10
         assert res.iterations <= 15
+        assert calls["lstsq"] == 0
+
+    def test_random_sweep_certifies_with_nonnegative_gaps(self):
+        # all 2400 channels of the random sweep: none raises, every gap
+        # lies in [0, tol] (rounding made 16 of them slightly negative once),
+        # and the slow climbs out of nearly empty inputs stay as rare and as
+        # short as they were with an SVD per block pivot
+        iterations = []
+        for seed in range(1, 6):
+            for index in range(480):
+                W, a = sweep_channel(seed, index)
+                ch = Channel(Alphabet.of_size(W.shape[0], "x"), Alphabet.of_size(W.shape[1], "y"), W)
+                res = maximal_alpha_leakage(ch, a, tol=1e-10)
+                assert 0.0 <= res.kkt_residual <= 1e-10, (seed, index)
+                iterations.append(res.iterations)
+        assert sum(it > 30 for it in iterations) <= 23
+        assert max(iterations) <= 116
 
     def test_tall_sparse_channels_certify(self):
         # many inputs onto few outputs make the Newton model singular, where
@@ -314,13 +334,25 @@ class TestMaximalAlphaLeakage:
         assert info.value.residual > 1e-16
 
 
+def assert_qp_step_is_optimal(A, r, z, start):
+    # w = z + d minimizes |A (w - z) + r|^2 over the simplex: w >= 0,
+    # sum(w) = 1, and the gradient A^T (A d + r) equals its multiplier on
+    # supp(w) and is at least it elsewhere
+    d = _simplex_qp_step(A, r, z, start)
+    w = z + (0.0 if d is None else d)
+    assert w.min() >= 0.0
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    grad = A.T @ (A @ (w - z) + r)
+    scale = max(1.0, np.abs(A.T @ r).max())
+    mult = w @ grad
+    assert np.abs(grad[w > 0] - mult).max() <= 1e-9 * scale
+    assert grad.min() >= mult - 1e-9 * scale
+
+
 class TestSimplexQP:
     def test_kkt_on_random_problems(self):
-        # w = z + d minimizes |A (w - z) + r|^2 over the simplex: w >= 0,
-        # sum(w) = 1, and the gradient A^T (A d + r) equals its multiplier
-        # on supp(w) and is at least it elsewhere.  Wide A (a singular
-        # model, as from a channel with more inputs than outputs),
-        # duplicated columns, zero rows, and warm starts anywhere
+        # wide A (a singular model, as from a channel with more inputs than
+        # outputs), duplicated columns, zero rows, and warm starts anywhere
         rng = np.random.default_rng(31)
         for k in range(400):
             m, n = int(rng.integers(1, 9)), int(rng.integers(1, 13))
@@ -337,15 +369,52 @@ class TestSimplexQP:
             start = z if k % 2 else rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.5)
             if start.sum() == 0.0:
                 start = z
-            d = _simplex_qp_step(A, r, z, start / start.sum())
-            w = z + (0.0 if d is None else d)
-            assert w.min() >= 0.0
-            assert w.sum() == pytest.approx(1.0, abs=1e-12)
-            grad = A.T @ (A @ (w - z) + r)
-            scale = max(1.0, np.abs(A.T @ r).max())
-            mult = w @ grad
-            assert np.abs(grad[w > 0] - mult).max() <= 1e-9 * scale
-            assert grad.min() >= mult - 1e-9 * scale
+            assert_qp_step_is_optimal(A, r, z, start / start.sum())
+
+    def test_kkt_on_tall_problems(self, monkeypatch):
+        # more rows than columns, as from a channel with more outputs than
+        # inputs, up to 256 columns: the free sets are tall, so their least
+        # squares go through the normal equations, except where exactly
+        # duplicated columns make them singular and the SVD takes over.
+        # Columns perturbed by 1e-9 leave them nearly singular; those stay in
+        # models of at most 64 columns, because on larger ones block
+        # pivoting can cycle and Lawson-Hanson, one column per solve, then
+        # runs out of its _PIVOTS solves before the minimizer
+        calls = count_linalg_calls(monkeypatch, "solve", "lstsq")
+        rng = np.random.default_rng(37)
+        for k in range(60):
+            n = int(rng.integers(2, 257)) if k % 4 == 0 else int(rng.integers(2, 65))
+            m = n + int(rng.integers(1, 40))
+            A = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-3, 4)
+            copies = max(1, n // 8)
+            if k % 3 == 0:
+                A[:, rng.integers(n, size=copies)] = A[:, rng.integers(n, size=copies)]
+            if k % 3 == 1 and n <= 64:
+                cols = rng.integers(n, size=copies)
+                A[:, rng.integers(n, size=copies)] = A[:, cols] * (1.0 + 1e-9 * rng.normal(size=(m, copies)))
+            r = rng.normal(size=m)
+            z = rng.dirichlet(np.ones(n))
+            start = z if k % 2 else rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.5)
+            if start.sum() == 0.0:
+                start = z
+            assert_qp_step_is_optimal(A, r, z, start / start.sum())
+        assert calls["solve"] > 0 and calls["lstsq"] > 0
+
+
+    def test_least_squares_on_columns_of_any_scale(self, monkeypatch):
+        # Newton weights can span tens of orders of magnitude across the
+        # rows, and so the columns of a free basis their norms: scaled to a
+        # unit diagonal, the normal equations still solve a well-conditioned
+        # basis whose column norms run from 1e-20 to 1, where an SVD keeping
+        # singular values above 1e-12 of the largest would drop columns
+        rng = np.random.default_rng(41)
+        basis = rng.normal(size=(30, 12)) * 10.0 ** -np.linspace(0, 20, 12)
+        b = rng.normal(size=30)
+        norms = np.linalg.norm(basis, axis=0)
+        exact = np.linalg.lstsq(basis / norms, b, rcond=None)[0] / norms
+        calls = count_linalg_calls(monkeypatch, "lstsq")
+        np.testing.assert_allclose(_free_least_squares(basis, b), exact, rtol=1e-10)
+        assert calls["lstsq"] == 0
 
 
 class TestBinaryClosedForm:

@@ -146,3 +146,18 @@ def expected_alpha_loss_of(joint_m: np.ndarray, strategies: np.ndarray, alpha) -
 
 def random_strategies(rng: np.random.Generator, count: int, n_y: int, n_x: int) -> np.ndarray:
     return rng.dirichlet(np.ones(n_x), size=(count, n_y))
+
+
+def count_linalg_calls(monkeypatch, *names: str) -> dict[str, int]:
+    """Counts of the calls of the numpy.linalg routines `names` from here on,
+    updated in place."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        routine = getattr(np.linalg, name)
+
+        def counted(*args, name=name, routine=routine, **kw):
+            calls[name] += 1
+            return routine(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

@@ -239,7 +239,7 @@ def cmd_strategy(args) -> int:
 
 
 def _put_json_summary(payload: dict, path: str | None, summary: str) -> None:
-    _emit(json.dumps(payload, indent=2) + "\n", path)
+    _emit(json.dumps(payload) + "\n", path)
     print(summary, file=sys.stderr)
 
 

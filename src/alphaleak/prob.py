@@ -9,6 +9,9 @@ is a pure function, so concurrent use needs no locking.
 Construction validates the simplex / row-stochastic constraints to an
 absolute tolerance of 1e-12; derived-quantity assertions elsewhere use the
 looser 1e-9 so accumulated float error is not mistaken for bad input.
+`Dist._trusted` and `Channel._trusted` instead keep a solver's fresh float
+array as it is, read-only, unchecked: only for arrays of the right shape,
+finite, nonnegative and divided by their own (row) sums by construction.
 """
 
 from __future__ import annotations
@@ -164,6 +167,13 @@ class Dist:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "p", arr)
 
+    @classmethod
+    def _trusted(cls, alphabet: Alphabet, p: np.ndarray) -> "Dist":
+        p.flags.writeable = False
+        self = object.__new__(cls)
+        self.__dict__.update(alphabet=alphabet, p=p)
+        return self
+
     def __len__(self) -> int:
         return len(self.p)
 
@@ -210,6 +220,13 @@ class Channel:
         object.__setattr__(self, "input_alphabet", input_alphabet)
         object.__setattr__(self, "output_alphabet", output_alphabet)
         object.__setattr__(self, "rows", arr)
+
+    @classmethod
+    def _trusted(cls, input_alphabet: Alphabet, output_alphabet: Alphabet, rows: np.ndarray) -> "Channel":
+        rows.flags.writeable = False
+        self = object.__new__(cls)
+        self.__dict__.update(input_alphabet=input_alphabet, output_alphabet=output_alphabet, rows=rows)
+        return self
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -28,7 +28,9 @@ a certified gap.
 
 Ball membership uses the inclusive comparison d <= D on the caller's
 values with no epsilon: the combinatorics of the dataset constructions
-depend on exact membership.
+depend on exact membership.  Q*, mu and the mechanisms are built
+nonnegative and divided by their sums, so they skip `prob`'s checks
+(`_trusted`); a NaN from the LP gives a NaN gap, which `q_star` rejects.
 
 Only the tightness check of `sensitive_lower_bound` needs scipy (HiGHS
 `linprog`); it imports it on first use, so importing `put` loads no scipy.
@@ -54,9 +56,9 @@ from .prob import _floats, _json_fields, _nonnegative_array
 class DistortionSpec:
     """Distortion matrix d(x, y) with a hard bound D.
 
-    Construction validates that every input has a nonempty ball; a spec
-    with an empty ball admits no mechanism at all, and the error names the
-    offending input.
+    Construction stores the read-only ball mask and checks that every
+    ball is nonempty; a spec with an empty ball admits no mechanism at
+    all, and the error names the offending input.
     """
 
     input_alphabet: Alphabet
@@ -78,7 +80,9 @@ class DistortionSpec:
         object.__setattr__(self, "output_alphabet", output_alphabet)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "bound", bound)
-        empty = np.flatnonzero((d <= bound).sum(axis=1) == 0)
+        object.__setattr__(self, "_ball_mask", d <= bound)
+        self._ball_mask.flags.writeable = False
+        empty = np.flatnonzero(~self._ball_mask.any(axis=1))
         if empty.size:
             raise ValidationError(
                 f"input {input_alphabet.labels[empty[0]]!r} has an empty distortion ball "
@@ -87,7 +91,7 @@ class DistortionSpec:
 
     @property
     def ball_mask(self) -> np.ndarray:
-        return self.d <= self.bound
+        return self._ball_mask
 
     @staticmethod
     def from_json(obj: dict) -> "DistortionSpec":
@@ -105,10 +109,10 @@ class DistortionSpec:
 def q_star(spec: DistortionSpec, tol: float = 1e-10) -> GameSolution:
     """Solve q* = sup_Q inf_x Q(B_D(x)) on the spec's ball mask: the
     `lp.covering_game` solution, with q* as `value`, Q* as `q` and the
-    minimax certificate over inputs as `mu`.  A duality `gap` above `tol`
-    raises ConvergenceError."""
+    minimax certificate over inputs as `mu`.  A duality `gap` that is not
+    at most `tol` (NaN included) raises ConvergenceError."""
     game = covering_game(spec.ball_mask)
-    if game.gap > tol:
+    if not game.gap <= tol:
         raise ConvergenceError(
             f"LP duality gap {game.gap:.3e} above tolerance {tol:.3e}", residual=game.gap
         )
@@ -124,13 +128,12 @@ def optimal_mechanism(target: Dist, spec: DistortionSpec) -> Channel:
         raise ValidationError("target distribution is not on the distortion output alphabet")
     A = spec.ball_mask
     masses = A @ target.p
-    zero = np.flatnonzero(masses <= 0.0)
-    if zero.size:
+    if not masses.min() > 0.0:
+        x = int(np.argmin(masses > 0.0))
         raise ValidationError(
-            f"target distribution puts no mass on the ball of input "
-            f"{spec.input_alphabet.labels[zero[0]]!r}"
+            f"target distribution puts no mass on the ball of input {spec.input_alphabet.labels[x]!r}"
         )
-    return Channel(spec.input_alphabet, spec.output_alphabet, A * target.p / masses[:, None])
+    return Channel._trusted(spec.input_alphabet, spec.output_alphabet, A * target.p / masses[:, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,8 +152,8 @@ class PutSolution:
             "q_star": self.q_star,
             "value_nats": self.value,
             "value_bits": self.value / math.log(2.0),
-            "Q_star": [float(v) for v in self.target_output.p],
-            "mechanism": [[float(v) for v in row] for row in self.mechanism.rows],
+            "Q_star": self.target_output.p.tolist(),
+            "mechanism": self.mechanism.rows.tolist(),
             "duality_gap": self.duality_gap,
         }
 
@@ -167,13 +170,13 @@ def _hard_put(spec: DistortionSpec, tol: float, value_of_q) -> tuple[float, PutS
     """Solve q* on the spec, build the ball-restricted mechanism on its
     maximizer, and value it by `value_of_q(q*)`."""
     game = q_star(spec, tol)
-    target = Dist(spec.output_alphabet, game.q)
+    target = Dist._trusted(spec.output_alphabet, game.q)
     solution = PutSolution(
         mechanism=optimal_mechanism(target, spec),
         q_star=game.value,
         target_output=target,
         value=value_of_q(game.value),
-        dual_certificate=Dist(spec.input_alphabet, game.mu),
+        dual_certificate=Dist._trusted(spec.input_alphabet, game.mu),
         duality_gap=game.gap,
     )
     return solution.value, solution
@@ -267,7 +270,7 @@ def put_max_alpha_leakage(
         # probability whose ball Q leaves empty releases uniformly on its ball.
         rows = np.where(masses[:, None] > 0.0, A * q, A)
         return value, PutSolution(
-            mechanism=Channel(
+            mechanism=Channel._trusted(
                 spec.input_alphabet, spec.output_alphabet, rows / rows.sum(axis=1, keepdims=True)
             ),
             q_star=float(masses[prior_for_one.p > 0].min()),

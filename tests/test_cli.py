@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from alphaleak import DistortionSpec, put_max_alpha_leakage
 from alphaleak.cli import main
 from alphaleak.datasets import build_hamming_spec
 
@@ -20,6 +21,16 @@ def test_put_hard_hamming(hamming_file, capsys):
     assert out["q_star"] == pytest.approx(9 / 81, rel=0, abs=1e-12)
     assert out["value_nats"] == pytest.approx(np.log(9.0), rel=0, abs=1e-12)
     assert min(out["Q_star"]) >= 0.0
+
+
+def test_put_hard_json_round_trips_the_solution(hamming_file, capsys):
+    assert main(["put", "hard", hamming_file, "--alpha", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    with open(hamming_file) as fh:
+        _, sol = put_max_alpha_leakage(DistortionSpec.from_json(json.load(fh)), 2.0)
+    assert out["Q_star"] == sol.target_output.p.tolist()
+    assert out["mechanism"] == sol.mechanism.rows.tolist()
+    assert out["q_star"] == sol.q_star and out["duality_gap"] == sol.duality_gap
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 
 from alphaleak import (
     Alphabet,
+    Channel,
     ConvergenceError,
     Dist,
     DistortionSpec,
@@ -26,7 +27,9 @@ from alphaleak import (
     q_star,
     sensitive_lower_bound,
 )
+from alphaleak import prob, put
 from alphaleak.datasets import build_hamming_spec, build_type_distance_spec, hamming_ball_size
+from alphaleak.lp import GameSolution, covering_game
 from util import aware_put_gap, random_dist
 
 B = Alphabet(("0", "1"))
@@ -73,6 +76,13 @@ class TestDistortionSpec:
         spec = build_hamming_spec(2, 1, 3)
         assert np.all(spec.ball_mask.sum(axis=1) == 5)
 
+    def test_ball_mask_is_stored_read_only(self):
+        spec = DistortionSpec(B, B, [[0.0, 1.0], [1.0, 0.0]], 0.0)
+        assert spec.ball_mask is spec.ball_mask
+        with pytest.raises(ValueError):
+            spec.ball_mask[0, 1] = True
+        assert spec.ball_mask.tolist() == [[True, False], [False, True]]
+
 
 class TestQStar:
     def test_full_balls(self):
@@ -93,6 +103,22 @@ class TestQStar:
     def test_gap_above_tolerance_raises(self):
         with pytest.raises(ConvergenceError, match="duality gap"):
             q_star(build_type_distance_spec(9, 2), tol=-1.0)
+
+    @pytest.mark.parametrize("q", [np.full(2, np.nan), np.full(2, 0.5)], ids=["nan-q", "finite-q"])
+    def test_nan_gap_raises(self, monkeypatch, q):
+        # a NaN from the LP must not pass the gap check: the exact path
+        # wraps Q* and mu without re-validating them
+        nan_game = GameSolution(math.nan, q, np.full(2, np.nan), math.nan)
+        monkeypatch.setattr(put, "covering_game", lambda A: nan_game)
+        spec = ball_spec(np.eye(2))
+        for solve in (
+            lambda: q_star(spec),
+            lambda: put_max_alpha_leakage(spec, 2.0),
+            lambda: put_max_alpha_leakage(spec, math.inf),
+            lambda: put_max_f_leakage(spec, kl_generator()),
+        ):
+            with pytest.raises(ConvergenceError, match="duality gap"):
+                solve()
 
     def test_duality_on_random_ball_structures(self):
         rng = np.random.default_rng(30)
@@ -165,6 +191,52 @@ class TestOptimalMechanism:
         target = Dist.uniform(Alphabet.of_size(2, "z"))
         with pytest.raises(ValidationError, match="output alphabet"):
             optimal_mechanism(target, ball_spec(np.eye(2)))
+
+
+def covering_random_spec(rng) -> DistortionSpec:
+    """The `covering` benchmark workload's random spec: 2-8 x 2-8 integer
+    distortions in {0..3}, bound in {0, 1, 2}, every ball nonempty."""
+    n_in, n_out = (int(v) for v in rng.integers(2, 9, size=2))
+    while True:
+        d = rng.integers(0, 4, size=(n_in, n_out))
+        bound = int(rng.integers(0, 3))
+        if np.all((d <= bound).any(axis=1)):
+            return DistortionSpec(Alphabet.of_size(n_in, "x"), Alphabet.of_size(n_out, "y"), d, bound)
+
+
+def test_hard_put_output_passes_the_validating_constructors(monkeypatch):
+    """The exact path wraps Q*, mu and the mechanism unchecked.  On 2000
+    random specs each is read-only, no solve runs `prob`'s array check,
+    and each array is bitwise what the validating constructors build from
+    the same LP solution."""
+    rng = np.random.default_rng(13)
+    specs = [covering_random_spec(rng) for _ in range(2000)]
+    kl = kl_generator()
+    checks = []
+    check = prob._nonnegative_array
+    monkeypatch.setattr(prob, "_nonnegative_array", lambda *a, **k: checks.append(1) or check(*a, **k))
+    solutions = [
+        put_max_f_leakage(spec, kl)[1] if k % 2 else put_max_alpha_leakage(spec, 2.0)[1]
+        for k, spec in enumerate(specs)
+    ]
+    assert checks == []
+    monkeypatch.undo()
+
+    for k, (spec, sol) in enumerate(zip(specs, solutions)):
+        got = (sol.target_output.p, sol.dual_certificate.p, sol.mechanism.rows)
+        assert not any(arr.flags.writeable for arr in got)
+        game = covering_game(spec.ball_mask)
+        target = Dist(spec.output_alphabet, game.q)
+        A = spec.ball_mask
+        want = (
+            target.p,
+            Dist(spec.input_alphabet, game.mu).p,
+            Channel(spec.input_alphabet, spec.output_alphabet, A * target.p / (A @ target.p)[:, None]).rows,
+        )
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        q = game.value
+        value = q * kl.f(1.0 / q) + (1.0 - q) * kl.f_at_zero if k % 2 else -math.log(q)
+        assert (sol.q_star, sol.value, sol.duality_gap) == (q, float(value), game.gap)
 
 
 class TestPutMaxFLeakage:

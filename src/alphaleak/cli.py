@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,8 +62,10 @@ class RunConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValidationError("tol must be positive")
+        if not self.tol > 0:
+            raise ValidationError(f"tol must be positive, got {self.tol}")
+        if self.max_iter < 0:
+            raise ValidationError(f"max_iter must be nonnegative, got {self.max_iter}")
         values = [a.value for a in self.alphas]
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValidationError("alpha sweep must be strictly increasing")
@@ -75,12 +77,12 @@ def parse_sweep(text: str) -> list[AlphaOrder]:
     and must be nameable)."""
     text = text.strip()
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValidationError(f"sweep {text!r} is not start:stop:step")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ValidationError(f"sweep {text!r} must increase")
+        try:
+            start, stop, step = (float(p) for p in text.split(":"))
+        except ValueError:
+            raise ValidationError(f"sweep {text!r} is not start:stop:step") from None
+        if not (all(map(math.isfinite, (start, stop, step))) and step > 0 and stop >= start):
+            raise ValidationError(f"sweep {text!r} must increase in finite steps")
         count = int(math.floor((stop - start) / step + 1e-12)) + 1
         return [AlphaOrder(start + k * step) for k in range(count)]
     return [as_order(tok) for tok in text.split(",") if tok]
@@ -247,9 +249,7 @@ def _named_generator(name: str, order: AlphaOrder):
     if name == "kl":
         return kl_generator()
     if name == "hellinger":
-        if not order.is_finite_gt_one:
-            raise ValidationError("the Hellinger generator needs a finite --alpha > 1")
-        return hellinger_generator(order.value)
+        return hellinger_generator(order)
     if name == "reverse-kl":
         return custom_generator(
             lambda t: -math.log(t) if t > 0 else math.inf,
@@ -338,9 +338,7 @@ def cmd_put_avg_binary(args) -> int:
     header = ["alpha", "value", "rho1", "rho2", "guess_prob", "gap"]
     rows = []
     for order in config.alphas:
-        if not order.is_finite_gt_one:
-            raise ValidationError("avg-binary requires finite alpha > 1")
-        res = avg_hamming_binary_put(args.p, args.D, order.value)
+        res = avg_hamming_binary_put(args.p, args.D, order)
         rows.append(
             [
                 _alpha_text(order),

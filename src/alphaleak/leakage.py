@@ -35,6 +35,7 @@ from .measures import (
     FGenerator,
     arimoto_cond_entropy,
     arimoto_mi,
+    _log_col_norms,
     _log_rows,
     _shannon_mi_from_joint,
 )
@@ -46,7 +47,6 @@ from .prob import (
     as_order,
     binary_channel,
     conditional_of,
-    log_alpha_norm,
     logsumexp,
 )
 
@@ -460,9 +460,7 @@ def binary_maximal_alpha_leakage(rho1, rho2, alpha: float):
     (the absolute differences it is built from vanish); such pairs are
     routed one by one to the capacity solver instead.
     """
-    alpha = float(alpha)
-    if not alpha > 1.0:
-        raise ValidationError(f"binary closed form requires alpha > 1, got {alpha}")
+    alpha = as_order(alpha).finite_above_one("binary closed form")
     r1, r2 = np.broadcast_arrays(np.asarray(rho1, dtype=float), np.asarray(rho2, dtype=float))
     if not (np.all((0.0 <= r1) & (r1 <= 1.0)) and np.all((0.0 <= r2) & (r2 <= 1.0))):
         raise ValidationError("crossover probabilities must lie in [0, 1]")
@@ -487,12 +485,10 @@ def capacity_lower_bound(channel: Channel, alpha: float) -> tuple[float, bool]:
     (checked to 1e-9 after normalizing by their mean).  True implies the
     bound matches the capacity; False asserts nothing.
     """
-    alpha = float(alpha)
-    if not alpha > 1.0:
-        raise ValidationError(f"capacity lower bound requires alpha > 1, got {alpha}")
+    alpha = as_order(alpha).finite_above_one("capacity lower bound")
     W = channel.rows
     n_in = W.shape[0]
-    col_lognorm = np.array([log_alpha_norm(W[:, y], alpha) for y in range(W.shape[1])])
+    col_lognorm = _log_col_norms(W, alpha)
     finite = col_lognorm > -np.inf
     lsum = float(logsumexp(col_lognorm[finite]))
     bound = alpha / (alpha - 1.0) * (lsum - math.log(n_in) / alpha)

@@ -1,5 +1,6 @@
 """Dense primal simplex for the maximin mass-covering game, solved on the
-coarsest equitable partition of the ball matrix.
+coarsest equitable partition of the ball matrix, and for the feasibility
+of A x = b, x >= 0.
 
 The hard-distortion PUT reduces to the matrix game
 
@@ -55,6 +56,12 @@ max_y (mu A)_y - min_x (A q)_x bounds how far min_x (A q)_x lies below q*.
 A gap above `_REBUILD_GAP` means rounding has drifted the tableau; it is
 then recomputed once from the final basis by one linear solve, and
 pivoting resumes before the certificate is measured again.
+
+**Feasibility.**  `feasible_point` decides A x = b, x >= 0 for b >= 0 on
+the same tableau, pivot loop and rebuild rule: it is phase 1 in the slack
+basis, max (1'A) x s.t. A x <= b, x >= 0, whose optimum reaches 1'b
+exactly when the system is feasible.  Its certificate is the residual
+||A x - b||_inf of the clipped x on the row-scaled system.
 """
 
 from __future__ import annotations
@@ -96,7 +103,7 @@ def _pivot_to_optimum(T: np.ndarray, basis: np.ndarray) -> None:
         col = T[:-1, j]
         rows = (col > _PIVOT_MIN).nonzero()[0]
         if rows.size == 0:
-            raise ValidationError("every row of the ball matrix needs a 1")
+            raise ValidationError("unbounded LP: no constraint limits the entering column")
         ratios = np.maximum(T[rows, -1], 0.0) / col[rows]
         best = ratios.min()
         ties = rows[ratios <= best + _PIVOT_EPS * (1.0 + best)]
@@ -108,16 +115,17 @@ def _pivot_to_optimum(T: np.ndarray, basis: np.ndarray) -> None:
         basis[i] = j
 
 
-def _simplex(N: np.ndarray, sizes: np.ndarray | float, certify) -> GameSolution:
-    """Solve max 1'v s.t. N'v <= sizes, v >= 0 and return `certify(v, w)`
-    of v and the constraint duals w, both clipped at 0."""
+def _simplex(N: np.ndarray, sizes: np.ndarray | float, certify, objective: np.ndarray | float = 1.0):
+    """Solve max c'v s.t. N'v <= sizes, v >= 0, with c = `objective` and
+    sizes >= 0, and return `certify(v, w)` of v and the constraint duals w,
+    both clipped at 0; the result's `gap` decides the rebuild."""
     n_in, n_out = N.shape
     # Constraint rows [N' I sizes]; the last row holds the reduced costs
-    # c_B B^-1 [N' I sizes] - c of the objective c = (1, 0, 0), at first -c.
+    # c_B B^-1 [N' I sizes] - (c, 0, 0), at first -(c, 0, 0).
     T = np.zeros((n_out + 1, n_in + n_out + 1))
     T[:-1, :n_in] = N.T
     T[:-1, n_in:-1].flat[:: n_out + 1] = 1.0
-    T[:-1, -1], T[-1, :n_in] = sizes, -1.0
+    T[:-1, -1], T[-1, :n_in] = sizes, -objective
     start = T.copy()
     basis = np.arange(n_in, n_in + n_out)
     for rebuilt in (False, True):
@@ -208,3 +216,21 @@ def covering_game(ball_matrix: np.ndarray) -> GameSolution:
         return GameSolution(primal_value, q, mu, float((mu @ A).max()) - primal_value)
 
     return _simplex(N, sizes, certify)
+
+
+class FeasiblePoint(NamedTuple):
+    x: np.ndarray  # x >= 0
+    gap: float  # ||A x - b||_inf on the row-scaled system
+
+
+def feasible_point(A: np.ndarray, b: np.ndarray) -> FeasiblePoint:
+    """Phase 1 for A x = b, x >= 0 with b >= 0: max (1'A) x s.t. A x <= b,
+    x >= 0, from the slack basis.  The system is feasible exactly when the
+    optimum reaches 1'b, i.e. the returned `gap` is 0 up to rounding.
+
+    Rows are first scaled to unit max |entry| (all-zero rows by 1), so
+    `_PIVOT_MIN` means the same on every row."""
+    scale = np.abs(A).max(axis=1)
+    scale[scale == 0.0] = 1.0
+    A, b = A / scale[:, None], b / scale
+    return _simplex(A.T, b, lambda x, _: FeasiblePoint(x, float(np.abs(A @ x - b).max())), A.sum(axis=0))

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .prob import AlphaOrder, Channel, Dist, Joint, as_order, log_alpha_norm, logsumexp, xlogy
+from .prob import Channel, Dist, Joint, as_order, log_alpha_norm, logsumexp, xlogy
 
 _LN2 = math.log(2.0)
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -100,6 +100,12 @@ def _log_rows(W: np.ndarray) -> np.ndarray:
     return out
 
 
+def _log_col_norms(M: np.ndarray, a: float) -> np.ndarray:
+    """log ||M[:, y]||_a of every column of the nonnegative M, for finite
+    a > 0; -inf for an all-zero column."""
+    return logsumexp(a * _log_rows(M), axis=0) / a
+
+
 def _shannon_mi_from_joint(m: np.ndarray) -> float:
     px = m.sum(axis=1)
     py = m.sum(axis=0)
@@ -149,7 +155,7 @@ def arimoto_cond_entropy(joint: Joint, order) -> float:
     if order.is_inf:
         return float(-np.log(m.max(axis=0).sum()))
     a = order.value
-    col_log_norms = np.array([log_alpha_norm(m[:, y], order) for y in range(m.shape[1])])
+    col_log_norms = _log_col_norms(m, a)
     finite = col_log_norms > -np.inf
     return float(a / (1.0 - a) * logsumexp(col_log_norms[finite]))
 
@@ -222,9 +228,7 @@ def kl_generator() -> FGenerator:
 def hellinger_generator(alpha: float) -> FGenerator:
     """f_alpha(t) = (t^alpha - 1)/(alpha - 1), the Hellinger divergence of
     order alpha > 1."""
-    a = float(alpha)
-    if not a > 1.0:
-        raise ValidationError(f"Hellinger generator requires alpha > 1, got {a}")
+    a = as_order(alpha).finite_above_one("Hellinger generator")
     return FGenerator(
         "hellinger", a, -1.0 / (a - 1.0), math.inf, f"hellinger({a:g})",
         f=_elementwise(lambda t: (np.power(t, a) - 1.0) / (a - 1.0)),
@@ -302,9 +306,7 @@ def k_alpha(p: Dist, q: Dist, alpha: float) -> float:
     Always >= 1 for alpha > 1, with equality iff p = q; returns +inf when p
     puts mass where q does not.
     """
-    alpha = float(alpha)
-    if not alpha > 1.0:
-        raise ValidationError(f"k_alpha requires alpha > 1, got {alpha}")
+    alpha = as_order(alpha).finite_above_one("k_alpha")
     _require_same_alphabet(p, q)
     pv, qv = p.p, q.p
     if np.any((pv > 0) & (qv == 0)):
@@ -320,9 +322,7 @@ def alpha_norm_center(components: Sequence[Dist], alpha: float) -> tuple[Dist, f
     the normalizer; P_c uniquely minimizes sum_k k_alpha(P_k || .) and the
     attained minimum equals Z^alpha.
     """
-    alpha = float(alpha)
-    if not alpha > 1.0:
-        raise ValidationError(f"alpha_norm_center requires alpha > 1, got {alpha}")
+    alpha = as_order(alpha).finite_above_one("alpha_norm_center")
     if not components:
         raise ValidationError("alpha_norm_center requires a nonempty family")
     alphabet = components[0].alphabet
@@ -330,11 +330,8 @@ def alpha_norm_center(components: Sequence[Dist], alpha: float) -> tuple[Dist, f
         if comp.alphabet != alphabet:
             raise ValidationError("components live on different alphabets")
     stack = np.stack([c.p for c in components])  # K x n
-    col_lognorms = np.array(
-        [log_alpha_norm(stack[:, y], alpha) for y in range(stack.shape[1])]
-    )
-    log_z = logsumexp(col_lognorms[col_lognorms > -np.inf])
+    col_lognorms = _log_col_norms(stack, alpha)
+    log_z = logsumexp(col_lognorms)  # an all-zero column adds exp(-inf) = 0
     pc = np.exp(col_lognorms - log_z)
-    pc[col_lognorms == -np.inf] = 0.0
     pc = pc / pc.sum()
     return Dist(alphabet, pc), float(np.exp(log_z))

@@ -131,23 +131,33 @@ class AlphaOrder:
 
     @property
     def is_finite_gt_one(self) -> bool:
-        return not self.is_one and not self.is_inf
+        return 1.0 < self.value < math.inf
 
     def require_at_least_one(self, context: str) -> "AlphaOrder":
         if self.value < 1.0:
             raise ValidationError(f"{context} requires alpha >= 1, got {self.value}")
         return self
 
+    def finite_above_one(self, context: str) -> float:
+        """The value, when 1 < alpha < inf; else ValidationError naming `context`."""
+        if not self.is_finite_gt_one:
+            raise ValidationError(f"{context} requires finite alpha > 1, got {self.value}")
+        return self.value
+
     def __repr__(self):
         return f"AlphaOrder({'inf' if self.is_inf else self.value})"
 
 
 def as_order(order) -> AlphaOrder:
-    """Coerce a float, the string 'inf', or an AlphaOrder to AlphaOrder."""
+    """Coerce a float, a numeric string ('inf' included), or an AlphaOrder to
+    AlphaOrder; a string that is not a number raises ValidationError."""
     if isinstance(order, AlphaOrder):
         return order
     if isinstance(order, str):
-        return AlphaOrder(math.inf if order.strip().lower() in ("inf", "infinity") else float(order))
+        try:
+            order = float(order)
+        except ValueError:
+            raise ValidationError(f"alpha {order!r} is not a number") from None
     return AlphaOrder(order)
 
 

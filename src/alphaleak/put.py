@@ -31,9 +31,6 @@ values with no epsilon: the combinatorics of the dataset constructions
 depend on exact membership.  Q*, mu and the mechanisms are built
 nonnegative and divided by their sums, so they skip `prob`'s checks
 (`_trusted`); a NaN from the LP gives a NaN gap, which `q_star` rejects.
-
-Only the tightness check of `sensitive_lower_bound` needs scipy (HiGHS
-`linprog`); it imports it on first use, so importing `put` loads no scipy.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ import numpy as np
 
 from .errors import ConvergenceError, IncompatibleGeneratorError, ValidationError
 from .leakage import _minimize_on_simplex, _relative_certificate, binary_maximal_alpha_leakage
-from .lp import GameSolution, covering_game
+from .lp import GameSolution, covering_game, feasible_point
 from .measures import FGenerator, kl_generator
 from .prob import Alphabet, Channel, Dist, Joint, as_order
 from .prob import _floats, _json_fields, _nonnegative_array
@@ -301,13 +298,6 @@ class SensitiveJoint:
             )
 
 
-def _feasible_sensitive_sets(sj: SensitiveJoint) -> np.ndarray:
-    """Boolean matrix [s, y]: is s consistent with some feasible input of y."""
-    reach = sj.spec.ball_mask.astype(float)  # [x, y]
-    positive = (sj.joint.m > 0).astype(float)  # [s, x]
-    return positive @ reach > 0
-
-
 def sensitive_lower_bound(sj: SensitiveJoint, order) -> tuple[float, bool]:
     """Lower bound on the minimal alpha-leakage about S when a mechanism
     releases X within its distortion ball.
@@ -315,24 +305,25 @@ def sensitive_lower_bound(sj: SensitiveJoint, order) -> tuple[float, bool]:
     The bound evaluates, for each (s, x), the largest total sensitive mass
     consistent with any feasible output of x; smaller consistent sets mean
     more exposure.  The boolean reports whether a mechanism meeting the
-    two equalization conditions for tightness exists: a linear feasibility
-    program over mechanisms supported on the per-input argmax outputs is
-    solved, and True is returned only on feasibility (False asserts
-    nothing about non-tightness).
+    two equalization conditions for tightness exists: the linear
+    feasibility program of `_tightness_system` is solved by
+    `lp.feasible_point`, and True is returned only for a mechanism x >= 0
+    that meets it to 1e-9 on the row-scaled system (False asserts nothing
+    about non-tightness).
     """
     order = as_order(order).require_at_least_one("sensitive_lower_bound")
-    ps = sj.joint.m.sum(axis=1)  # P_S
     psx = sj.joint.m  # [s, x]
+    ps, px = psx.sum(axis=1), psx.sum(axis=0)  # P_S, P_X
     ball = sj.spec.ball_mask  # [x, y]
-    s_feasible = _feasible_sensitive_sets(sj).astype(float)  # [s, y]
-    px = psx.sum(axis=0)
+    s_feasible = (psx > 0) @ ball  # [s, y]: is s consistent with a feasible input of y
     # Inputs of zero probability contribute nothing but their per-input
     # maxima can be 0/0; mask them out of every branch.
     live_x = px > 0
 
-    weights = ps if order.is_one or order.is_inf else ps**order.value
-    n_y = weights @ s_feasible  # N(y) = sum_{s in S_D(y)} P(s), of P(s)^alpha for finite alpha
-    m_x = np.array([n_y[ball[x]].max() for x in range(ball.shape[0])])
+    weights = ps**order.value if order.is_finite_gt_one else ps
+    n_y = ps @ s_feasible  # N(y) = sum_{s in S_D(y)} P(s)
+    # the per-input max over the ball of N(y), of P(s)^alpha for finite alpha
+    m_x = np.where(ball, weights @ s_feasible, -np.inf).max(axis=1)
     m_safe = np.where(live_x, m_x, 1.0)
     if order.is_one:
         bound = float(-(px[live_x] @ np.log(m_safe[live_x])))
@@ -346,11 +337,11 @@ def sensitive_lower_bound(sj: SensitiveJoint, order) -> tuple[float, bool]:
         total = float((weights[:, None] * px_given_s * m_safe[None, :] ** ((1.0 - a) / a)).sum())
         bound = a / (a - 1.0) * math.log(total / norm)
 
-    return bound, _tightness_feasible(sj)
+    return bound, feasible_point(*_tightness_system(psx, ps, ball, s_feasible, n_y)).gap <= 1e-9
 
 
-def _tightness_feasible(sj: SensitiveJoint) -> bool:
-    """Search for a mechanism meeting the equalization conditions.
+def _tightness_system(psx, ps, ball, s_feasible, n_y) -> tuple[np.ndarray, np.ndarray]:
+    """The equalization conditions as A x = b, x >= 0 over mechanisms.
 
     Condition (i) confines each (s, x) row to the outputs of B_D(x) whose
     consistent sensitive mass attains the per-input maximum; condition
@@ -359,12 +350,6 @@ def _tightness_feasible(sj: SensitiveJoint) -> bool:
     feasibility of the resulting system, with the output law eliminated by
     substitution, decides the check.
     """
-    ps = sj.joint.m.sum(axis=1)
-    psx = sj.joint.m
-    ball = sj.spec.ball_mask
-    s_feasible = _feasible_sensitive_sets(sj)
-    n_y = ps @ s_feasible.astype(float)
-
     # Argmax output sets per input (condition (i) support restriction).
     top = np.where(ball, n_y, -np.inf).max(axis=1, keepdims=True)
     best = ball & (n_y >= top - 1e-12 * np.maximum(1.0, top))
@@ -381,17 +366,7 @@ def _tightness_feasible(sj: SensitiveJoint) -> bool:
     coupling = (y == cy[:, None]) * psx[s, x] * (
         (s == cs[:, None]) / ps[cs, None] - 1.0 / n_y[cy, None]
     )
-
-    from scipy.optimize import linprog  # on use: a top-level import loads scipy at every start-up
-
-    res = linprog(
-        c=np.zeros(s.size),
-        A_eq=np.vstack([stochastic, coupling]),
-        b_eq=np.r_[np.ones(len(stochastic)), np.zeros(len(coupling))],
-        bounds=(0.0, None),
-        method="highs",
-    )
-    return bool(res.status == 0)
+    return np.vstack([stochastic, coupling]), np.r_[np.ones(len(stochastic)), np.zeros(len(coupling))]
 
 
 # --------------------------------------------------------------------------
@@ -442,13 +417,11 @@ def avg_hamming_binary_put(p: float, D: float, alpha: float) -> AvgHammingSoluti
     ConvergenceError after 40 rounds.  Also reports the MAP success
     probability sum_y max_x P_XY(x, y) of the solution.
     """
-    p, D, alpha = float(p), float(D), float(alpha)
+    p, D, alpha = float(p), float(D), as_order(alpha).finite_above_one("avg_hamming_binary_put")
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p must lie in (0, 1), got {p}")
     if not 0.0 < D < 1.0 - max(p, 1.0 - p):
         raise ValidationError(f"D must lie in (0, {1.0 - max(p, 1.0 - p)}), got {D}")
-    if not 1.0 < alpha < math.inf:
-        raise ValidationError(f"alpha must be finite and exceed 1, got {alpha}")
 
     e = (alpha - 1.0) / alpha
     last = _SEGMENT_POINTS - 1

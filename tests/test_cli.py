@@ -41,24 +41,36 @@ def test_malformed_json_exits_2(tmp_path, capsys):
 
 
 SPEC = {"input": ["a", "b"], "output": ["a", "b"], "d": [[0, 1], [1, 0]], "D": 0}
+CH = {"input": ["a", "b"], "output": ["u", "v"], "rows": [[0.9, 0.1], [0.2, 0.8]]}
+HARD = ["put", "hard", "FILE", "--alpha", "2"]
 
 
 @pytest.mark.parametrize(
-    "command, obj, named",
+    "argv, obj, named",
     [
-        (["put", "hard"], {k: v for k, v in SPEC.items() if k != "D"}, "'D'"),
-        (["put", "hard"], {**SPEC, "d": [[0, "x"], [1, 0]]}, "'d'"),
-        (["put", "hard"], [SPEC], "JSON object"),
-        (["measures"], SPEC, "'rows'"),
-        (["put", "hard"], {**SPEC, "input": "ab"}, "'input'"),
+        (HARD, {k: v for k, v in SPEC.items() if k != "D"}, "'D'"),
+        (HARD, {**SPEC, "d": [[0, "x"], [1, 0]]}, "'d'"),
+        (HARD, [SPEC], "JSON object"),
+        (["measures", "FILE", "--alpha", "2"], SPEC, "'rows'"),
+        (HARD, {**SPEC, "input": "ab"}, "'input'"),
+        (["capacity", "FILE", "--alpha", "2,3"], CH, "'2,3'"),
+        (["capacity", "FILE", "--alpha-sweep", "a:b:c"], CH, "'a:b:c'"),
+        (["capacity", "FILE", "--alpha-sweep", "1:inf:1"], CH, "'1:inf:1'"),
+        (["capacity", "FILE", "--alpha-sweep", "2:3:nan"], CH, "'2:3:nan'"),
+        (["capacity", "FILE", "--alpha", "2", "--tol", "nan"], CH, "tol"),
+        (["capacity", "FILE", "--alpha", "2", "--max-iter", "-1"], CH, "max_iter"),
     ],
-    ids=["no-bound", "bad-distortion-entry", "top-level-list", "spec-as-joint", "string-alphabet"],
+    ids=[
+        "no-bound", "bad-distortion-entry", "top-level-list", "spec-as-joint", "string-alphabet",
+        "alpha-list", "sweep-not-numbers", "sweep-to-inf", "sweep-nan-step", "tol-nan", "max-iter-negative",
+    ],
 )
-def test_schema_mismatch_exits_2(tmp_path, capsys, command, obj, named):
-    # well-formed JSON that does not fit the schema: an error line, no traceback
+def test_schema_mismatch_exits_2(tmp_path, capsys, argv, obj, named):
+    # well-formed JSON that does not fit the schema, or an option value that
+    # does not parse or is out of range: an error line, no traceback
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))
-    assert main([*command, str(path), "--alpha", "2"]) == 2
+    assert main([str(path) if word == "FILE" else word for word in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
 

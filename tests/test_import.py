@@ -21,9 +21,21 @@ def scipy_modules_after(statements: str) -> list[str]:
 
 
 def test_import_loads_no_scipy():
-    """scipy costs most of a CLI start-up; only `sensitive_lower_bound`
-    needs it, and imports it on use."""
+    """scipy costs most of a CLI start-up, and the package never imports it:
+    numpy is its one runtime dependency."""
     assert scipy_modules_after("import alphaleak, alphaleak.cli") == []
+
+
+def test_sensitive_lower_bound_loads_no_scipy():
+    """The tightness check solves its feasibility program on `lp`'s simplex."""
+    statements = (
+        "import numpy as np, alphaleak as al; "
+        "b = al.Alphabet.of_size(2); "
+        "sj = al.SensitiveJoint(al.Joint(b, b, [[0.3, 0.1], [0.15, 0.45]]), "
+        "al.DistortionSpec(b, b, 1.0 - np.eye(2), 1.0)); "
+        "al.sensitive_lower_bound(sj, 2.0)"
+    )
+    assert scipy_modules_after(statements) == []
 
 
 def test_capacity_solve_loads_no_scipy():

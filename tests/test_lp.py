@@ -120,3 +120,35 @@ def test_full_tableau_on_a_degenerate_hamming_game(monkeypatch):
     sol = lp.covering_game(build_hamming_spec(5, 1, 3).ball_mask)
     assert sol.value == pytest.approx(11 / 243, rel=0, abs=1e-12)
     assert sol.gap <= 1e-12
+
+
+class TestFeasiblePoint:
+    def test_zero_row_is_scaled_by_one(self):
+        # a zero row with b = 0 holds for every x; dividing it by its zero
+        # scale would put NaN in the tableau, on which pivoting never ends
+        A = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1e-6, -2e-6, 0.0]])
+        point = lp.feasible_point(A, np.array([1.0, 0.0, 0.0]))
+        assert point.gap <= 1e-15 and point.x.min() >= 0.0
+        assert np.abs(A @ point.x - [1.0, 0.0, 0.0]).max() <= 1e-15
+
+    def test_infeasible_system(self):
+        # x1 + x2 = 1 and x1 + x2 = 2 cannot both hold; a zero row with b > 0 neither
+        point = lp.feasible_point(np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([1.0, 4.0]))
+        assert point.gap > 0.1
+        point = lp.feasible_point(np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([1.0, 1.0]))
+        assert point.gap == pytest.approx(1.0)
+
+    def test_agrees_with_highs_on_random_systems(self):
+        rng = np.random.default_rng(3)
+        found = 0
+        for _ in range(200):
+            m, n = (int(v) for v in rng.integers(2, 9, 2))
+            A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.7)
+            b = np.abs(rng.normal(size=m)) * (rng.random(m) < 0.6)
+            point = lp.feasible_point(A, b)
+            highs = linprog(np.zeros(n), A_eq=A, b_eq=b, bounds=(0.0, None), method="highs")
+            assert (point.gap <= 1e-9) == (highs.status == 0)
+            if point.gap <= 1e-9:
+                found += 1
+                assert point.x.min() >= 0.0 and np.abs(A @ point.x - b).max() <= 1e-8
+        assert 20 < found < 200

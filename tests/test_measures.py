@@ -18,12 +18,13 @@ from alphaleak import (
     hellinger_generator,
     k_alpha,
     kl_generator,
+    log_alpha_norm,
     make_joint,
     renyi_divergence,
     renyi_entropy,
     sibson_mi,
 )
-from alphaleak.measures import LogBase
+from alphaleak.measures import LogBase, _log_col_norms
 from util import random_channel, random_dist, random_joint
 
 B = Alphabet(("0", "1"))
@@ -168,6 +169,13 @@ class TestArimoto:
         joint = make_joint(Dist.uniform(B), Channel.identity(B))
         for a in ORDERS:
             assert arimoto_mi(joint, a) == pytest.approx(math.log(2), abs=1e-12)
+
+    def test_column_norms_match_log_alpha_norm(self):
+        # the vectorized column norms, zero entries and an all-zero column included
+        m = np.array([[0.2, 0.0, 0.0, 1e-300], [0.5, 0.3, 0.0, 0.4], [0.0, 0.1, 0.0, 0.6]])
+        for a in (0.5, 1.5, 2.0, 10.0, 500.0):
+            want = [log_alpha_norm(m[:, y], a) for y in range(m.shape[1])]
+            assert _log_col_norms(m, a) == pytest.approx(want, rel=1e-15, abs=0)
 
     def test_shannon_agreement_at_one(self):
         rng = np.random.default_rng(7)

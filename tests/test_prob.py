@@ -11,9 +11,15 @@ from alphaleak import (
     Dist,
     Joint,
     ValidationError,
+    alpha_norm_center,
+    avg_hamming_binary_put,
     binary_channel,
+    binary_maximal_alpha_leakage,
+    capacity_lower_bound,
     cascade,
     conditional_of,
+    hellinger_generator,
+    k_alpha,
     log_alpha_norm,
     make_joint,
     product_channel,
@@ -59,6 +65,30 @@ class TestAlphaOrder:
     def test_leakage_gate(self):
         with pytest.raises(ValidationError):
             AlphaOrder(0.5).require_at_least_one("test")
+
+    def test_finite_above_one(self):
+        assert AlphaOrder(2.5).finite_above_one("test") == 2.5
+        for bad in (0.5, 1.0, math.inf):
+            with pytest.raises(ValidationError, match="test requires finite alpha > 1"):
+                AlphaOrder(bad).finite_above_one("test")
+
+
+P, Q = Dist(B, [0.3, 0.7]), Dist(B, [0.6, 0.4])
+FINITE_ORDER_ONLY = {
+    "capacity_lower_bound": lambda a: capacity_lower_bound(binary_channel(0.1, 0.2), a),
+    "k_alpha": lambda a: k_alpha(P, Q, a),
+    "binary_maximal_alpha_leakage": lambda a: binary_maximal_alpha_leakage(0.1, 0.2, a),
+    "hellinger_generator": hellinger_generator,
+    "alpha_norm_center": lambda a: alpha_norm_center([P, Q], a),
+    "avg_hamming_binary_put": lambda a: avg_hamming_binary_put(0.3, 0.1, a),
+}
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("call", FINITE_ORDER_ONLY.values(), ids=FINITE_ORDER_ONLY.keys())
+def test_finite_order_functions_reject_inf_and_nan(call, alpha):
+    with pytest.raises(ValidationError):
+        call(alpha)
 
 
 class TestConstructors:

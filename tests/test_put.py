@@ -27,7 +27,7 @@ from alphaleak import (
     q_star,
     sensitive_lower_bound,
 )
-from alphaleak import prob, put
+from alphaleak import lp, prob, put
 from alphaleak.datasets import build_hamming_spec, build_type_distance_spec, hamming_ball_size
 from alphaleak.lp import GameSolution, covering_game
 from util import aware_put_gap, random_dist
@@ -506,6 +506,24 @@ class TestSensitiveLowerBound:
         got = "".join("T" if sensitive_lower_bound(self.random_sensitive_joint(seed), 2.0)[1] else "F"
                       for seed in range(60))
         assert got == want
+
+    def test_tightness_agrees_with_highs(self):
+        # 340 joints outside the golden string's seeds: the tableau's answer
+        # is HiGHS's, and every True comes with a verified mechanism
+        trues = 0
+        for seed in range(60, 400):
+            sj = self.random_sensitive_joint(seed)
+            psx = sj.joint.m
+            ps, s_feasible = psx.sum(axis=1), (psx > 0) @ sj.spec.ball_mask
+            A, b = put._tightness_system(psx, ps, sj.spec.ball_mask, s_feasible, ps @ s_feasible)
+            point = lp.feasible_point(A, b)
+            highs = linprog(np.zeros(A.shape[1]), A_eq=A, b_eq=b, bounds=(0.0, None), method="highs")
+            assert (point.gap <= 1e-9) == (highs.status == 0), seed
+            assert sensitive_lower_bound(sj, 2.0)[1] == (point.gap <= 1e-9), seed
+            if point.gap <= 1e-9:
+                trues += 1
+                assert point.x.min() >= 0.0 and np.abs(A @ point.x - b).max() <= 1e-9, seed
+        assert 250 < trues < 340
 
     def test_alphabet_coupling_validated(self):
         joint = Joint(B, Alphabet(("u", "v")), [[0.25, 0.25], [0.25, 0.25]])

@@ -18,12 +18,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConvergenceError, IncompatibleGeneratorError, ValidationError
 from .leakage import (
+    alpha_leakage,
     binary_maximal_alpha_leakage,
     maximal_alpha_leakage,
     min_expected_alpha_loss,
@@ -37,7 +35,6 @@ from .measures import (
     kl_generator,
     renyi_entropy,
 )
-from .leakage import alpha_leakage
 from .prob import AlphaOrder, Channel, Dist, Joint, as_order, conditional_of
 from .put import (
     DistortionSpec,
@@ -51,24 +48,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_INCOMPATIBLE = 4
-
-
-@dataclass
-class RunConfig:
-    alphas: list[AlphaOrder]
-    base: LogBase = LogBase.NATS
-    tol: float = 1e-10
-    max_iter: int = 100_000
-    output_path: str | None = None
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValidationError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 0:
-            raise ValidationError(f"max_iter must be nonnegative, got {self.max_iter}")
-        values = [a.value for a in self.alphas]
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ValidationError("alpha sweep must be strictly increasing")
 
 
 def parse_sweep(text: str) -> list[AlphaOrder]:
@@ -88,11 +67,8 @@ def parse_sweep(text: str) -> list[AlphaOrder]:
     return [as_order(tok) for tok in text.split(",") if tok]
 
 
-def _alpha_text(order: AlphaOrder) -> str:
-    return "inf" if order.is_inf else f"{order.value:.12g}"
-
-
 def _fmt(value: float) -> str:
+    """12 significant digits; "inf" for alpha = inf."""
     return f"{value:.12g}"
 
 
@@ -119,52 +95,62 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _config_from_args(args) -> RunConfig:
-    if getattr(args, "alpha_sweep", None):
-        alphas = parse_sweep(args.alpha_sweep)
-    elif getattr(args, "alpha", None):
-        alphas = [as_order(args.alpha)]
+def _orders(args) -> list[AlphaOrder]:
+    """The orders of --alpha or --alpha-sweep: strictly increasing, and each
+    at least 1, the range of the leakage operations."""
+    if args.alpha_sweep:
+        orders = parse_sweep(args.alpha_sweep)
+    elif args.alpha:
+        orders = [as_order(args.alpha)]
     else:
         raise ValidationError("provide --alpha or --alpha-sweep")
-    # --tol and --max-iter exist only on the subcommands whose solver reads them
-    solver = {key: getattr(args, key) for key in ("tol", "max_iter") if hasattr(args, key)}
-    return RunConfig(alphas=alphas, base=LogBase.parse(args.base), output_path=args.out, **solver)
+    if any(b.value <= a.value for a, b in zip(orders, orders[1:])):
+        raise ValidationError("alpha sweep must be strictly increasing")
+    context = f"put {args.put_mode}" if args.command == "put" else f"{args.command} sweep"
+    for order in orders:
+        order.require_at_least_one(context)
+    return orders
 
 
-def cmd_measures(args) -> int:
-    config = _config_from_args(args)
+def _solver(args) -> dict:
+    """--tol and --max-iter as keyword arguments of the solver; each flag
+    exists only on the subcommands whose solver reads it."""
+    if not args.tol > 0:
+        raise ValidationError(f"tol must be positive, got {args.tol}")
+    if getattr(args, "max_iter", 0) < 0:
+        raise ValidationError(f"max_iter must be nonnegative, got {args.max_iter}")
+    return {key: getattr(args, key) for key in ("tol", "max_iter") if hasattr(args, key)}
+
+
+def cmd_measures(args) -> None:
+    orders, base = _orders(args), LogBase.parse(args.base)
     joint = Joint.from_json(_load_json(args.joint))
-    rows = []
-    for order in config.alphas:
-        order.require_at_least_one("measures sweep")
-        rows.append(
-            [
-                _alpha_text(order),
-                _fmt(config.base.from_nats(renyi_entropy(joint.row_marginal(), order))),
-                _fmt(config.base.from_nats(arimoto_cond_entropy(joint, order))),
-                _fmt(config.base.from_nats(alpha_leakage(joint, order))),
-                _fmt(min_expected_alpha_loss(joint, order)),
-            ]
-        )
+    rows = [
+        [
+            _fmt(order.value),
+            _fmt(base.from_nats(renyi_entropy(joint.row_marginal(), order))),
+            _fmt(base.from_nats(arimoto_cond_entropy(joint, order))),
+            _fmt(base.from_nats(alpha_leakage(joint, order))),
+            _fmt(min_expected_alpha_loss(joint, order)),
+        ]
+        for order in orders
+    ]
     header = ["alpha", "renyi_entropy_X", "arimoto_cond_entropy", "alpha_leakage", "min_expected_alpha_loss"]
-    _emit(_csv(header, rows), config.output_path)
-    return EXIT_OK
+    _emit(_csv(header, rows), args.out)
 
 
-def cmd_capacity(args) -> int:
-    config = _config_from_args(args)
+def cmd_capacity(args) -> None:
+    orders, base, solver = _orders(args), LogBase.parse(args.base), _solver(args)
     channels = [Channel.from_json(_load_json(path)) for path in args.channel]
     if len(channels) not in (1, 2):
         raise ValidationError("capacity takes one or two channel files")
 
     def solve(ch: Channel, order: AlphaOrder):
+        prior = None
         if order.is_one:
             print("note: alpha = 1 capacity uses a uniform input distribution", file=sys.stderr)
-            return maximal_alpha_leakage(
-                ch, order, prior_for_one=Dist.uniform(ch.input_alphabet),
-                tol=config.tol, max_iter=config.max_iter,
-            )
-        return maximal_alpha_leakage(ch, order, tol=config.tol, max_iter=config.max_iter)
+            prior = Dist.uniform(ch.input_alphabet)
+        return maximal_alpha_leakage(ch, order, prior_for_one=prior, **solver)
 
     rows = []
     if len(channels) == 1:
@@ -175,69 +161,65 @@ def cmd_capacity(args) -> int:
         ]
         if is_binary:
             header += ["closed_form", "closed_form_gap"]
-        for order in config.alphas:
-            order.require_at_least_one("capacity sweep")
+        for order in orders:
             res = solve(ch, order)
             row = [
-                _alpha_text(order),
-                _fmt(config.base.from_nats(res.value)),
+                _fmt(order.value),
+                _fmt(base.from_nats(res.value)),
                 _fmt(res.kkt_residual),
             ] + [_fmt(v) for v in res.optimal_input.p]
             if is_binary:
                 if order.is_finite_gt_one:
                     closed = binary_maximal_alpha_leakage(ch.rows[0, 1], ch.rows[1, 0], order.value)
-                    row += [_fmt(config.base.from_nats(closed)), _fmt(abs(closed - res.value))]
+                    row += [_fmt(base.from_nats(closed)), _fmt(abs(closed - res.value))]
                 else:
                     row += ["", ""]
             rows.append(row)
     else:
         header = ["alpha", "value_1", "value_2", "diff"]
         diffs: list[tuple[AlphaOrder, float]] = []
-        for order in config.alphas:
-            order.require_at_least_one("capacity sweep")
+        for order in orders:
             r1, r2 = (solve(ch, order) for ch in channels)
             diffs.append((order, r1.value - r2.value))
             rows.append(
                 [
-                    _alpha_text(order),
-                    _fmt(config.base.from_nats(r1.value)),
-                    _fmt(config.base.from_nats(r2.value)),
-                    _fmt(config.base.from_nats(r1.value - r2.value)),
+                    _fmt(order.value),
+                    _fmt(base.from_nats(r1.value)),
+                    _fmt(base.from_nats(r2.value)),
+                    _fmt(base.from_nats(r1.value - r2.value)),
                 ]
             )
         for (o1, d1), (o2, d2) in zip(diffs, diffs[1:]):
             if d1 * d2 < 0:
                 print(
-                    f"crossing: leakage ordering flips between alpha={_alpha_text(o1)} "
-                    f"and alpha={_alpha_text(o2)}",
+                    f"crossing: leakage ordering flips between alpha={_fmt(o1.value)} "
+                    f"and alpha={_fmt(o2.value)}",
                     file=sys.stderr,
                 )
-    _emit(_csv(header, rows), config.output_path)
-    return EXIT_OK
+    _emit(_csv(header, rows), args.out)
 
 
-def cmd_strategy(args) -> int:
-    config = _config_from_args(args)
+def cmd_strategy(args) -> None:
+    orders = _orders(args)
+    LogBase.parse(args.base)  # the columns are probabilities, but a malformed --base is still exit 2
     joint = Joint.from_json(_load_json(args.joint))
     posterior = conditional_of(joint.swapped()).conditional
     header = ["alpha", "output", "input", "posterior", "strategy"]
     rows = []
-    for order in config.alphas:
-        order.require_at_least_one("strategy sweep")
+    for order in orders:
         tilted = optimal_strategy(posterior, order)
         for yi, y in enumerate(posterior.input_alphabet.labels):
             for xi, x in enumerate(posterior.output_alphabet.labels):
                 rows.append(
                     [
-                        _alpha_text(order),
+                        _fmt(order.value),
                         y,
                         x,
                         _fmt(posterior.rows[yi, xi]),
                         _fmt(tilted.rows[yi, xi]),
                     ]
                 )
-    _emit(_csv(header, rows), config.output_path)
-    return EXIT_OK
+    _emit(_csv(header, rows), args.out)
 
 
 def _put_json_summary(payload: dict, path: str | None, summary: str) -> None:
@@ -260,14 +242,14 @@ def _named_generator(name: str, order: AlphaOrder):
     raise ValidationError(f"unknown generator {name!r}")
 
 
-def cmd_put_hard(args) -> int:
-    config = _config_from_args(args)
+def cmd_put_hard(args) -> None:
+    orders, base, solver = _orders(args), LogBase.parse(args.base), _solver(args)
     spec = DistortionSpec.from_json(_load_json(args.spec))
-    if len(config.alphas) != 1:
+    if len(orders) != 1:
         raise ValidationError("put hard expects a single --alpha")
-    order = config.alphas[0].require_at_least_one("put hard")
+    order = orders[0]
     if args.generator != "alpha":
-        value, solution = put_max_f_leakage(spec, _named_generator(args.generator, order), config.tol)
+        value, solution = put_max_f_leakage(spec, _named_generator(args.generator, order), **solver)
         unit = ""
     else:
         prior = None
@@ -276,22 +258,21 @@ def cmd_put_hard(args) -> int:
         elif order.is_one:
             prior = Dist.uniform(spec.input_alphabet)
             print("note: alpha = 1 tradeoff uses a uniform input distribution", file=sys.stderr)
-        value, solution = put_max_alpha_leakage(spec, order, prior_for_one=prior, tol=config.tol)
-        value = config.base.from_nats(value)
-        unit = f" {config.base.value}"
+        value, solution = put_max_alpha_leakage(spec, order, prior_for_one=prior, **solver)
+        value = base.from_nats(value)
+        unit = f" {base.value}"
     payload = solution.to_json()
-    payload["alpha"] = _alpha_text(order)
+    payload["alpha"] = _fmt(order.value)
     payload["generator"] = args.generator
     summary = (
-        f"hard-distortion PUT at alpha={_alpha_text(order)} "
+        f"hard-distortion PUT at alpha={_fmt(order.value)} "
         f"[{args.generator}]: {value:.12g}{unit} "
         f"(q*={solution.q_star:.12g}, duality gap {solution.duality_gap:.3e})"
     )
-    _put_json_summary(payload, config.output_path, summary)
-    return EXIT_OK
+    _put_json_summary(payload, args.out, summary)
 
 
-def cmd_put_types(args) -> int:
+def cmd_put_types(args) -> None:
     base = LogBase.parse(args.base)
     result = type_distance_put(args.n, args.m)
     payload = {
@@ -310,10 +291,9 @@ def cmd_put_types(args) -> int:
         f"{base.value}; output type classes {list(result.index_set.members)}"
     )
     _put_json_summary(payload, args.out, summary)
-    return EXIT_OK
 
 
-def cmd_put_hamming(args) -> int:
+def cmd_put_hamming(args) -> None:
     base = LogBase.parse(args.base)
     result = hamming_put(args.n, args.m, args.q)
     payload = {
@@ -330,52 +310,47 @@ def cmd_put_hamming(args) -> int:
         f"uniform mechanism over balls of {result.ball_size} datasets"
     )
     _put_json_summary(payload, args.out, summary)
-    return EXIT_OK
 
 
-def cmd_put_avg_binary(args) -> int:
-    config = _config_from_args(args)
+def cmd_put_avg_binary(args) -> None:
+    orders, base = _orders(args), LogBase.parse(args.base)
     header = ["alpha", "value", "rho1", "rho2", "guess_prob", "gap"]
     rows = []
-    for order in config.alphas:
+    for order in orders:
         res = avg_hamming_binary_put(args.p, args.D, order)
         rows.append(
             [
-                _alpha_text(order),
-                _fmt(config.base.from_nats(res.value)),
+                _fmt(order.value),
+                _fmt(base.from_nats(res.value)),
                 _fmt(res.rho1),
                 _fmt(res.rho2),
                 _fmt(res.guess_prob),
-                _fmt(config.base.from_nats(res.gap)),
+                _fmt(base.from_nats(res.gap)),
             ]
         )
-    _emit(_csv(header, rows), config.output_path)
-    return EXIT_OK
+    _emit(_csv(header, rows), args.out)
 
 
 _BASE_HELP = "output unit: nats or bits"
 
 
-def _add_common(parser: argparse.ArgumentParser, base_help: str = _BASE_HELP) -> None:
-    parser.add_argument("--alpha", help="single order: a float, '1', or 'inf'")
-    parser.add_argument("--alpha-sweep", help="sweep: start:stop:step or comma list")
-    parser.add_argument("--base", default="nats", help=base_help)
-    parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
+def _add_common(p: argparse.ArgumentParser, base_help: str = _BASE_HELP, closed_form: bool = False) -> None:
+    """--alpha and --alpha-sweep, except on a closed form, whose JSON holds
+    both units; then --base and --out."""
+    if closed_form:
+        base_help = "unit of the summary line on stderr: nats or bits (the JSON holds both)"
+    else:
+        p.add_argument("--alpha", help="single order: a float, '1', or 'inf'")
+        p.add_argument("--alpha-sweep", help="sweep: start:stop:step or comma list")
+    p.add_argument("--base", default="nats", help=base_help)
+    written = "the JSON" if closed_form else "output"
+    p.add_argument("--out", default=None, help=f"write {written} to this path instead of stdout")
 
 
 def _add_solver(parser: argparse.ArgumentParser, max_iter: bool = True) -> None:
     parser.add_argument("--tol", type=float, default=1e-10, help="certificate tolerance")
     if max_iter:
         parser.add_argument("--max-iter", type=int, default=100_000, help="solver iteration cap")
-
-
-def _add_closed_form_output(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--base",
-        default="nats",
-        help="unit of the summary line on stderr: nats or bits (the JSON holds both)",
-    )
-    parser.add_argument("--out", default=None, help="write the JSON to this path instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,14 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = put_sub.add_parser("types", help="binary datasets, type-distance distortion")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    _add_closed_form_output(p)
+    _add_common(p, closed_form=True)
     p.set_defaults(func=cmd_put_types)
 
     p = put_sub.add_parser("hamming", help="q-ary datasets, Hamming distortion")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    _add_closed_form_output(p)
+    _add_common(p, closed_form=True)
     p.set_defaults(func=cmd_put_hamming)
 
     p = put_sub.add_parser("avg-binary", help="binary average-Hamming tradeoff sweep")
@@ -448,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -458,6 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc} (residual {exc.residual})", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

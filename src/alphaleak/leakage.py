@@ -37,6 +37,7 @@ from .measures import (
     arimoto_mi,
     _log_col_norms,
     _log_rows,
+    _log_sibson_sums,
     _shannon_mi_from_joint,
 )
 from .prob import (
@@ -507,12 +508,13 @@ def capacity_lower_bound(channel: Channel, alpha: float) -> tuple[float, bool]:
 
 def _min_fdiv_over_reference(
     px: np.ndarray, W: np.ndarray, gen: FGenerator, tol: float, max_iter: int
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, np.ndarray, float]:
     """Minimize sum_x px[x] D_f(W_x || Q) over output distributions Q with
-    `_minimize_on_simplex`: M = I and g_y(q) = sum_x px[x] q f(W_xy / q),
-    certified by the Frank-Wolfe gap.  Outputs that no input of positive
-    probability reaches get no mass: their derivative f(0) is at least that
-    of every other output."""
+    `_minimize_on_simplex`: M = I and g_y(q) = sum_x px[x] q f(W_xy / q).
+    Returns the value, Q and the Frank-Wolfe gap, which bounds the value's
+    excess over the minimum.  Outputs that no input of positive probability
+    reaches get no mass: their derivative f(0) is at least that of every
+    other output."""
     reach = px @ W > 0
     P, W_reach = px[:, None], W[:, reach]
 
@@ -526,7 +528,7 @@ def _min_fdiv_over_reference(
         curv = ratios * ratios * gen.fsecond(safe) / q
         return (P * slope).sum(axis=0), (P * curv).sum(axis=0)
 
-    q_reach, val, _, _ = _minimize_on_simplex(
+    q_reach, val, gap, _ = _minimize_on_simplex(
         np.eye(int(reach.sum())),
         value,
         derivatives,
@@ -536,7 +538,7 @@ def _min_fdiv_over_reference(
     )
     q = np.zeros(W.shape[1])
     q[reach] = q_reach
-    return val, q
+    return val, q, gap
 
 
 def f_leakage(joint: Joint, gen: FGenerator, tol: float = 1e-10, max_iter: int = 50_000) -> tuple[float, Dist]:
@@ -555,13 +557,12 @@ def f_leakage(joint: Joint, gen: FGenerator, tol: float = 1e-10, max_iter: int =
     if gen.kind == "hellinger":
         # Sibson's sums A(y) = sum_x P(x) W(y|x)^a give the value
         # (S^a - 1)/(a - 1), S = sum_y A(y)^(1/a), and Q = A^(1/a) / S.
-        a, sup = gen.alpha, prior.p > 0
-        log_pw = np.log(prior.p[sup])[:, None] + a * _log_rows(channel.rows[sup])
-        log_ay = logsumexp(log_pw, axis=0)
+        a = gen.alpha
+        log_ay = _log_sibson_sums(prior.p, channel.rows, a)
         log_s = logsumexp(log_ay / a)
         q = np.exp(log_ay / a - log_s)
         return float(np.expm1(a * log_s) / (a - 1.0)), Dist(out_alpha, q / q.sum())
-    value, q = _min_fdiv_over_reference(prior.p, channel.rows, gen, tol, max_iter)
+    value, q, _ = _min_fdiv_over_reference(prior.p, channel.rows, gen, tol, max_iter)
     return value, Dist(out_alpha, q)
 
 
@@ -574,8 +575,11 @@ def maximal_f_leakage(
     alpha-leakage under z -> (exp((alpha-1) z) - 1)/(alpha-1).  KL and
     custom generators run an ascent on the concave value function
     phi(P) = inf_Q sum_x P(x) D_f(W_x || Q), whose supergradient at P is
-    the vector of divergences at the inner minimizer; the certificate is
-    the standard saddle gap max_x g_x - sum_x P(x) g_x.
+    the vector g of divergences at the inner minimizer Q.  For any Q the
+    value lies in [P.g - inner gap, max_x g_x]: the inner Frank-Wolfe gap
+    bounds P.g - phi(P) (0 for KL, whose minimizer is P W), and the value is
+    inf_Q max_x D_f(W_x || Q) by Sion's minimax theorem.  The ascent stops
+    once that bracket is at most tol (relative) and returns its lower end.
     """
     if gen.kind == "hellinger":
         a = gen.alpha
@@ -593,17 +597,16 @@ def maximal_f_leakage(
             q = q / q.sum()
             with np.errstate(invalid="ignore"):
                 g = np.where(W > 0, W * (log_w - np.log(q)[None, :]), 0.0).sum(axis=1)
-            return q, g
-        _, q = _min_fdiv_over_reference(p, W, gen, tol / 10.0, max_iter)
+            return g, 0.0
+        _, q, inner_gap = _min_fdiv_over_reference(p, W, gen, tol, max_iter)
         pos = q > 0
         g = (q[pos] * gen.f(W[:, pos] / q[pos])).sum(axis=1)
-        return q, g
+        return g, inner_gap
 
-    best = -math.inf
-    for iteration in range(1, max_iter + 1):
-        _, g = inner(p)
-        lower = float(p @ g)
-        best = max(best, lower)
+    gap = math.inf
+    for _ in range(max_iter):
+        g, inner_gap = inner(p)
+        lower = float(p @ g) - inner_gap
         gap = float(g.max() - lower)
         if gap <= tol * max(1.0, abs(lower)):
             return lower

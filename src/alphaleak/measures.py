@@ -114,6 +114,13 @@ def _shannon_mi_from_joint(m: np.ndarray) -> float:
     return float((m[mask] * np.log(ratio)).sum())
 
 
+def _log_sibson_sums(px: np.ndarray, W: np.ndarray, a: float) -> np.ndarray:
+    """log A(y) = logsumexp_x (log P(x) + a log W(y|x)) over the support of
+    P, Sibson's sums of finite order a."""
+    support = px > 0
+    return logsumexp(np.log(px[support])[:, None] + a * _log_rows(W[support]), axis=0)
+
+
 def sibson_mi(prior: Dist, channel: Channel, order) -> float:
     """Sibson mutual information of order alpha between the channel input
     (distributed as `prior`) and its output.
@@ -129,15 +136,12 @@ def sibson_mi(prior: Dist, channel: Channel, order) -> float:
         raise ValidationError("channel input alphabet does not match prior alphabet")
     W = channel.rows
     px = prior.p
-    support = px > 0
     if order.is_one:
         return _shannon_mi_from_joint(px[:, None] * W)
     if order.is_inf:
-        return float(np.log(W[support].max(axis=0).sum()))
+        return float(np.log(W[px > 0].max(axis=0).sum()))
     a = order.value
-    # log A(y) = logsumexp_x (log P(x) + alpha log W(y|x)) over the support
-    log_a = logsumexp(np.log(px[support])[:, None] + a * _log_rows(W[support]), axis=0)
-    return float(a / (a - 1.0) * logsumexp(log_a / a))
+    return float(a / (a - 1.0) * logsumexp(_log_sibson_sums(px, W, a) / a))
 
 
 def arimoto_cond_entropy(joint: Joint, order) -> float:
@@ -155,9 +159,8 @@ def arimoto_cond_entropy(joint: Joint, order) -> float:
     if order.is_inf:
         return float(-np.log(m.max(axis=0).sum()))
     a = order.value
-    col_log_norms = _log_col_norms(m, a)
-    finite = col_log_norms > -np.inf
-    return float(a / (1.0 - a) * logsumexp(col_log_norms[finite]))
+    # an all-zero column adds exp(-inf) = 0
+    return float(a / (1.0 - a) * logsumexp(_log_col_norms(m, a)))
 
 
 def arimoto_mi(joint: Joint, order) -> float:

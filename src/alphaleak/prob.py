@@ -187,9 +187,6 @@ class Dist:
     def __len__(self) -> int:
         return len(self.p)
 
-    def __getitem__(self, label: str) -> float:
-        return float(self.p[self.alphabet.index(label)])
-
     @staticmethod
     def uniform(alphabet: Alphabet) -> "Dist":
         n = len(alphabet)
@@ -241,9 +238,6 @@ class Channel:
     @property
     def shape(self) -> tuple[int, int]:
         return self.rows.shape
-
-    def row(self, label: str) -> np.ndarray:
-        return self.rows[self.input_alphabet.index(label)]
 
     @staticmethod
     def identity(alphabet: Alphabet) -> "Channel":

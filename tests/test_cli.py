@@ -59,20 +59,38 @@ HARD = ["put", "hard", "FILE", "--alpha", "2"]
         (["capacity", "FILE", "--alpha-sweep", "2:3:nan"], CH, "'2:3:nan'"),
         (["capacity", "FILE", "--alpha", "2", "--tol", "nan"], CH, "tol"),
         (["capacity", "FILE", "--alpha", "2", "--max-iter", "-1"], CH, "max_iter"),
+        (["capacity", "FILE", "--alpha-sweep", "0.5,2"], CH, "requires alpha >= 1, got 0.5"),
+        (["put", "hard", "FILE", "--alpha-sweep", "2,3"], SPEC, "single --alpha"),
+        (["measures", "MISSING", "--alpha", "2"], SPEC, "input file not found"),
+        (["strategy", "FILE", "--alpha", "2", "--base", "hex"], SPEC, "'hex'"),
     ],
     ids=[
         "no-bound", "bad-distortion-entry", "top-level-list", "spec-as-joint", "string-alphabet",
         "alpha-list", "sweep-not-numbers", "sweep-to-inf", "sweep-nan-step", "tol-nan", "max-iter-negative",
+        "sweep-below-one", "hard-sweep", "missing-file", "strategy-bad-base",
     ],
 )
 def test_schema_mismatch_exits_2(tmp_path, capsys, argv, obj, named):
-    # well-formed JSON that does not fit the schema, or an option value that
-    # does not parse or is out of range: an error line, no traceback
+    # well-formed JSON that does not fit the schema, a file that is not
+    # there, or an option value that does not parse or is out of range: an
+    # error line, no traceback
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))
-    assert main([str(path) if word == "FILE" else word for word in argv]) == 2
+    files = {"FILE": str(path), "MISSING": str(tmp_path / "missing.json")}
+    assert main([files.get(word, word) for word in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+def test_put_hard_hellinger(hamming_file, capsys):
+    # maximal Hellinger(2)-leakage is the image of the maximal 2-leakage
+    # log 9 under z -> exp(z) - 1
+    assert main(["put", "hard", hamming_file, "--alpha", "2", "--generator", "hellinger"]) == 0
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert out["value_nats"] == pytest.approx(8.0, rel=0, abs=1e-12)
+    assert out["generator"] == "hellinger"
+    assert captured.err.startswith("hard-distortion PUT at alpha=2 [hellinger]: 8 ")
 
 
 def test_reverse_kl_under_hard_distortion_exits_4(hamming_file):
@@ -170,6 +188,35 @@ def test_capacity_binary_closed_form_column(files, capsys):
     code, out, _ = run(["capacity", files["binary"], "--alpha-sweep", "1.5,2,4,inf"], capsys)
     assert code == 0
     check_csv(out, CAPACITY_BINARY, {"kkt_residual": 1e-10, "closed_form_gap": 1e-12})
+
+
+def test_out_writes_the_file(files, tmp_path, capsys):
+    path = tmp_path / "measures.csv"
+    argv = ["measures", files["joint"], "--alpha-sweep", "1,1.5,2,inf", "--base", "bits", "--out", str(path)]
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and out == ""
+    check_csv(path.read_text(), MEASURES_BITS)
+
+
+CAPACITY_PAIR = """
+alpha,value_1,value_2,diff
+1.5,0.261686707654,0.25928259793,0.00240410972411
+2,0.287682072452,0.307484699748,-0.0198026272962
+4,0.340378976109,0.39692199228,-0.056543016171
+"""
+
+
+def test_capacity_of_two_channels_reports_the_crossing(tmp_path, capsys):
+    # the Z-channel (0, 0.5) leaks more than BSC(0.2) at alpha = 1.5 and less
+    # from alpha = 2 on
+    paths = []
+    for name, rows in (("z", [[1.0, 0.0], [0.5, 0.5]]), ("bsc", [[0.8, 0.2], [0.2, 0.8]])):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({**BINARY, "rows": rows}))
+    code, out, err = run(["capacity", *map(str, paths), "--alpha-sweep", "1.5,2,4"], capsys)
+    assert code == 0
+    check_csv(out, CAPACITY_PAIR)
+    assert err == "crossing: leakage ordering flips between alpha=1.5 and alpha=2\n"
 
 
 STRATEGY = """

@@ -527,6 +527,41 @@ class TestMaximalFLeakage:
         got = maximal_f_leakage(binary_channel(0.1, 0.1), hellinger_generator(2.0))
         assert got == pytest.approx(0.64, abs=1e-9)
 
+    # Asymmetric channels: the uniform input is not optimal, so the ascent
+    # has to step before the saddle gap closes.
+    ASYMMETRIC = [(0, 3, 3), (1, 3, 4), (3, 2, 5)]
+
+    @pytest.mark.parametrize("seed, n_in, n_out", ASYMMETRIC)
+    def test_kl_ascent_reaches_shannon_capacity(self, seed, n_in, n_out):
+        ch = random_channel(np.random.default_rng(seed), n_in, n_out)
+        got = maximal_f_leakage(ch, kl_generator())
+        at_uniform = arimoto_mi(make_joint(Dist.uniform(ch.input_alphabet), ch), 1.0)
+        best = maximize_over_simplex(
+            lambda p: arimoto_mi(make_joint(Dist(ch.input_alphabet, p), ch), 1.0), n_in
+        )
+        assert got > at_uniform + 1e-6
+        assert got == pytest.approx(best, abs=1e-8)
+
+    @pytest.mark.parametrize("seed, n_in, n_out", ASYMMETRIC)
+    def test_custom_t_log_t_ascent_matches_kl(self, seed, n_in, n_out):
+        ch = random_channel(np.random.default_rng(seed), n_in, n_out)
+        t_log_t = custom_generator(lambda t: t * math.log(t) if t > 0 else 0.0, 0.0, math.inf)
+        assert maximal_f_leakage(ch, t_log_t) == pytest.approx(maximal_f_leakage(ch, kl_generator()), abs=1e-8)
+
+    def test_custom_hellinger_certifies_at_the_default_tol(self):
+        # The inner solve's Frank-Wolfe gap stalls near 1.1e-10 on this
+        # channel, so the ascent must not ask it for less than its own tol.
+        ch = random_channel(np.random.default_rng(8), 3, 3)
+        gen = custom_generator(lambda t: (t**2.5 - 1.0) / 1.5, f_at_zero=-2.0 / 3.0, slope_at_inf=math.inf)
+        expected = maximal_f_leakage(ch, hellinger_generator(2.5))
+        assert maximal_f_leakage(ch, gen) == pytest.approx(expected, abs=1e-8)
+
+    def test_no_iterations_raises_with_the_gap(self):
+        ch = random_channel(np.random.default_rng(0), 3, 3)
+        with pytest.raises(ConvergenceError) as exc:
+            maximal_f_leakage(ch, kl_generator(), max_iter=0)
+        assert exc.value.residual == math.inf and exc.value.iterations == 0
+
     def test_kl_is_shannon_capacity(self):
         got = maximal_f_leakage(binary_channel(0.1, 0.1), kl_generator(), tol=1e-10)
         h = -(0.1 * math.log(0.1) + 0.9 * math.log(0.9))

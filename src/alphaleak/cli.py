@@ -64,7 +64,10 @@ def parse_sweep(text: str) -> list[AlphaOrder]:
             raise ValidationError(f"sweep {text!r} must increase in finite steps")
         count = int(math.floor((stop - start) / step + 1e-12)) + 1
         return [AlphaOrder(start + k * step) for k in range(count)]
-    return [as_order(tok) for tok in text.split(",") if tok]
+    orders = [as_order(tok) for tok in text.split(",") if tok]
+    if not orders:
+        raise ValidationError(f"sweep {text!r} names no order")
+    return orders
 
 
 def _fmt(value: float) -> str:

@@ -184,7 +184,11 @@ def build_hamming_spec(n: int, m: int, q: int) -> DistortionSpec:
     datasets = enumerate_datasets(n, q)
     alpha = Alphabet(datasets)
     digits = np.frombuffer("".join(datasets).encode(), dtype=np.uint8).reshape(-1, n)
-    return DistortionSpec(alpha, alpha, (digits[:, None] != digits[None]).sum(-1), m)
+    # count one position at a time, so no N x N x n comparison array is built
+    d = np.zeros((len(datasets),) * 2, dtype=np.min_scalar_type(n))
+    for column in digits.T:
+        d += column[:, None] != column[None]
+    return DistortionSpec(alpha, alpha, d, m)
 
 
 def hamming_crosscheck(n: int, m: int, q: int, tol: float = 1e-9) -> bool:

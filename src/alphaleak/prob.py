@@ -35,14 +35,13 @@ ALPHA_ONE_SNAP = 1e-9
 
 
 def _nonnegative_array(values, name: str, ndim: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(values, dtype=float, order="C")
     if arr.ndim != ndim:
         raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite entries")
     if np.any(arr < 0):
         raise ValidationError(f"{name} contains negative entries")
-    arr = arr.copy()
     arr.flags.writeable = False
     return arr
 

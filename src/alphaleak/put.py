@@ -98,7 +98,7 @@ class DistortionSpec:
         return {
             "input": list(self.input_alphabet.labels),
             "output": list(self.output_alphabet.labels),
-            "d": [[float(v) for v in row] for row in self.d],
+            "d": self.d.tolist(),
             "D": self.bound,
         }
 
@@ -130,7 +130,9 @@ def optimal_mechanism(target: Dist, spec: DistortionSpec) -> Channel:
         raise ValidationError(
             f"target distribution puts no mass on the ball of input {spec.input_alphabet.labels[x]!r}"
         )
-    return Channel._trusted(spec.input_alphabet, spec.output_alphabet, A * target.p / masses[:, None])
+    rows = A * target.p
+    rows /= masses[:, None]
+    return Channel._trusted(spec.input_alphabet, spec.output_alphabet, rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,10 +268,9 @@ def put_max_alpha_leakage(
         # Q serves the inputs of positive probability only; an input of zero
         # probability whose ball Q leaves empty releases uniformly on its ball.
         rows = np.where(masses[:, None] > 0.0, A * q, A)
+        rows /= rows.sum(axis=1, keepdims=True)
         return value, PutSolution(
-            mechanism=Channel._trusted(
-                spec.input_alphabet, spec.output_alphabet, rows / rows.sum(axis=1, keepdims=True)
-            ),
+            mechanism=Channel._trusted(spec.input_alphabet, spec.output_alphabet, rows),
             q_star=float(masses[prior_for_one.p > 0].min()),
             target_output=Dist(spec.output_alphabet, q),
             value=value,

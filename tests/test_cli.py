@@ -43,6 +43,7 @@ def test_malformed_json_exits_2(tmp_path, capsys):
 SPEC = {"input": ["a", "b"], "output": ["a", "b"], "d": [[0, 1], [1, 0]], "D": 0}
 CH = {"input": ["a", "b"], "output": ["u", "v"], "rows": [[0.9, 0.1], [0.2, 0.8]]}
 HARD = ["put", "hard", "FILE", "--alpha", "2"]
+AVG_BINARY = ["put", "avg-binary", "--p", "0.3", "--D", "0.1"]
 
 
 @pytest.mark.parametrize(
@@ -63,11 +64,16 @@ HARD = ["put", "hard", "FILE", "--alpha", "2"]
         (["put", "hard", "FILE", "--alpha-sweep", "2,3"], SPEC, "single --alpha"),
         (["measures", "MISSING", "--alpha", "2"], SPEC, "input file not found"),
         (["strategy", "FILE", "--alpha", "2", "--base", "hex"], SPEC, "'hex'"),
+        (["measures", "FILE", "--alpha-sweep", ","], SPEC, "sweep ',' names no order"),
+        (["measures", "FILE", "--alpha-sweep", ",,"], SPEC, "sweep ',,' names no order"),
+        (AVG_BINARY + ["--alpha-sweep", ","], SPEC, "sweep ',' names no order"),
+        (AVG_BINARY + ["--alpha-sweep", ",,"], SPEC, "sweep ',,' names no order"),
     ],
     ids=[
         "no-bound", "bad-distortion-entry", "top-level-list", "spec-as-joint", "string-alphabet",
         "alpha-list", "sweep-not-numbers", "sweep-to-inf", "sweep-nan-step", "tol-nan", "max-iter-negative",
         "sweep-below-one", "hard-sweep", "missing-file", "strategy-bad-base",
+        "measures-empty-sweep", "measures-empty-sweep-2", "avg-binary-empty-sweep", "avg-binary-empty-sweep-2",
     ],
 )
 def test_schema_mismatch_exits_2(tmp_path, capsys, argv, obj, named):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +37,27 @@ def test_spec_distances_match_pairwise_counts():
     for n in (1, 2, 9):
         d = [[abs(i - j) for j in range(n + 1)] for i in range(n + 1)]
         assert np.array_equal(build_type_distance_spec(n, 1).d, d)
+
+
+def test_hamming_distances_at_the_enumeration_limit():
+    # the broadcast comparison cube over the digit array is the reference
+    for n, q in ((10, 2), (5, 4)):
+        digits = np.array([[int(c) for c in word] for word in enumerate_datasets(n, q)])
+        cube = (digits[:, None] != digits[None]).sum(-1)
+        d = build_hamming_spec(n, 1, q).d
+        assert d.dtype == np.float64 and np.array_equal(d, cube)
+
+
+def test_hamming_spec_build_peak_memory():
+    # 1024 datasets: d is 8.4 MB of float64 and the ball mask 1 MB; an
+    # (N, N, n) comparison array with its int64 sum would take the peak past 20 MB
+    tracemalloc.start()
+    try:
+        build_hamming_spec(10, 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
 
 
 def test_hamming_crosscheck_up_to_256_points():

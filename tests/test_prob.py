@@ -24,7 +24,7 @@ from alphaleak import (
     make_joint,
     product_channel,
 )
-from alphaleak.prob import logsumexp, xlogy
+from alphaleak.prob import _nonnegative_array, logsumexp, xlogy
 from util import random_channel, random_dist
 
 B = Alphabet(("0", "1"))
@@ -125,6 +125,33 @@ class TestConstructors:
         j = make_joint(d, ch)
         j2 = Joint.from_json(j.to_json())
         assert np.array_equal(j.m, j2.m)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.array([[0.25, 0.75], [0.5, 0.5]]),
+            lambda: np.eye(2, dtype=int),
+            lambda: np.asfortranarray([[0.25, 0.75], [0.5, 0.5]]),
+            lambda: [[0.25, 0.75], [0.5, 0.5]],
+        ],
+        ids=["float64", "int", "fortran", "list"],
+    )
+    def test_validated_arrays_are_read_only_copies(self, make):
+        values = make()
+        arr = _nonnegative_array(values, "rows", ndim=2)
+        assert arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.owndata
+        assert not arr.flags.writeable and not np.shares_memory(arr, values)
+        ch = Channel(B, B, values)
+        before = ch.rows.tolist()
+        assert before == np.asarray(values, dtype=float).tolist()
+        values[0][0] = 7
+        assert ch.rows.tolist() == before
+
+    def test_dist_keeps_its_own_copy(self):
+        p = np.array([0.25, 0.75])
+        d = Dist(B, p)
+        p[0] = 0.5
+        assert d.p.tolist() == [0.25, 0.75] and not d.p.flags.writeable
 
 
 class TestComposition:

@@ -64,6 +64,12 @@ class TestDistortionSpec:
         spec2 = DistortionSpec.from_json(spec.to_json())
         assert np.array_equal(spec.d, spec2.d) and spec.bound == spec2.bound
 
+    def test_json_distances_are_python_floats(self):
+        spec = build_hamming_spec(4, 1, 3)
+        d = spec.to_json()["d"]
+        assert d == [[float(v) for v in row] for row in spec.d]
+        assert all(type(v) is float for row in d for v in row)
+
     def test_balls_full_when_bound_dominates(self):
         spec = DistortionSpec(B, B, [[0.0, 1.0], [1.0, 0.0]], 2.0)
         assert spec.ball_mask.tolist() == [[True, True], [True, True]]
@@ -428,6 +434,18 @@ class TestPutMaxAlphaLeakage:
         gap = aware_put_gap(spec.ball_mask, prior.p, sol.target_output.p)
         assert sol.duality_gap == pytest.approx(gap, rel=0, abs=1e-14)
         assert sol.duality_gap <= 1e-10
+
+    def test_alpha_one_rows_are_the_normalized_restricted_target(self):
+        # bitwise the rows A * Q (uniform on a ball Q leaves empty) divided by
+        # their sums, with the Q the solution returns
+        rng = np.random.default_rng(35)
+        for _ in range(10):
+            spec = random_spec(rng, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
+            prior = Dist(spec.input_alphabet, rng.dirichlet(np.ones(len(spec.input_alphabet))))
+            _, sol = put_max_alpha_leakage(spec, 1.0, prior_for_one=prior)
+            A, q = spec.ball_mask.astype(float), sol.target_output.p
+            rows = np.where((A @ q)[:, None] > 0.0, A * q, A)
+            assert sol.mechanism.rows.tobytes() == (rows / rows.sum(axis=1, keepdims=True)).tobytes()
 
     def test_alpha_one_builds_the_ball_matrix_once(self, monkeypatch):
         spec = build_type_distance_spec(20, 2)

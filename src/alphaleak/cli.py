@@ -251,6 +251,11 @@ def cmd_put_hard(args) -> None:
     if len(orders) != 1:
         raise ValidationError("put hard expects a single --alpha")
     order = orders[0]
+    # Only the alpha = 1 tradeoff depends on the input law; it is certified
+    # by a Frank-Wolfe gap, every other one by the covering LP's duality gap.
+    aware = args.generator == "alpha" and order.is_one
+    if args.prior and not aware:
+        raise ValidationError("--prior is read only at --alpha 1 with --generator alpha")
     if args.generator != "alpha":
         value, solution = put_max_f_leakage(spec, _named_generator(args.generator, order), **solver)
         unit = ""
@@ -258,7 +263,7 @@ def cmd_put_hard(args) -> None:
         prior = None
         if args.prior:
             prior = Dist.from_json(_load_json(args.prior))
-        elif order.is_one:
+        elif aware:
             prior = Dist.uniform(spec.input_alphabet)
             print("note: alpha = 1 tradeoff uses a uniform input distribution", file=sys.stderr)
         value, solution = put_max_alpha_leakage(spec, order, prior_for_one=prior, **solver)
@@ -270,7 +275,7 @@ def cmd_put_hard(args) -> None:
     summary = (
         f"hard-distortion PUT at alpha={_fmt(order.value)} "
         f"[{args.generator}]: {value:.12g}{unit} "
-        f"(q*={solution.q_star:.12g}, duality gap {solution.duality_gap:.3e})"
+        f"(q*={solution.q_star:.12g}, {'Frank-Wolfe' if aware else 'duality'} gap {solution.duality_gap:.3e})"
     )
     _put_json_summary(payload, args.out, summary)
 

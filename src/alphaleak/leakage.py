@@ -167,9 +167,11 @@ def _simplex_qp_step(A, r, z, start):
     return None if np.array_equal(cur, z) else cur - z
 
 
-def _minimize_on_simplex(M, value, derivatives, certify, max_iter: int, failure: str):
+def _minimize_on_simplex(M, value, derivatives, certify, max_iter: int, failure: str, start=None):
     """Minimize the convex F(z) = sum_i g_i((M z)_i) over distributions z,
-    from the uniform one.  `value(s)` is F at M z = s > 0, `derivatives(s)`
+    from `start`, a distribution at which M z > 0 (default: the uniform
+    one); a start the certificate accepts is returned after 0 iterations.
+    `value(s)` is F at M z = s > 0, `derivatives(s)`
     the pair (g'(s), g''(s)), g'' > 0; the gradient is M^T g'(M z).  The
     Frank-Wolfe gap <grad F(z), z> - min grad F bounds F(z) - min F without
     knowledge of the optimal support (Jaggi, ICML 2013); `certify(F, gap)`
@@ -188,10 +190,10 @@ def _minimize_on_simplex(M, value, derivatives, certify, max_iter: int, failure:
 
     def objective(z):
         s = M @ z
-        return value(s) if s.min() > 0.0 else math.inf
+        return (value(s) if s.min() > 0.0 else math.inf), s
 
-    def derivs(z):
-        dg, curv = derivatives(M @ z)
+    def derivs(z, s):
+        dg, curv = derivatives(s)
         grad = M.T @ dg
         if not (np.isfinite(grad).all() and np.isfinite(curv).all()):
             return None
@@ -211,21 +213,21 @@ def _minimize_on_simplex(M, value, derivatives, certify, max_iter: int, failure:
         for k, length in enumerate(0.5 ** np.arange(60)):
             cand = np.maximum(z + length * step, 0.0)
             cand /= cand.sum()
-            cand_val = objective(cand)
+            cand_val, s = objective(cand)
             if newton and k == 0 and math.isfinite(cand_val):
-                moved = derivs(cand)
+                moved = derivs(cand, s)
                 if moved is not None and (cand_val < floor or moved[3] <= least_fw / 2):
                     return cand, cand_val, moved
-            elif cand_val < floor and (moved := derivs(cand)) is not None:
+            elif cand_val < floor and (moved := derivs(cand, s)) is not None:
                 best, floor = (cand, cand_val, moved), cand_val
             elif best is not None:
                 return best
         return best
 
     n = M.shape[1]
-    z = np.full(n, 1.0 / n)
-    val = objective(z)
-    grad, dg, curv, fw = derivs(z)
+    z = np.full(n, 1.0 / n) if start is None else start
+    val, s = objective(z)
+    grad, dg, curv, fw = derivs(z, s)
     gap, limit = certify(val, fw)
     least_fw = fw
     start = z
@@ -433,10 +435,11 @@ def maximal_alpha_leakage(
     )
     q = np.zeros(len(out_alpha))
     q[reachable] = colmax * (M @ p) ** (1.0 / a)
+    # Both laws come normalized from the solver: no re-validation.
     return CapacityResult(
         a / (a - 1.0) * math.log(-val),
-        Dist(in_alpha, p),
-        Dist(out_alpha, q / q.sum()),
+        Dist._trusted(in_alpha, p),
+        Dist._trusted(out_alpha, q / q.sum()),
         gap,
         iterations,
     )

@@ -40,6 +40,14 @@ outputs skip refinement.  Measured on random 0/1 games (one BLAS thread,
 70-110 us for the whole full-matrix solve, and 210 us at 16 x 16 against
 260 us.
 
+**Perfect privacy.**  When some output lies in every ball (an all-ones
+column), q* = 1: Q uniform on those outputs gives every row mass 1, and
+mu uniform on the inputs caps every column at 1.  That pair is returned,
+with its certificate measured as below, before any refinement or
+tableau.  The column test reads the 0/1 matrix as given: on a bool
+1024 x 1024 mask it takes 54-69 us, against 550-590 us on the float copy
+(one thread, 2-vCPU Xeon).
+
 **Tableau.**  Most instances have under ten classes, so a dense tableau
 beats a sparse solver's per-call set-up.  The column of most negative
 reduced cost enters (Dantzig's rule); among rows tied in the ratio test,
@@ -85,7 +93,7 @@ class GameSolution(NamedTuple):
     value: float  # q* = sup_Q inf_x Q(B(x))
     q: np.ndarray  # optimal output distribution Q*
     mu: np.ndarray  # optimal input distribution (minimax certificate)
-    gap: float  # max_y (mu A)_y - min_x (A q)_x, >= 0, ~0 at optimality
+    gap: float  # max_y (mu A)_y - min_x (A q)_x: >= 0 up to rounding, ~0 at optimality
 
 
 def _pivot_to_optimum(T: np.ndarray, basis: np.ndarray) -> None:
@@ -196,11 +204,22 @@ def covering_game(ball_matrix: np.ndarray) -> GameSolution:
     """Solve q* = sup_Q inf_x sum_y ball_matrix[x, y] Q(y) for a 0/1
     matrix whose every row has at least one 1.
 
-    The LP is solved on the coarsest equitable partition of the matrix
-    (skipped below `_REFINE_MIN` inputs or outputs), its solution lifted
-    uniformly onto each class, and the gap measured on the full matrix.
+    When some columns are all ones, q* = 1 and the answer is Q uniform on
+    them and mu uniform on the rows, with no LP.  Otherwise the LP is
+    solved on the coarsest equitable partition of the matrix (skipped
+    below `_REFINE_MIN` inputs or outputs) and its solution lifted
+    uniformly onto each class.  Either way the gap is measured on the
+    full matrix.
     """
+    shared = np.asarray(ball_matrix).all(axis=0)  # 0/1 input as given: no float pass
     A = np.asarray(ball_matrix, dtype=float)
+
+    def certified(mu, q):
+        primal_value = float((A @ q).min())
+        return GameSolution(primal_value, q, mu, float((mu @ A).max()) - primal_value)
+
+    if shared.any():
+        return certified(np.full(A.shape[0], 1.0 / A.shape[0]), shared / np.count_nonzero(shared))
     classes = _equitable_partition(A) if min(A.shape) >= _REFINE_MIN else None
     if classes is None:
         N, sizes, lift = A, 1.0, lambda v, w: (v, w)
@@ -211,9 +230,7 @@ def covering_game(ball_matrix: np.ndarray) -> GameSolution:
 
     def certify(v, w):
         mu, q = lift(v, w)
-        mu, q = mu / mu.sum(), q / q.sum()
-        primal_value = float((A @ q).min())
-        return GameSolution(primal_value, q, mu, float((mu @ A).max()) - primal_value)
+        return certified(mu / mu.sum(), q / q.sum())
 
     return _simplex(N, sizes, certify)
 

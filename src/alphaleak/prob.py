@@ -84,12 +84,6 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValidationError(f"label {label!r} not in alphabet") from None
-
     @staticmethod
     def of_size(n: int, prefix: str = "") -> "Alphabet":
         return Alphabet(f"{prefix}{i}" for i in range(n))

@@ -18,6 +18,17 @@ uniform (the uniform-over-ball mechanism), while a type-distance spec
 halves under its reflection.  The duality gap is measured on the full
 ball matrix.
 
+**Perfect privacy.**  When some output lies in every ball, q* = 1: a
+constant mechanism on such an output leaks nothing, and any Q supported
+on those outputs is optimal (for maximal leakage, zero leakage means X
+and Y independent).  `lp.covering_game` then returns Q uniform on them
+without an LP.  The distribution-aware objective is smallest there too:
+phi(m) = m (f(1/m) - f(0)) is convex with phi'(1) = f(1) - f(0) - f'(1)
+<= 0 (f is convex), so on masses m <= 1 it is least at m = 1, and a Q
+giving every live ball mass 1 attains the minimum f(1).  The aware descent
+starts from Q uniform on the outputs in every live ball, where its
+Frank-Wolfe gap is 0 up to rounding, so it takes no iteration.
+
 For maximal alpha-leakage with alpha > 1 the value is -log q*, so the
 optimal mechanism and tradeoff do not depend on alpha.  Distribution-aware
 variants (f-leakage, alpha = 1) instead minimize a convex expectation over
@@ -191,15 +202,19 @@ def put_max_f_leakage(
     return _hard_put(spec, tol, lambda q: float(q * gen.f(1.0 / q) + (1.0 - q) * gen.f_at_zero))
 
 
-def _solve_aware(prior: Dist, spec: DistortionSpec, A, gen: FGenerator, tol, max_iter=50_000):
+def _solve_aware(prior: Dist, spec: DistortionSpec, mask, gen: FGenerator, tol, max_iter=50_000):
     """Minimize the aware-PUT objective F = f(0) + sum_x P_X(x) phi(m_x),
     phi(m) = m (f(1/m) - f(0)), of the ball masses m = A Q, with A the
-    spec's 0/1 ball matrix (inputs of zero probability contribute nothing).
+    spec's ball mask `mask` (inputs of zero probability contribute nothing).
+    The descent starts from Q uniform on the outputs in every live ball,
+    if there are any (see the module docstring), else from the uniform Q.
     Returns F, Q and the Frank-Wolfe gap certifying them."""
     if prior.alphabet != spec.input_alphabet:
         raise ValidationError("prior alphabet does not match the distortion input alphabet")
     live = prior.p > 0
     px, f0 = prior.p[live], gen.f_at_zero
+    balls = mask[live]
+    shared = balls.all(axis=0)
 
     def value(masses):
         with np.errstate(over="ignore"):
@@ -210,8 +225,9 @@ def _solve_aware(prior: Dist, spec: DistortionSpec, A, gen: FGenerator, tol, max
         return px * (gen.f(inv) - inv * gen.fprime(inv) - f0), px * gen.fsecond(inv) * inv**3
 
     q, val, gap, _ = _minimize_on_simplex(
-        A[live], value, derivatives, _relative_certificate(tol), max_iter,
+        balls.astype(float), value, derivatives, _relative_certificate(tol), max_iter,
         "output-distribution descent did not reach tolerance: Frank-Wolfe gap",
+        shared / np.count_nonzero(shared) if shared.any() else None,
     )
     return val, q, gap
 
@@ -239,7 +255,7 @@ def put_f_leakage(
     reached as `residual` and the iterations taken as `iterations`.
     """
     _require_compatible(gen)
-    val, q, _ = _solve_aware(prior, spec, spec.ball_mask.astype(float), gen, tol, max_iter)
+    val, q, _ = _solve_aware(prior, spec, spec.ball_mask, gen, tol, max_iter)
     return val, Dist(spec.output_alphabet, q)
 
 
@@ -262,8 +278,9 @@ def put_max_alpha_leakage(
     if order.is_one:
         if prior_for_one is None:
             raise ValidationError("the alpha = 1 tradeoff needs an input distribution")
-        A = spec.ball_mask.astype(float)
-        value, q, gap = _solve_aware(prior_for_one, spec, A, kl_generator(), tol)
+        mask = spec.ball_mask
+        value, q, gap = _solve_aware(prior_for_one, spec, mask, kl_generator(), tol)
+        A = mask.astype(float)
         masses = A @ q
         # Q serves the inputs of positive probability only; an input of zero
         # probability whose ball Q leaves empty releases uniformly on its ball.

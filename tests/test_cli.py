@@ -68,12 +68,15 @@ AVG_BINARY = ["put", "avg-binary", "--p", "0.3", "--D", "0.1"]
         (["measures", "FILE", "--alpha-sweep", ",,"], SPEC, "sweep ',,' names no order"),
         (AVG_BINARY + ["--alpha-sweep", ","], SPEC, "sweep ',' names no order"),
         (AVG_BINARY + ["--alpha-sweep", ",,"], SPEC, "sweep ',,' names no order"),
+        (HARD + ["--generator", "kl", "--prior", "MISSING"], SPEC, "--prior is read only at --alpha 1"),
+        (HARD + ["--prior", "PRIOR"], SPEC, "--prior is read only at --alpha 1"),
     ],
     ids=[
         "no-bound", "bad-distortion-entry", "top-level-list", "spec-as-joint", "string-alphabet",
         "alpha-list", "sweep-not-numbers", "sweep-to-inf", "sweep-nan-step", "tol-nan", "max-iter-negative",
         "sweep-below-one", "hard-sweep", "missing-file", "strategy-bad-base",
         "measures-empty-sweep", "measures-empty-sweep-2", "avg-binary-empty-sweep", "avg-binary-empty-sweep-2",
+        "hard-kl-prior", "hard-alpha-2-prior",
     ],
 )
 def test_schema_mismatch_exits_2(tmp_path, capsys, argv, obj, named):
@@ -82,7 +85,9 @@ def test_schema_mismatch_exits_2(tmp_path, capsys, argv, obj, named):
     # error line, no traceback
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))
-    files = {"FILE": str(path), "MISSING": str(tmp_path / "missing.json")}
+    prior = tmp_path / "prior.json"  # a valid law, on another alphabet than SPEC's inputs
+    prior.write_text(json.dumps({"alphabet": ["u", "v", "w"], "mass": [0.2, 0.3, 0.5]}))
+    files = {"FILE": str(path), "MISSING": str(tmp_path / "missing.json"), "PRIOR": str(prior)}
     assert main([files.get(word, word) for word in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
@@ -97,6 +102,19 @@ def test_put_hard_hellinger(hamming_file, capsys):
     assert out["value_nats"] == pytest.approx(8.0, rel=0, abs=1e-12)
     assert out["generator"] == "hellinger"
     assert captured.err.startswith("hard-distortion PUT at alpha=2 [hellinger]: 8 ")
+
+
+def test_put_hard_alpha_one_reports_a_frank_wolfe_gap(hamming_file, capsys):
+    # the alpha = 1 tradeoff is certified by the descent's Frank-Wolfe gap,
+    # not by an LP duality gap; the JSON key stays "duality_gap"
+    assert main(["put", "hard", hamming_file, "--alpha", "1"]) == 0
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    summary = captured.err.splitlines()[-1]
+    assert f"Frank-Wolfe gap {out['duality_gap']:.3e})" in summary
+    assert "duality" not in summary
+    assert main(["put", "hard", hamming_file, "--alpha", "2"]) == 0
+    assert ", duality gap " in capsys.readouterr().err
 
 
 def test_reverse_kl_under_hard_distortion_exits_4(hamming_file):

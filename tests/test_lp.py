@@ -152,3 +152,59 @@ class TestFeasiblePoint:
                 found += 1
                 assert point.x.min() >= 0.0 and np.abs(A @ point.x - b).max() <= 1e-8
         assert 20 < found < 200
+
+
+def _full_lp(A: np.ndarray) -> lp.GameSolution:
+    """The full-matrix LP solved directly on the tableau, certified as
+    `covering_game` certifies it."""
+
+    def certify(v, w):
+        mu, q = v / v.sum(), w / w.sum()
+        value = float((A @ q).min())
+        return lp.GameSolution(value, q, mu, float((mu @ A).max()) - value)
+
+    return lp._simplex(A, 1.0, certify)
+
+
+def test_shared_outputs_are_solved_without_the_tableau(monkeypatch):
+    # q* = 1 exactly when some output lies in every ball.  Then no pivot
+    # runs, and the answer matches the LP; else uniform mu caps every
+    # column at (n_in - 1)/n_in.
+    entered = []
+    simplex = lp._simplex
+    monkeypatch.setattr(lp, "_simplex", lambda *args: entered.append(1) or simplex(*args))
+    rng = np.random.default_rng(74)
+    shared_count = 0
+    for k in range(2400):
+        n_in, n_out = (int(v) for v in rng.integers(2, 9, size=2))
+        A = random_01(rng, n_in, n_out)
+        if k % 2:
+            A[:, rng.integers(n_out)] = 1.0
+        shared = bool(A.all(axis=0).any())
+        shared_count += shared
+        entered.clear()
+        sol = lp.covering_game(A.astype(bool) if k % 3 else A)
+        assert bool(entered) != shared
+        if shared:
+            full = _full_lp(A)
+            assert sol.value == pytest.approx(full.value, rel=0, abs=1e-12)
+            assert sol.gap == pytest.approx(full.gap, rel=0, abs=1e-12)
+            assert sol.value == pytest.approx(1.0, rel=0, abs=1e-12)
+            assert np.array_equal(sol.q > 0, A.all(axis=0))
+        else:
+            assert sol.value <= 1.0 - 1.0 / n_in + 1e-12
+    assert 1200 <= shared_count < 2400
+
+
+def test_shared_outputs_skip_refinement(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("refinement or the tableau ran on a game with a shared output")
+
+    monkeypatch.setattr(lp, "_equitable_partition", refuse)
+    monkeypatch.setattr(lp, "_simplex", refuse)
+    A = random_01(np.random.default_rng(75), lp._REFINE_MIN + 4, lp._REFINE_MIN)
+    A[:, [3, 7]] = 1.0
+    sol = lp.covering_game(A.astype(bool))
+    assert sol.value == 1.0 and abs(sol.gap) <= 1e-15
+    assert np.array_equal(sol.q, np.where(A.all(axis=0), 0.5, 0.0))
+    assert np.array_equal(sol.mu, np.full(A.shape[0], 1.0 / A.shape[0]))

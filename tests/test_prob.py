@@ -42,12 +42,6 @@ class TestAlphabet:
         with pytest.raises(ValidationError, match="not the string 'ab'"):
             Alphabet("ab")
 
-    def test_index_lookup(self):
-        al = Alphabet(("a", "b", "c"))
-        assert al.index("b") == 1
-        with pytest.raises(ValidationError):
-            al.index("z")
-
 
 class TestAlphaOrder:
     def test_snaps_near_one(self):
@@ -244,8 +238,8 @@ class TestProductChannel:
     def test_kronecker_entry(self):
         out = product_channel([binary_channel(0.1, 0.1), binary_channel(0.2, 0.2)])
         # P(out = 11 | in = 00) = 0.1 * 0.2
-        i = out.input_alphabet.index("00")
-        j = out.output_alphabet.index("11")
+        i = out.input_alphabet.labels.index("00")
+        j = out.output_alphabet.labels.index("11")
         assert out.rows[i, j] == pytest.approx(0.02, abs=1e-15)
 
     def test_empty_rejected(self):

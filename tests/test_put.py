@@ -27,9 +27,10 @@ from alphaleak import (
     q_star,
     sensitive_lower_bound,
 )
-from alphaleak import lp, prob, put
+from alphaleak import leakage, lp, prob, put
 from alphaleak.datasets import build_hamming_spec, build_type_distance_spec, hamming_ball_size
 from alphaleak.lp import GameSolution, covering_game
+from alphaleak.measures import FGenerator
 from util import aware_put_gap, random_dist
 
 B = Alphabet(("0", "1"))
@@ -468,6 +469,69 @@ class TestPutMaxAlphaLeakage:
         assert value == pytest.approx(math.log(2), abs=1e-12)
         assert np.allclose(sol.mechanism.rows, np.eye(3), atol=1e-12)
         assert sol.q_star == pytest.approx(0.5, abs=1e-12)
+
+
+def shifted_hellinger_two() -> FGenerator:
+    """f(t) = t^2 - 1.75 t + 1.5, with f(1) = 0.75: the Hellinger(2)
+    generator t^2 - 1 plus the affine 2.5 - 1.75 t.  The affine part adds
+    the constant 2.5 - 1.75 to phi(m) = m (f(1/m) - f(0)), so
+    phi'(m) = -m^(-2) as for Hellinger(2), and `aware_put_gap` at alpha = 2
+    applies."""
+    return FGenerator(
+        "custom", None, 1.5, math.inf, "shifted-hellinger(2)",
+        f=lambda t: t * t - 1.75 * t + 1.5,
+        fprime=lambda t: 2.0 * t - 1.75,
+        fsecond=lambda t: np.full(np.shape(t), 2.0),
+    )
+
+
+class TestSharedOutputs:
+    """Some output lies in the ball of every input of positive probability:
+    zero leakage is reachable, and the aware descent starts at the optimum."""
+
+    @pytest.mark.parametrize(
+        "gen, alpha, f_one",
+        [(kl_generator(), 1.0, 0.0), (hellinger_generator(2.5), 2.5, 0.0), (shifted_hellinger_two(), 2.0, 0.75)],
+        ids=["kl", "hellinger", "custom-f1-nonzero"],
+    )
+    def test_aware_put_starts_at_the_optimum(self, monkeypatch, gen, alpha, f_one):
+        def refuse(*args):
+            raise AssertionError("the descent took a Newton step")
+
+        monkeypatch.setattr(leakage, "_simplex_qp_step", refuse)
+        rng = np.random.default_rng(36)
+        for _ in range(200):
+            n_in, n_out = (int(v) for v in rng.integers(2, 9, size=2))
+            p = rng.dirichlet(np.ones(n_in))
+            p[rng.random(n_in) < 0.3] = 0.0
+            p[rng.integers(n_in)] += 0.5
+            live = p > 0
+            A = rng.random((n_in, n_out)) < 0.4
+            A[np.arange(n_in), rng.integers(0, n_out, n_in)] = True
+            A[live, rng.integers(n_out)] = True  # the balls of zero-probability inputs may miss it
+            spec = ball_spec(A)
+            prior = Dist(spec.input_alphabet, p / p.sum())
+            value, q = put_f_leakage(prior, spec, gen)
+            assert value == pytest.approx(f_one, rel=0, abs=1e-12)
+            assert aware_put_gap(A, prior.p, q.p, alpha) <= 1e-10
+            assert np.all(q.p[~A[live].all(axis=0)] == 0.0)
+            if gen.kind == "kl":
+                value, sol = put_max_alpha_leakage(spec, 1.0, prior_for_one=prior)
+                assert value == pytest.approx(0.0, rel=0, abs=1e-12)
+                assert sol.q_star == pytest.approx(1.0, rel=0, abs=1e-12)
+                assert sol.duality_gap <= 1e-10
+
+    def test_alpha_one_zero_probability_input_off_the_shared_outputs(self):
+        # outputs 0 and 1 lie in both likely balls; the ball {2, 3} of the
+        # input of zero probability misses them, so Q leaves it empty and
+        # that input releases uniformly on its ball
+        spec = ball_spec([[1, 1, 0, 0], [1, 1, 1, 0], [0, 0, 1, 1]])
+        prior = Dist(spec.input_alphabet, [0.4, 0.6, 0.0])
+        value, sol = put_max_alpha_leakage(spec, 1.0, prior_for_one=prior)
+        assert value == pytest.approx(0.0, rel=0, abs=1e-12)
+        assert sol.q_star == 1.0 and sol.duality_gap <= 1e-10
+        assert sol.target_output.p.tolist() == [0.5, 0.5, 0.0, 0.0]
+        assert sol.mechanism.rows.tolist() == [[0.5, 0.5, 0.0, 0.0]] * 2 + [[0.0, 0.0, 0.5, 0.5]]
 
 
 class TestSensitiveLowerBound:

@@ -41,12 +41,10 @@ from .measures import (
     _shannon_mi_from_joint,
 )
 from .prob import (
-    AlphaOrder,
     Channel,
     Dist,
     Joint,
     as_order,
-    binary_channel,
     conditional_of,
     logsumexp,
 )
@@ -296,19 +294,9 @@ def alpha_loss(prob_correct: float, order) -> float:
     if order.is_inf:
         return 1.0 - p
     a = order.value
-    return a / (a - 1.0) * (1.0 - p ** ((a - 1.0) / a))
-
-
-def tilted_row(row: np.ndarray, order: AlphaOrder) -> np.ndarray:
-    """Row of the loss-minimizing estimation strategy for posterior `row`."""
-    if order.is_one:
-        return row.copy()
-    if order.is_inf:
-        best = row == row.max()
-        return best / best.sum()
-    logs = order.value * _log_rows(row)
-    out = np.exp(logs - logsumexp(logs))
-    return out / out.sum()
+    if p == 0.0:
+        return a / (a - 1.0)
+    return a / (a - 1.0) * -math.expm1((a - 1.0) / a * math.log(p))
 
 
 def optimal_strategy(posterior_channel: Channel, order) -> Channel:
@@ -320,7 +308,16 @@ def optimal_strategy(posterior_channel: Channel, order) -> Channel:
     rule, splitting ties uniformly over the argmax set.
     """
     order = as_order(order).require_at_least_one("optimal_strategy")
-    rows = np.stack([tilted_row(r, order) for r in posterior_channel.rows])
+    post = posterior_channel.rows
+    if order.is_one:
+        rows = post.copy()
+    elif order.is_inf:
+        best = post == post.max(axis=1, keepdims=True)
+        rows = best / best.sum(axis=1, keepdims=True)
+    else:
+        logs = order.value * _log_rows(post)
+        rows = np.exp(logs - logsumexp(logs, axis=1)[:, None])
+        rows /= rows.sum(axis=1, keepdims=True)
     return Channel(posterior_channel.input_alphabet, posterior_channel.output_alphabet, rows)
 
 
@@ -445,14 +442,16 @@ def maximal_alpha_leakage(
     )
 
 
-def _log_abs_pow_diff(x, y, a: float):
-    """Elementwise (log |x^a - y^a|, relative gap 1 - (min/max)^a), computed
-    in logs; both 0 where x = y."""
-    hi, lo = np.maximum(x, y), np.minimum(x, y)
+def _log_divided_difference(x, y, a: float):
+    """Elementwise log of the divided difference (x^a - y^a)/(x - y) >= 0,
+    a * x^(a-1) where x = y: hi^(a-1) expm1(a u)/expm1(u) with
+    u = log(lo/hi) <= 0, so no step subtracts nearly equal numbers.  A pair
+    of zeros reads as (tiny, 0), its limit along the edge of the square."""
+    hi = np.maximum(np.maximum(x, y), np.finfo(float).smallest_subnormal)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_hi = np.log(hi)
-        rel = np.where(hi > 0.0, -np.expm1(a * (np.log(lo) - log_hi)), 0.0)
-        return a * log_hi + np.log(rel), rel
+        u = np.log(np.minimum(x, y) / hi)
+        ratio = np.where(u == 0.0, a, np.expm1(a * u) / np.expm1(u))
+    return (a - 1.0) * np.log(hi) + np.log(ratio)
 
 
 def binary_maximal_alpha_leakage(rho1, rho2, alpha: float):
@@ -460,22 +459,22 @@ def binary_maximal_alpha_leakage(rho1, rho2, alpha: float):
     probabilities (rho1, rho2), for alpha > 1.  Elementwise on arrays of
     crossover pairs; a float for scalar ones.
 
-    Near the rank-one locus rho1 + rho2 = 1 the closed form degenerates
-    (the absolute differences it is built from vanish); such pairs are
-    routed one by one to the capacity solver instead.
+    The closed form (1/(alpha-1)) log|x_m^alpha - y_m^alpha| +
+    log sum_i |x_i^alpha - y_i^alpha|^(1/(1-alpha)) is built from three
+    pairs, x_m = (1-rho1)(1-rho2), y_m = rho1 rho2, (x_1, y_1) =
+    (1-rho2, rho1) and (x_2, y_2) = (1-rho1, rho2), each differing by
+    delta = 1 - rho1 - rho2.  Each power difference is delta times the
+    divided difference (`_log_divided_difference`) and the delta factors
+    cancel, so the formula keeps its accuracy up to and on the rank-one
+    locus delta = 0, where it is 0.  It never calls the capacity solver.
     """
     alpha = as_order(alpha).finite_above_one("binary closed form")
     r1, r2 = np.broadcast_arrays(np.asarray(rho1, dtype=float), np.asarray(rho2, dtype=float))
     if not (np.all((0.0 <= r1) & (r1 <= 1.0)) and np.all((0.0 <= r2) & (r2 <= 1.0))):
         raise ValidationError("crossover probabilities must lie in [0, 1]")
-    lm, rel_m = _log_abs_pow_diff((1.0 - r1) * (1.0 - r2), r1 * r2, alpha)
-    lb1, rel_1 = _log_abs_pow_diff(1.0 - r2, r1, alpha)
-    lb2, rel_2 = _log_abs_pow_diff(1.0 - r1, r2, alpha)
-    with np.errstate(invalid="ignore"):
-        lsum = logsumexp(np.stack([lb1, lb2]) / (1.0 - alpha), axis=0)
-        value = np.asarray(lm / (alpha - 1.0) + lsum)
-    for k in np.flatnonzero(np.minimum(np.minimum(rel_m, rel_1), rel_2) < 1e-12):
-        value.flat[k] = maximal_alpha_leakage(binary_channel(r1.flat[k], r2.flat[k]), alpha).value
+    lm = _log_divided_difference((1.0 - r1) * (1.0 - r2), r1 * r2, alpha)
+    lb = _log_divided_difference(np.stack([1.0 - r2, 1.0 - r1]), np.stack([r1, r2]), alpha)
+    value = np.asarray(lm / (alpha - 1.0) + logsumexp(lb / (1.0 - alpha), axis=0))
     return float(value) if value.ndim == 0 else value
 
 

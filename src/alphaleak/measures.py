@@ -270,7 +270,11 @@ def custom_generator(
     f_at_zero = float(f_at_zero)
 
     def f(t):
-        return np.where(t == 0.0, f_at_zero, fv(t))
+        # `fn` is called off t = 0 only: it need not be defined there.
+        t = np.asarray(t)
+        out = np.full(t.shape, f_at_zero)
+        out[t != 0.0] = fv(t[t != 0.0])
+        return out
 
     def fprime(t):
         # eps^(1/3) balances the O(h^2) truncation error of the central

@@ -419,8 +419,10 @@ def avg_hamming_binary_put(p: float, D: float, alpha: float) -> AvgHammingSoluti
     rho1 + rho2 < 1, raising rho1 by delta post-processes the channel,
     W' = W K with K = [[1-a, a], [b, 1-b]], b = a rho2/(1-rho2) and
     a = delta (1-rho2) / ((1-rho1)(1-rho2) - rho1 rho2), so by the
-    data-processing inequality L cannot rise (likewise for rho2).  The
-    bound D < min(p, 1-p) keeps the feasible set off the rank-one locus.
+    data-processing inequality L cannot rise (likewise for rho2).  That
+    argument needs the bound D < min(p, 1-p), which keeps the feasible set
+    below the rank-one locus rho1 + rho2 = 1; the closed form itself is
+    exact on and near the locus.
 
     Along the segment G(t) = exp((alpha-1)/alpha L) is convex: it is
     sup_P sum_y ||(P(x)^(1/alpha) W(y|x))_x||_alpha, a supremum of norms

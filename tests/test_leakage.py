@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from alphaleak import (
     binary_channel,
     binary_maximal_alpha_leakage,
     capacity_lower_bound,
+    cascade,
+    f_divergence,
     f_leakage,
     hellinger_generator,
     kl_generator,
@@ -26,10 +29,14 @@ from alphaleak import (
     maximal_leakage,
     min_expected_alpha_loss,
     optimal_strategy,
+    product_channel,
     sibson_mi,
     strategy_for,
 )
+import alphaleak.leakage as leakage
 from alphaleak.leakage import _free_least_squares, _simplex_qp_step
+from alphaleak.measures import _log_rows
+from alphaleak.prob import logsumexp
 from util import (
     capacity_gap,
     count_linalg_calls,
@@ -68,6 +75,15 @@ class TestAlphaLoss:
             vals = np.array([alpha_loss(p, a) for p in ps])
             assert np.all(np.diff(vals) < 1e-15)
             assert np.all(np.diff(vals, 2) >= -1e-12)
+
+    @pytest.mark.parametrize("a", [1.0 + 2e-9, 1.0 + 1e-7])
+    def test_near_order_one_matches_the_series(self, a):
+        # (1/e) (1 - p^e) = -L - e L^2/2 - e^2 L^3/6 - ..., L = log p,
+        # e = (a-1)/a; the next term is below 1e-20 here
+        p, e = 0.3, (a - 1.0) / a
+        L = math.log(p)
+        assert alpha_loss(p, a) == pytest.approx(-L - e * L**2 / 2 - e**2 * L**3 / 6, abs=1e-15)
+        assert alpha_loss(0.0, a) == a / (a - 1.0)
 
     def test_domain_checks(self):
         with pytest.raises(ValidationError):
@@ -108,6 +124,32 @@ class TestOptimalStrategy:
     def test_requires_order_at_least_one(self):
         with pytest.raises(ValidationError):
             optimal_strategy(Channel.identity(B), 0.9)
+
+    @staticmethod
+    def tilted_row(row, a):
+        """One row of the strategy, tilted on its own."""
+        if a == 1.0:
+            return row.copy()
+        if a == math.inf:
+            best = row == row.max()
+            return best / best.sum()
+        logs = a * _log_rows(row)
+        out = np.exp(logs - logsumexp(logs))
+        return out / out.sum()
+
+    def test_matches_the_row_by_row_tilt_bitwise(self):
+        rng = np.random.default_rng(31)
+        for _ in range(500):
+            n, m = rng.integers(1, 7, size=2)
+            rows = rng.dirichlet(np.ones(m), size=n) * (rng.random((n, m)) > 0.3)
+            rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+            if rng.random() < 0.3:  # ties for the MAP rule
+                rows = np.round(rows / rows.sum(axis=1, keepdims=True), 1)
+            rows /= rows.sum(axis=1, keepdims=True)
+            post = Channel(Alphabet.of_size(n, "y"), Alphabet.of_size(m, "x"), rows)
+            for a in (1.0, 1.5, 2.0, 10.0, math.inf):
+                expected = np.stack([self.tilted_row(r, a) for r in post.rows])
+                assert np.array_equal(optimal_strategy(post, a).rows, expected)
 
 
 class TestMinExpectedAlphaLoss:
@@ -427,6 +469,12 @@ class TestBinaryClosedForm:
     def test_rank_one_degenerate_locus(self):
         assert binary_maximal_alpha_leakage(0.5, 0.5, 2.0) == pytest.approx(0.0, abs=1e-9)
         assert binary_maximal_alpha_leakage(0.3, 0.7, 3.0) == pytest.approx(0.0, abs=1e-9)
+        r1 = np.random.default_rng(53).uniform(0.0, 1.0, 5000)
+        for a in (1.05, 1.5, 2.0, 5.0, 20.0, 1000.0):
+            assert np.abs(binary_maximal_alpha_leakage(r1, 1.0 - r1, a)).max() <= 1e-14
+            # the constant channels at the two ends of the locus
+            assert binary_maximal_alpha_leakage(0.0, 1.0, a) == 0.0
+            assert binary_maximal_alpha_leakage(1.0, 0.0, a) == 0.0
 
     def test_symmetric_reduction(self):
         for rho in (0.05, 0.1, 0.3):
@@ -441,6 +489,75 @@ class TestBinaryClosedForm:
     def test_large_alpha_approaches_maximal_leakage(self):
         got = binary_maximal_alpha_leakage(0.1, 0.2, 1000.0)
         assert got == pytest.approx(maximal_leakage(binary_channel(0.1, 0.2)), abs=2e-3)
+
+    # ORDERS spans alpha in [1.2, 20]: the rounding error of the closed form
+    # grows as eps / (alpha - 1), to about 1e-14 at alpha = 1.05.
+    ORDERS = (1.2, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0)
+    CLI_PAIR = (0.7055150871507552, 0.2944849128497319)  # delta = -4.9e-13
+
+    @staticmethod
+    def near_locus(rng, n, lo=-15, hi=-1):
+        """n crossover pairs at |1 - rho1 - rho2| = 10^U(lo, hi), both signs."""
+        r1 = rng.uniform(0.0, 1.0, n)
+        r2 = 1.0 - r1 - rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(lo, hi, n)
+        inside = (0.0 <= r2) & (r2 <= 1.0)
+        return r1[inside], r2[inside]
+
+    @staticmethod
+    def exact(r1, r2, a):
+        """The closed form in exact rational arithmetic up to the last root
+        and log: (x^a - y^a)/(x - y) = sum_k x^k y^(a-1-k) at integer a."""
+        r1, r2 = Fraction(r1), Fraction(r2)
+
+        def divided(x, y):
+            return sum(x**k * y ** (a - 1 - k) for k in range(a))
+
+        m = divided((1 - r1) * (1 - r2), r1 * r2)
+        ratios = (m / divided(1 - r2, r1), m / divided(1 - r1, r2))
+        return math.log(sum(float(t) ** (1.0 / (a - 1)) for t in ratios))
+
+    def test_never_enters_the_solver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closed form called the solver")
+
+        monkeypatch.setattr(leakage, "_minimize_on_simplex", refuse)
+        r1, r2 = self.near_locus(np.random.default_rng(50), 200)
+        grid = np.linspace(0.0, 1.0, 21)
+        square = np.meshgrid(grid, grid)
+        r1 = np.r_[r1, grid, square[0].ravel(), 0.0, 1.0, self.CLI_PAIR[0]]
+        r2 = np.r_[r2, 1.0 - grid, square[1].ravel(), 1.0, 0.0, self.CLI_PAIR[1]]
+        for a in (1.05, 2.0, 20.0):
+            assert np.isfinite(binary_maximal_alpha_leakage(r1, r2, a)).all()
+            assert math.isfinite(binary_maximal_alpha_leakage(*self.CLI_PAIR, a))
+
+    @pytest.mark.parametrize("a", [2, 3, 4])
+    def test_matches_exact_arithmetic_near_the_locus(self, a):
+        rng = np.random.default_rng(51 + a)
+        r1, r2 = self.near_locus(rng, 120)
+        r1, r2 = np.r_[r1, self.CLI_PAIR[0]], np.r_[r2, self.CLI_PAIR[1]]
+        got = binary_maximal_alpha_leakage(r1, r2, float(a))
+        exact = [self.exact(x, y, a) for x, y in zip(r1, r2)]
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-13)
+
+    def test_matches_the_solver_over_the_unit_square(self):
+        rng = np.random.default_rng(52)
+        for _ in range(60):
+            r1, r2 = rng.uniform(0.0, 1.0, 2)
+            a = float(rng.choice([1.2, 2.0, 5.0, 12.0]))
+            res = maximal_alpha_leakage(binary_channel(r1, r2), a, tol=1e-13)
+            assert binary_maximal_alpha_leakage(r1, r2, a) == pytest.approx(res.value, abs=1e-12)
+
+    # The capacity is >= 0 and nondecreasing in alpha.  Near the locus it is
+    # below rounding, so both hold up to 1e-14.
+    def test_nonnegative_near_the_locus(self):
+        r1, r2 = self.near_locus(np.random.default_rng(54), 400, lo=-14, hi=-3)
+        for a in self.ORDERS:
+            assert binary_maximal_alpha_leakage(r1, r2, a).min() >= -1e-14
+
+    def test_nondecreasing_in_alpha_near_the_locus(self):
+        r1, r2 = self.near_locus(np.random.default_rng(55), 400, lo=-14, hi=-3)
+        values = np.stack([binary_maximal_alpha_leakage(r1, r2, a) for a in self.ORDERS])
+        assert np.diff(values, axis=0).min() >= -1e-14
 
 
 class TestCapacityLowerBound:
@@ -562,6 +679,24 @@ class TestMaximalFLeakage:
             maximal_f_leakage(ch, kl_generator(), max_iter=0)
         assert exc.value.residual == math.inf and exc.value.iterations == 0
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1.0, 0.0], [0.2, 0.8]], [[0.7, 0.3, 0.0], [0.2, 0.2, 0.6], [0.1, 0.0, 0.9]]],
+    )
+    def test_custom_generator_undefined_at_zero(self, rows):
+        # math.log(0) raises: f(0) must come from f_at_zero, not from fn
+        t_log_t = custom_generator(lambda t: t * math.log(t), 0.0, math.inf)
+        kl = kl_generator()
+        n = len(rows)
+        ch = Channel(Alphabet.of_size(n, "x"), Alphabet.of_size(len(rows[0]), "y"), rows)
+        dists = [Dist(ch.output_alphabet, r) for r in ch.rows]
+        for p in dists:
+            for q in dists:
+                assert f_divergence(p, q, t_log_t) == pytest.approx(f_divergence(p, q, kl), abs=1e-8)
+        joint = make_joint(Dist.uniform(ch.input_alphabet), ch)
+        assert f_leakage(joint, t_log_t)[0] == pytest.approx(f_leakage(joint, kl)[0], abs=1e-8)
+        assert maximal_f_leakage(ch, t_log_t) == pytest.approx(maximal_f_leakage(ch, kl), abs=1e-8)
+
     def test_kl_is_shannon_capacity(self):
         got = maximal_f_leakage(binary_channel(0.1, 0.1), kl_generator(), tol=1e-10)
         h = -(0.1 * math.log(0.1) + 0.9 * math.log(0.9))
@@ -572,3 +707,48 @@ class TestMaximalFLeakage:
             for t in np.linspace(0.001, 0.999, 1999)
         )
         assert got == pytest.approx(best, abs=1e-6)
+
+
+class TestPaperTheorems:
+    """Properties of maximal alpha-leakage proved in the paper, checked on
+    certified brackets: the capacity lies in [value, value + kkt_residual],
+    so value_1 <= capacity_1 <= capacity_2 <= value_2 + kkt_residual_2, up
+    to the rounding of the values themselves (ROUNDING): an equality such as
+    additivity holds to a few ulps only."""
+
+    ORDERS = (1.2, 2.0, 5.0, math.inf)
+    ROUNDING = 1e-14
+
+    @staticmethod
+    def channels(seed, count):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n_in, n_out = rng.integers(2, 5, size=2)
+            yield rng, random_channel(rng, n_in, n_out)
+
+    @staticmethod
+    def bracket(channel, a):
+        res = maximal_alpha_leakage(channel, a)
+        return res.value, res.value + res.kkt_residual + TestPaperTheorems.ROUNDING
+
+    @pytest.mark.parametrize("a", ORDERS)
+    def test_data_processing_through_a_cascade(self, a):
+        for rng, ch in self.channels(60, 25):
+            k = int(rng.integers(2, 5))
+            post = Channel(ch.output_alphabet, Alphabet.of_size(k, "z"), rng.dirichlet(np.ones(k), ch.shape[1]))
+            assert self.bracket(cascade(ch, post), a)[0] <= self.bracket(ch, a)[1]
+
+    @pytest.mark.parametrize("a", ORDERS)
+    def test_additive_on_products(self, a):
+        for rng, ch in self.channels(61, 20):
+            other = random_channel(rng, *rng.integers(2, 5, size=2))
+            lo1, hi1 = self.bracket(ch, a)
+            lo2, hi2 = self.bracket(other, a)
+            lo, hi = self.bracket(product_channel([ch, other]), a)
+            assert lo <= hi1 + hi2
+            assert lo1 + lo2 <= hi
+
+    @pytest.mark.parametrize("a", ORDERS)
+    def test_nondecreasing_in_alpha(self, a):
+        for _, ch in self.channels(62, 25):
+            assert self.bracket(ch, a)[0] <= self.bracket(ch, 1.5 * a)[1]

@@ -11,7 +11,8 @@ optimal mechanism is uniform over each ball.
 
 All combinatorics are exact (integers and fractions); floats appear only
 in the final logarithms.  Cross-checks re-derive each closed form through
-the generic maximin LP on an explicitly materialized distortion spec.
+the generic maximin solver (`put.q_star`) on an explicitly materialized
+distortion spec.
 """
 
 from __future__ import annotations
@@ -114,7 +115,11 @@ def build_type_distance_spec(n: int, m: int) -> DistortionSpec:
 
 
 def type_distance_crosscheck(n: int, m: int, tol: float = 1e-9) -> bool:
-    """Re-derive the type-distance value through the maximin LP."""
+    """Re-derive the type-distance value through `q_star` on the explicit
+    spec.  Its type balls are intervals, so `q_star` solves it by greedy
+    piercing rather than the LP: the check compares the number of points
+    the greedy picks with the ceil((n+1)/(2m+1)) formula, two independent
+    derivations."""
     if n + 1 > ENUMERATION_LIMIT:
         raise ValidationError(f"crosscheck LP is limited to n + 1 <= {ENUMERATION_LIMIT} types")
     game = q_star(build_type_distance_spec(n, m))

@@ -1,6 +1,7 @@
 """Dense primal simplex for the maximin mass-covering game, solved on the
 coarsest equitable partition of the ball matrix, and for the feasibility
-of A x = b, x >= 0.
+of A x = b, x >= 0; games whose balls are intervals are solved by greedy
+piercing instead.
 
 The hard-distortion PUT reduces to the matrix game
 
@@ -47,6 +48,28 @@ with its certificate measured as below, before any refinement or
 tableau.  The column test reads the 0/1 matrix as given: on a bool
 1024 x 1024 mask it takes 54-69 us, against 550-590 us on the float copy
 (one thread, 2-vCPU Xeon).
+
+**Intervals.**  When every row of the ball matrix is one run of
+consecutive columns (an interval matrix: type-distance specs, and any
+spec on points of a line given in sorted order), the matrix is totally
+unimodular (Hoffman & Kruskal 1956), and for intervals the least number
+tau of points hitting every ball equals the most pairwise disjoint balls
+(Gallai), so q* = 1/tau.  Greedy piercing finds both: walk the balls in
+order of right end and, whenever a ball starts past the last point
+picked, pick its right end.  Q uniform on the tau points gives every ball
+mass >= 1/tau; mu uniform on the tau balls that triggered a pick, which
+are pairwise disjoint, gives every output mass <= 1/tau, and each of
+those balls holds exactly one point.  So the certificate measured below
+has gap exactly 0.  The test reads the nonzeros once, in the given column
+order, and shares them with refinement when it fails; recognising the
+property under an unknown column order (PQ trees, Booth & Lueker 1976)
+is not attempted.  Type (1023, 1) takes ~2 ms this way against ~0.8 s on
+the tableau (one BLAS thread, 2-vCPU machine).  The test runs under the
+`_REFINE_MIN` gate, because below it it costs more than it saves: on
+4000 random 2-8-point games (interleaved, best of 5 each), the 375 that
+pass fell from 82 to 42 us, but the 1682 that fail paid 24 us more each,
+and the mean over all of them, 1943 with a shared output included, rose
+11%.
 
 **Tableau.**  Most instances have under ten classes, so a dense tableau
 beats a sparse solver's per-call set-up.  The column of most negative
@@ -148,16 +171,39 @@ def _simplex(N: np.ndarray, sizes: np.ndarray | float, certify, objective: np.nd
     return solution
 
 
-def _equitable_partition(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Colour refinement of the bipartite graph of the 0/1 matrix A.
+def _interval_cover(shape: tuple[int, int], xs: np.ndarray, ys: np.ndarray) -> tuple[list, list] | None:
+    """Least piercing set of a 0/1 matrix whose every row is one run of
+    consecutive columns, from its nonzeros (row-major, every row nonempty).
+
+    Returns the columns picked and the rows whose balls triggered a pick,
+    as many of each; None when some row is not a run."""
+    counts = np.bincount(xs, minlength=shape[0])
+    ends = np.cumsum(counts)
+    first, last = ys[ends - counts], ys[ends - 1]
+    if (last - first + 1 != counts).any():
+        return None
+    order = np.argsort(last, kind="stable")
+    points, balls, reach = [], [], -1
+    for x, lo, hi in zip(order.tolist(), first[order].tolist(), last[order].tolist()):
+        if lo > reach:
+            reach = hi
+            points.append(hi)
+            balls.append(x)
+    return points, balls
+
+
+def _equitable_partition(
+    shape: tuple[int, int], xs: np.ndarray, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Colour refinement of the bipartite graph of a 0/1 matrix of the
+    given shape, from its nonzeros (xs, ys) in row-major order.
 
     Returns the class of every row and every column and the count matrix
     N[i, j] = |{y in C_j : A[x, y] = 1}| of any x in R_i, after checking
     exactly that every row and every column agrees with its class; None
     when that check fails or every class is a single point.
     """
-    n_in, n_out = A.shape
-    xs, ys = np.nonzero(A)  # row-major: xs ascending
+    n_in, n_out = shape
     xs_by_col = xs[np.argsort(ys, kind="stable")]
     own, nbr = np.random.default_rng(0).integers(
         0, np.iinfo(np.uint64).max, size=(2, max(n_in, n_out)), dtype=np.uint64, endpoint=True
@@ -205,13 +251,17 @@ def covering_game(ball_matrix: np.ndarray) -> GameSolution:
     matrix whose every row has at least one 1.
 
     When some columns are all ones, q* = 1 and the answer is Q uniform on
-    them and mu uniform on the rows, with no LP.  Otherwise the LP is
-    solved on the coarsest equitable partition of the matrix (skipped
-    below `_REFINE_MIN` inputs or outputs) and its solution lifted
-    uniformly onto each class.  Either way the gap is measured on the
-    full matrix.
+    them and mu uniform on the rows, with no LP.  From `_REFINE_MIN`
+    inputs and outputs on, a matrix whose every row is one run of
+    consecutive columns is solved by greedy piercing: Q uniform on the
+    points picked, mu uniform on the balls that picked them, q* = 1/tau.
+    Otherwise the LP is solved on the coarsest equitable partition of the
+    matrix (skipped below `_REFINE_MIN` inputs or outputs) and its
+    solution lifted uniformly onto each class.  In every case the gap is
+    measured on the full matrix.
     """
-    shared = np.asarray(ball_matrix).all(axis=0)  # 0/1 input as given: no float pass
+    mask = np.asarray(ball_matrix)  # 0/1 input as given: no float pass
+    shared = mask.all(axis=0)
     A = np.asarray(ball_matrix, dtype=float)
 
     def certified(mu, q):
@@ -220,7 +270,17 @@ def covering_game(ball_matrix: np.ndarray) -> GameSolution:
 
     if shared.any():
         return certified(np.full(A.shape[0], 1.0 / A.shape[0]), shared / np.count_nonzero(shared))
-    classes = _equitable_partition(A) if min(A.shape) >= _REFINE_MIN else None
+    classes = None
+    if min(A.shape) >= _REFINE_MIN:
+        # row-major like np.nonzero, which takes 2-9x longer on these masks
+        nonzeros = (A.shape, *np.divmod(np.flatnonzero(mask), A.shape[1]))
+        cover = _interval_cover(*nonzeros)
+        if cover is not None:
+            points, balls = cover
+            q, mu = np.zeros(A.shape[1]), np.zeros(A.shape[0])
+            q[points], mu[balls] = 1.0 / len(points), 1.0 / len(balls)
+            return certified(mu, q)
+        classes = _equitable_partition(*nonzeros)
     if classes is None:
         N, sizes, lift = A, 1.0, lambda v, w: (v, w)
     else:

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from alphaleak import DistortionSpec, put_max_alpha_leakage
+from alphaleak import DistortionSpec, lp, put_max_alpha_leakage
 from alphaleak.cli import main
-from alphaleak.datasets import build_hamming_spec
+from alphaleak.datasets import build_hamming_spec, build_type_distance_spec
 
 
 @pytest.fixture
@@ -31,6 +31,20 @@ def test_put_hard_json_round_trips_the_solution(hamming_file, capsys):
     assert out["Q_star"] == sol.target_output.p.tolist()
     assert out["mechanism"] == sol.mechanism.rows.tolist()
     assert out["q_star"] == sol.q_star and out["duality_gap"] == sol.duality_gap
+
+
+def test_put_hard_type_spec_at_the_enumeration_limit(tmp_path, capsys, monkeypatch):
+    # 1024 types, an interval game: solved by greedy piercing, no tableau
+    def refuse(*args):
+        raise AssertionError("the tableau ran on a type-distance spec")
+
+    monkeypatch.setattr(lp, "_simplex", refuse)
+    path = tmp_path / "type1023-1.json"
+    path.write_text(json.dumps(build_type_distance_spec(1023, 1).to_json()))
+    assert main(["put", "hard", str(path), "--alpha", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["q_star"] == 1 / 342 and out["duality_gap"] == 0.0
+    assert np.count_nonzero(out["Q_star"]) == 342
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

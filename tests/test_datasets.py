@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from alphaleak import ValidationError, type_index_set
+from alphaleak import ValidationError, lp, q_star, type_index_set
 from alphaleak.datasets import (
     ENUMERATION_LIMIT,
     build_hamming_spec,
@@ -74,12 +74,31 @@ def test_type_distance_crosscheck_grid():
 
 
 def test_type_distance_crosscheck_up_to_the_enumeration_limit():
-    # n + 1 = 1024 types: the LP runs on the quotient by the reflection
+    # n + 1 = 1024 types: an interval game, solved by greedy piercing
     for n in (500, 1023):
         for m in (0, 1, 10, n // 3, n):
             assert type_distance_crosscheck(n, m), (n, m)
     with pytest.raises(ValidationError):
         type_distance_crosscheck(ENUMERATION_LIMIT, 1)
+
+
+def test_type_distance_q_star_needs_no_tableau(monkeypatch):
+    # Type balls are runs of consecutive types: greedy piercing puts Q* on
+    # as many outputs as the index set has members, each with mass 1/count.
+    def refuse(*args):
+        raise AssertionError("refinement or the tableau ran on a type-distance spec")
+
+    monkeypatch.setattr(lp, "_simplex", refuse)
+    monkeypatch.setattr(lp, "_equitable_partition", refuse)
+    for n in (500, 1023):
+        for m in (0, 1, 5, 40, n // 3, n // 2 + 1):
+            count = len(type_index_set(n, m).members)
+            game = q_star(build_type_distance_spec(n, m))
+            if game.value < 1.0:
+                assert game.gap == 0.0 and game.value == 1.0 / count
+                assert np.count_nonzero(game.q) == count
+            else:
+                assert count == 1
 
 
 def test_uniform_ball_mechanism_is_uniform_on_each_ball():

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 from alphaleak import lp
-from alphaleak.datasets import build_hamming_spec
+from alphaleak.datasets import build_hamming_spec, build_type_distance_spec
 
 
 def highs_value(A: np.ndarray) -> float:
@@ -71,7 +71,7 @@ def assert_equitable(A: np.ndarray, rows: np.ndarray, cols: np.ndarray, N: np.nd
 def test_planted_symmetry_is_found_and_solved_exactly():
     rng = np.random.default_rng(71)
     for kind, A in planted_games(rng):
-        classes = lp._equitable_partition(A)
+        classes = lp._equitable_partition(A.shape, *np.nonzero(A))
         assert classes is not None  # every game above has a nontrivial symmetry
         assert_equitable(A, *classes)
         if kind == 0:  # regular on both sides: one class each
@@ -95,17 +95,18 @@ def test_failed_equitability_check_falls_back_to_the_full_matrix(monkeypatch):
             return np.ones(size, dtype)
 
     monkeypatch.setattr(lp.np.random, "default_rng", lambda seed: EqualWeights(np.random.PCG64(seed)))
-    assert lp._equitable_partition(A) is None
+    assert lp._equitable_partition(A.shape, *np.nonzero(A)) is None
     sol = lp.covering_game(A)
     assert sol.value == pytest.approx(highs_value(A), abs=1e-9)
     assert sol.gap <= 1e-10
 
 
 def test_small_games_skip_refinement(monkeypatch):
-    def refuse(A):
-        raise AssertionError("refinement ran on a game below the size limit")
+    def refuse(*args):
+        raise AssertionError("refinement or the interval test ran on a game below the size limit")
 
     monkeypatch.setattr(lp, "_equitable_partition", refuse)
+    monkeypatch.setattr(lp, "_interval_cover", refuse)
     rng = np.random.default_rng(72)
     for k in range(50):
         shape = rng.integers(2, lp._REFINE_MIN), rng.integers(2, 40)
@@ -116,7 +117,7 @@ def test_small_games_skip_refinement(monkeypatch):
 def test_full_tableau_on_a_degenerate_hamming_game(monkeypatch):
     # The quotient of a Hamming game is 1 x 1; the full tableau still has to
     # get through its thousands of tied, degenerate pivots.
-    monkeypatch.setattr(lp, "_equitable_partition", lambda A: None)
+    monkeypatch.setattr(lp, "_equitable_partition", lambda *args: None)
     sol = lp.covering_game(build_hamming_spec(5, 1, 3).ball_mask)
     assert sol.value == pytest.approx(11 / 243, rel=0, abs=1e-12)
     assert sol.gap <= 1e-12
@@ -208,3 +209,74 @@ def test_shared_outputs_skip_refinement(monkeypatch):
     assert sol.value == 1.0 and abs(sol.gap) <= 1e-15
     assert np.array_equal(sol.q, np.where(A.all(axis=0), 0.5, 0.0))
     assert np.array_equal(sol.mu, np.full(A.shape[0], 1.0 / A.shape[0]))
+
+
+def line_game(rng, n_in, n_out) -> np.ndarray:
+    """Balls of radius D around points of a line, on outputs given in
+    sorted order (ties included), so every row is one run of columns;
+    no output lies in every ball."""
+    while True:
+        length = int(rng.integers(n_out, 4 * n_out))
+        outputs = np.sort(rng.integers(0, length, n_out))
+        radius = int(rng.integers(0, max(1, length // 4)))
+        # each input sits within the radius of some output: no empty ball
+        inputs = outputs[rng.integers(0, n_out, n_in)] + rng.integers(-radius, radius + 1, n_in)
+        A = np.abs(inputs[:, None] - outputs[None]) <= radius
+        if not A.all(axis=0).any():
+            return A
+
+
+def test_interval_games_are_solved_by_greedy_piercing(monkeypatch):
+    # From the size limit on, a game on sorted points of a line is solved
+    # by greedy piercing with no refinement and no tableau: q* = 1/tau with
+    # Q uniform on the tau points and mu on tau disjoint balls, gap 0.
+    # Smaller games never run the interval test.
+    rng = np.random.default_rng(76)
+    games = []
+    for k in range(2000):
+        low, high = (lp._REFINE_MIN, 41) if k % 2 else (2, lp._REFINE_MIN)
+        A = line_game(rng, int(rng.integers(low, high)), int(rng.integers(low, high)))
+        games.append((A.astype(float) if k % 3 else A, _full_lp(A.astype(float))))
+    assert sum(min(A.shape) >= lp._REFINE_MIN for A, _ in games) == 1000
+
+    def refuse(*args):
+        raise AssertionError("refinement or the tableau ran on an interval game")
+
+    tested = []
+    interval_cover = lp._interval_cover
+    monkeypatch.setattr(lp, "_interval_cover", lambda *args: tested.append(args[0]) or interval_cover(*args))
+    for A, full in games:
+        if min(A.shape) < lp._REFINE_MIN:
+            sol = lp.covering_game(A)
+            assert sol.value == pytest.approx(full.value, rel=0, abs=1e-12)
+            continue
+        with monkeypatch.context() as patched:
+            patched.setattr(lp, "_simplex", refuse)
+            patched.setattr(lp, "_equitable_partition", refuse)
+            sol = lp.covering_game(A)
+        tau = np.count_nonzero(sol.q)
+        assert sol.value == pytest.approx(full.value, rel=0, abs=1e-12)
+        assert sol.gap == 0.0 and sol.value == 1.0 / tau
+        assert np.count_nonzero(sol.mu) == tau and set(sol.q) == {0.0, 1.0 / tau}
+        # the tau balls of mu are pairwise disjoint
+        assert ((sol.mu > 0).astype(int) @ A.astype(int) <= 1).all()
+    assert len(tested) == 1000 and min(min(shape) for shape in tested) >= lp._REFINE_MIN
+
+
+def test_games_that_are_not_intervals_reach_the_tableau(monkeypatch):
+    entered = []
+    simplex = lp._simplex
+    monkeypatch.setattr(lp, "_simplex", lambda *args: entered.append(1) or simplex(*args))
+    rng = np.random.default_rng(77)
+    games = [
+        (build_type_distance_spec(60, 2).ball_mask[:, rng.permutation(61)], 1.0 / 13),
+        (build_hamming_spec(6, 1, 2).ball_mask, 7 / 64),
+        (random_01(rng, 20, 24), None),
+    ]
+    for A, value in games:
+        assert lp._interval_cover(A.shape, *np.nonzero(A)) is None
+        entered.clear()
+        sol = lp.covering_game(A)
+        assert entered
+        assert sol.value == pytest.approx(highs_value(A.astype(float)) if value is None else value, abs=1e-9)
+        assert sol.gap <= 1e-10

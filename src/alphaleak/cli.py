@@ -76,19 +76,25 @@ def _fmt(value: float) -> str:
 
 
 def _load_json(path: str) -> dict:
+    """The parsed file; a file that cannot be opened, or that is not UTF-8
+    JSON (a ValueError), is a ValidationError."""
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"input file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except OSError as exc:
+        reason = "not found" if isinstance(exc, FileNotFoundError) else f"unreadable ({exc.strerror})"
+        raise ValidationError(f"input file {reason}: {path}") from None
+    except ValueError as exc:
+        raise ValidationError(f"{path}: invalid JSON: {exc}") from None
 
 
 def _emit(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

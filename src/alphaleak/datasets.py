@@ -121,7 +121,7 @@ def type_distance_crosscheck(n: int, m: int, tol: float = 1e-9) -> bool:
     the greedy picks with the ceil((n+1)/(2m+1)) formula, two independent
     derivations."""
     if n + 1 > ENUMERATION_LIMIT:
-        raise ValidationError(f"crosscheck LP is limited to n + 1 <= {ENUMERATION_LIMIT} types")
+        raise ValidationError(f"crosscheck is limited to n + 1 <= {ENUMERATION_LIMIT} types")
     game = q_star(build_type_distance_spec(n, m))
     return abs(-math.log(game.value) - type_distance_put(n, m).value) < tol
 

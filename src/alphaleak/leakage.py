@@ -35,6 +35,8 @@ from .measures import (
     FGenerator,
     arimoto_cond_entropy,
     arimoto_mi,
+    sibson_mi,
+    _hellinger_image,
     _log_col_norms,
     _log_rows,
     _log_sibson_sums,
@@ -289,6 +291,8 @@ def alpha_loss(prob_correct: float, order) -> float:
     p = float(prob_correct)
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"probability of correct guess must be in [0, 1], got {p}")
+    if p == 1.0:
+        return 0.0  # a sure guess costs nothing; the formulas below give -0.0
     if order.is_one:
         return -math.log(p) if p > 0 else math.inf
     if order.is_inf:
@@ -325,13 +329,7 @@ def min_expected_alpha_loss(joint: Joint, order) -> float:
     """Minimal expected alpha-loss of guessing the row variable from the
     column variable; attained by the tilted-posterior strategy."""
     order = as_order(order).require_at_least_one("min_expected_alpha_loss")
-    if order.is_one:
-        return arimoto_cond_entropy(joint, order)
-    if order.is_inf:
-        return 1.0 - float(joint.m.max(axis=0).sum())
-    a = order.value
-    h = arimoto_cond_entropy(joint, order)
-    return float(a / (a - 1.0) * -np.expm1((1.0 - a) / a * h))
+    return alpha_loss(math.exp(-arimoto_cond_entropy(joint, order)), order)
 
 
 def strategy_for(joint: Joint, order) -> StrategyResult:
@@ -384,17 +382,14 @@ def maximal_alpha_leakage(
     if order.is_one:
         if prior_for_one is None:
             raise ValidationError("maximal alpha-leakage at alpha = 1 needs an input distribution")
-        if prior_for_one.alphabet != in_alpha:
-            raise ValidationError("prior alphabet does not match channel input alphabet")
-        value = _shannon_mi_from_joint(prior_for_one.p[:, None] * W)
+        value = sibson_mi(prior_for_one, channel, order)  # checks the alphabets
         q = prior_for_one.p @ W
         return CapacityResult(value, prior_for_one, Dist(out_alpha, q / q.sum()), 0.0, 0)
 
     if order.is_inf:
         colmax = W.max(axis=0)
-        value = float(np.log(colmax.sum()))
         return CapacityResult(
-            value,
+            maximal_leakage(channel),
             Dist.uniform(in_alpha),
             Dist(out_alpha, colmax / colmax.sum()),
             0.0,
@@ -479,7 +474,8 @@ def binary_maximal_alpha_leakage(rho1, rho2, alpha: float):
 
 
 def capacity_lower_bound(channel: Channel, alpha: float) -> tuple[float, bool]:
-    """Closed-form lower bound on the maximal alpha-leakage:
+    """Closed-form lower bound on the maximal alpha-leakage: Sibson's
+    I^S_alpha at the uniform input,
     (alpha/(alpha-1)) log( sum_y ||W(y|.)||_alpha / |X|^(1/alpha) ).
 
     The second return value reports whether the equalization condition for
@@ -493,15 +489,12 @@ def capacity_lower_bound(channel: Channel, alpha: float) -> tuple[float, bool]:
     n_in = W.shape[0]
     col_lognorm = _log_col_norms(W, alpha)
     finite = col_lognorm > -np.inf
-    lsum = float(logsumexp(col_lognorm[finite]))
-    bound = alpha / (alpha - 1.0) * (lsum - math.log(n_in) / alpha)
-    log_w = _log_rows(W)
     log_c = logsumexp(
-        alpha * log_w[:, finite] - (alpha - 1.0) * col_lognorm[finite][None, :], axis=1
+        alpha * _log_rows(W[:, finite]) - (alpha - 1.0) * col_lognorm[finite][None, :], axis=1
     )
     c_norm = np.exp(log_c - logsumexp(log_c) + math.log(n_in))
     holds = bool(c_norm.max() - c_norm.min() <= 1e-9)
-    return float(bound), holds
+    return sibson_mi(Dist.uniform(channel.input_alphabet), channel, alpha), holds
 
 
 # --------------------------------------------------------------------------
@@ -557,13 +550,11 @@ def f_leakage(joint: Joint, gen: FGenerator, tol: float = 1e-10, max_iter: int =
     if gen.kind == "kl":
         return _shannon_mi_from_joint(joint.m), joint.col_marginal()
     if gen.kind == "hellinger":
-        # Sibson's sums A(y) = sum_x P(x) W(y|x)^a give the value
-        # (S^a - 1)/(a - 1), S = sum_y A(y)^(1/a), and Q = A^(1/a) / S.
+        # Sibson's sums A(y) = sum_x P(x) W(y|x)^a give Q = A^(1/a) / sum_y A(y)^(1/a).
         a = gen.alpha
-        log_ay = _log_sibson_sums(prior.p, channel.rows, a)
-        log_s = logsumexp(log_ay / a)
-        q = np.exp(log_ay / a - log_s)
-        return float(np.expm1(a * log_s) / (a - 1.0)), Dist(out_alpha, q / q.sum())
+        log_root = _log_sibson_sums(prior.p, channel.rows, a) / a
+        q = np.exp(log_root - logsumexp(log_root))
+        return _hellinger_image(sibson_mi(prior, channel, a), a), Dist(out_alpha, q / q.sum())
     value, q, _ = _min_fdiv_over_reference(prior.p, channel.rows, gen, tol, max_iter)
     return value, Dist(out_alpha, q)
 
@@ -584,26 +575,21 @@ def maximal_f_leakage(
     once that bracket is at most tol (relative) and returns its lower end.
     """
     if gen.kind == "hellinger":
-        a = gen.alpha
-        cap = maximal_alpha_leakage(channel, a, tol=min(tol, 1e-10))
-        return float(np.expm1((a - 1.0) * cap.value) / (a - 1.0))
+        cap = maximal_alpha_leakage(channel, gen.alpha, tol=min(tol, 1e-10), max_iter=max_iter)
+        return _hellinger_image(cap.value, gen.alpha)
 
     W = channel.rows
     n_in = W.shape[0]
-    log_w = _log_rows(W)
     p = np.full(n_in, 1.0 / n_in)
 
     def inner(p):
         if gen.kind == "kl":
-            q = p @ W
+            q, inner_gap = p @ W, 0.0
             q = q / q.sum()
-            with np.errstate(invalid="ignore"):
-                g = np.where(W > 0, W * (log_w - np.log(q)[None, :]), 0.0).sum(axis=1)
-            return g, 0.0
-        _, q, inner_gap = _min_fdiv_over_reference(p, W, gen, tol, max_iter)
+        else:
+            _, q, inner_gap = _min_fdiv_over_reference(p, W, gen, tol, max_iter)
         pos = q > 0
-        g = (q[pos] * gen.f(W[:, pos] / q[pos])).sum(axis=1)
-        return g, inner_gap
+        return (q[pos] * gen.f(W[:, pos] / q[pos])).sum(axis=1), inner_gap
 
     gap = math.inf
     for _ in range(max_iter):

@@ -63,13 +63,12 @@ those balls holds exactly one point.  So the certificate measured below
 has gap exactly 0.  The test reads the nonzeros once, in the given column
 order, and shares them with refinement when it fails; recognising the
 property under an unknown column order (PQ trees, Booth & Lueker 1976)
-is not attempted.  Type (1023, 1) takes ~2 ms this way against ~0.8 s on
-the tableau (one BLAS thread, 2-vCPU machine).  The test runs under the
-`_REFINE_MIN` gate, because below it it costs more than it saves: on
-4000 random 2-8-point games (interleaved, best of 5 each), the 375 that
-pass fell from 82 to 42 us, but the 1682 that fail paid 24 us more each,
-and the mean over all of them, 1943 with a shared output included, rose
-11%.
+is not attempted.  Type (1023, 1) takes ~2 ms this way (one BLAS thread,
+2-vCPU machine).  The test runs under the `_REFINE_MIN` gate, because
+below it it costs more than it saves: on 4000 random 2-8-point games
+(interleaved, best of 5 each), the 375 that pass fell from 82 to 42 us,
+but the 1682 that fail paid 24 us more each, and the mean over all of
+them, 1943 with a shared output included, rose 11%.
 
 **Tableau.**  Most instances have under ten classes, so a dense tableau
 beats a sparse solver's per-call set-up.  The column of most negative

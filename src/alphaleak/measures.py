@@ -107,11 +107,8 @@ def _log_col_norms(M: np.ndarray, a: float) -> np.ndarray:
 
 
 def _shannon_mi_from_joint(m: np.ndarray) -> float:
-    px = m.sum(axis=1)
-    py = m.sum(axis=0)
-    mask = m > 0
-    ratio = m[mask] / (np.outer(px, py)[mask])
-    return float((m[mask] * np.log(ratio)).sum())
+    """I(X; Y) = H(X) + H(Y) - H(X, Y) of the joint pmf m."""
+    return shannon_entropy(m.sum(axis=1)) + shannon_entropy(m.sum(axis=0)) - shannon_entropy(m.ravel())
 
 
 def _log_sibson_sums(px: np.ndarray, W: np.ndarray, a: float) -> np.ndarray:
@@ -154,23 +151,19 @@ def arimoto_cond_entropy(joint: Joint, order) -> float:
     order = as_order(order)
     m = joint.m
     if order.is_one:
-        py = m.sum(axis=0)
-        return float(shannon_entropy(m.ravel()) - shannon_entropy(py))
-    if order.is_inf:
-        return float(-np.log(m.max(axis=0).sum()))
-    a = order.value
-    # an all-zero column adds exp(-inf) = 0
-    return float(a / (1.0 - a) * logsumexp(_log_col_norms(m, a)))
+        h = shannon_entropy(m.ravel()) - shannon_entropy(m.sum(axis=0))
+    elif order.is_inf:
+        h = -np.log(m.max(axis=0).sum())
+    else:
+        a = order.value
+        # an all-zero column adds exp(-inf) = 0
+        h = a / (1.0 - a) * logsumexp(_log_col_norms(m, a))
+    # rounding can leave a deterministic joint (H = 0) a few ulps below 0
+    return max(0.0, float(h))
 
 
 def arimoto_mi(joint: Joint, order) -> float:
     """Arimoto mutual information: H_alpha(X) - H^A_alpha(X|Y)."""
-    order = as_order(order)
-    if order.is_one:
-        return _shannon_mi_from_joint(joint.m)
-    if order.is_inf:
-        px_max = joint.m.sum(axis=1).max()
-        return float(np.log(joint.m.max(axis=0).sum()) - np.log(px_max))
     return renyi_entropy(joint.row_marginal(), order) - arimoto_cond_entropy(joint, order)
 
 
@@ -292,11 +285,18 @@ def custom_generator(
     )
 
 
+def _hellinger_image(v: float, alpha: float) -> float:
+    """v -> expm1((alpha - 1) v)/(alpha - 1), which takes a Renyi divergence
+    of order alpha to the Hellinger divergence of that order, and Sibson
+    leakages to Hellinger f-leakages alike."""
+    return float(np.expm1((alpha - 1.0) * v) / (alpha - 1.0))
+
+
 def f_divergence(p: Dist, q: Dist, gen: FGenerator) -> float:
     """D_f(p || q) = sum_{q(y)>0} q(y) f(p(y)/q(y)) + p(q = 0) * lim f(t)/t;
-    Hellinger as (k_alpha(p || q) - 1)/(alpha - 1): q f(p/q) overflows where q is tiny."""
+    Hellinger as the image of D_alpha(p || q): q f(p/q) overflows where q is tiny."""
     if gen.kind == "hellinger":
-        return (k_alpha(p, q, gen.alpha) - 1.0) / (gen.alpha - 1.0)
+        return _hellinger_image(renyi_divergence(p, q, gen.alpha), gen.alpha)
     _require_same_alphabet(p, q)
     pv, qv = p.p, q.p
     pos = qv > 0
@@ -308,18 +308,14 @@ def f_divergence(p: Dist, q: Dist, gen: FGenerator) -> float:
 
 
 def k_alpha(p: Dist, q: Dist, alpha: float) -> float:
-    """The certificate divergence k_alpha(p || q) = sum_y q(y) (p(y)/q(y))^alpha.
+    """The certificate divergence k_alpha(p || q) = sum_y q(y) (p(y)/q(y))^alpha,
+    that is exp((alpha - 1) D_alpha(p || q)).
 
     Always >= 1 for alpha > 1, with equality iff p = q; returns +inf when p
     puts mass where q does not.
     """
     alpha = as_order(alpha).finite_above_one("k_alpha")
-    _require_same_alphabet(p, q)
-    pv, qv = p.p, q.p
-    if np.any((pv > 0) & (qv == 0)):
-        return math.inf
-    both = pv > 0  # and so q > 0 there
-    return float(np.exp(logsumexp(alpha * np.log(pv[both]) + (1.0 - alpha) * np.log(qv[both]))))
+    return float(np.exp((alpha - 1.0) * renyi_divergence(p, q, alpha)))
 
 
 def alpha_norm_center(components: Sequence[Dist], alpha: float) -> tuple[Dist, float]:

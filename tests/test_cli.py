@@ -56,6 +56,7 @@ def test_malformed_json_exits_2(tmp_path, capsys):
 
 SPEC = {"input": ["a", "b"], "output": ["a", "b"], "d": [[0, 1], [1, 0]], "D": 0}
 CH = {"input": ["a", "b"], "output": ["u", "v"], "rows": [[0.9, 0.1], [0.2, 0.8]]}
+DIAGONAL = {"rows": ["a", "b"], "cols": ["a", "b"], "mass": [[0.3, 0.0], [0.0, 0.7]]}
 HARD = ["put", "hard", "FILE", "--alpha", "2"]
 AVG_BINARY = ["put", "avg-binary", "--p", "0.3", "--D", "0.1"]
 
@@ -84,13 +85,16 @@ AVG_BINARY = ["put", "avg-binary", "--p", "0.3", "--D", "0.1"]
         (AVG_BINARY + ["--alpha-sweep", ",,"], SPEC, "sweep ',,' names no order"),
         (HARD + ["--generator", "kl", "--prior", "MISSING"], SPEC, "--prior is read only at --alpha 1"),
         (HARD + ["--prior", "PRIOR"], SPEC, "--prior is read only at --alpha 1"),
+        (["measures", "FILE", "--alpha", "2", "--out", "NODIR"], DIAGONAL, "cannot write"),
+        (["measures", "DIR", "--alpha", "2"], DIAGONAL, "input file unreadable"),
+        (["measures", "BINARY", "--alpha", "2"], DIAGONAL, "invalid JSON"),
     ],
     ids=[
         "no-bound", "bad-distortion-entry", "top-level-list", "spec-as-joint", "string-alphabet",
         "alpha-list", "sweep-not-numbers", "sweep-to-inf", "sweep-nan-step", "tol-nan", "max-iter-negative",
         "sweep-below-one", "hard-sweep", "missing-file", "strategy-bad-base",
         "measures-empty-sweep", "measures-empty-sweep-2", "avg-binary-empty-sweep", "avg-binary-empty-sweep-2",
-        "hard-kl-prior", "hard-alpha-2-prior",
+        "hard-kl-prior", "hard-alpha-2-prior", "out-in-missing-dir", "directory", "binary-file",
     ],
 )
 def test_schema_mismatch_exits_2(tmp_path, capsys, argv, obj, named):
@@ -101,10 +105,27 @@ def test_schema_mismatch_exits_2(tmp_path, capsys, argv, obj, named):
     path.write_text(json.dumps(obj))
     prior = tmp_path / "prior.json"  # a valid law, on another alphabet than SPEC's inputs
     prior.write_text(json.dumps({"alphabet": ["u", "v", "w"], "mass": [0.2, 0.3, 0.5]}))
-    files = {"FILE": str(path), "MISSING": str(tmp_path / "missing.json"), "PRIOR": str(prior)}
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\x89PNG\r\n\x1a\n\xff")
+    files = {
+        "FILE": str(path), "MISSING": str(tmp_path / "missing.json"), "PRIOR": str(prior),
+        "NODIR": str(tmp_path / "missing" / "out.csv"), "DIR": str(tmp_path), "BINARY": str(binary),
+    }
     assert main([files.get(word, word) for word in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+def test_measures_of_a_deterministic_joint_never_go_negative(tmp_path, capsys):
+    # X = Y: the conditional entropy and the loss are 0, never printed as
+    # -0 or a few ulps below; exactly 0 at alpha = 1
+    path = tmp_path / "joint.json"
+    path.write_text(json.dumps(DIAGONAL))
+    assert main(["measures", str(path), "--alpha-sweep", "1,1.5,2,5,inf"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 5 and rows[0][2] == rows[0][4] == "0"
+    for _, _, cond_entropy, _, loss in rows:
+        assert not cond_entropy.startswith("-") and not loss.startswith("-")
 
 
 def test_put_hard_hellinger(hamming_file, capsys):

@@ -13,6 +13,7 @@ from alphaleak import (
     ValidationError,
     alpha_leakage,
     alpha_loss,
+    arimoto_cond_entropy,
     arimoto_mi,
     binary_channel,
     binary_maximal_alpha_leakage,
@@ -157,6 +158,17 @@ class TestMinExpectedAlphaLoss:
         joint = make_joint(Dist.uniform(B), Channel.identity(B))
         for a in (1.0, 1.7, 3.0, math.inf):
             assert min_expected_alpha_loss(joint, a) == pytest.approx(0.0, abs=1e-12)
+        # X = Y under random laws: H^A_alpha(X|Y) = 0 exactly, and rounding
+        # must not read it as a few ulps below, nor pass alpha_loss a
+        # probability above 1
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            n = int(rng.integers(2, 9))
+            alphabet = Alphabet.of_size(n, "x")
+            joint = Joint(alphabet, alphabet, np.diag(rng.dirichlet(np.ones(n))))
+            for a in (1.0, 1.5, 2.0, 5.0, math.inf):
+                assert arimoto_cond_entropy(joint, a) >= 0.0
+                assert min_expected_alpha_loss(joint, a) >= 0.0
 
     def test_blind_binary_map(self):
         indep = Joint(B, B, [[0.25, 0.25], [0.25, 0.25]])
@@ -678,6 +690,13 @@ class TestMaximalFLeakage:
         with pytest.raises(ConvergenceError) as exc:
             maximal_f_leakage(ch, kl_generator(), max_iter=0)
         assert exc.value.residual == math.inf and exc.value.iterations == 0
+
+    def test_no_iterations_raises_on_the_hellinger_route(self):
+        # Hellinger is solved as a capacity: max_iter must reach that solver
+        ch = random_channel(np.random.default_rng(0), 3, 3)
+        with pytest.raises(ConvergenceError) as exc:
+            maximal_f_leakage(ch, hellinger_generator(2.0), max_iter=0)
+        assert exc.value.iterations == 0
 
     @pytest.mark.parametrize(
         "rows",

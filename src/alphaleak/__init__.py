@@ -24,13 +24,11 @@ from .prob import (
 from .measures import (
     FGenerator,
     LogBase,
-    alpha_norm_center,
     arimoto_cond_entropy,
     arimoto_mi,
     custom_generator,
     f_divergence,
     hellinger_generator,
-    k_alpha,
     kl_generator,
     renyi_divergence,
     renyi_entropy,
@@ -38,18 +36,15 @@ from .measures import (
 )
 from .leakage import (
     CapacityResult,
-    StrategyResult,
     alpha_leakage,
     alpha_loss,
     binary_maximal_alpha_leakage,
-    capacity_lower_bound,
     f_leakage,
     maximal_alpha_leakage,
     maximal_f_leakage,
     maximal_leakage,
     min_expected_alpha_loss,
     optimal_strategy,
-    strategy_for,
 )
 from .put import (
     AvgHammingSolution,
@@ -68,7 +63,6 @@ from .datasets import (
     HammingPutResult,
     TypeIndexSet,
     TypePutResult,
-    UniformBallMechanism,
     hamming_ball_size,
     hamming_crosscheck,
     hamming_put,

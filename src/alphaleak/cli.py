@@ -175,12 +175,12 @@ def cmd_capacity(args) -> None:
             row = [
                 _fmt(order.value),
                 _fmt(base.from_nats(res.value)),
-                _fmt(res.kkt_residual),
+                _fmt(base.from_nats(res.kkt_residual)),
             ] + [_fmt(v) for v in res.optimal_input.p]
             if is_binary:
                 if order.is_finite_gt_one:
                     closed = binary_maximal_alpha_leakage(ch.rows[0, 1], ch.rows[1, 0], order.value)
-                    row += [_fmt(base.from_nats(closed)), _fmt(abs(closed - res.value))]
+                    row += [_fmt(base.from_nats(closed)), _fmt(base.from_nats(abs(closed - res.value)))]
                 else:
                     row += ["", ""]
             rows.append(row)

@@ -6,13 +6,13 @@ exactly i ones).  Under the type-distance distortion |type(x) - type(y)|
 number of balls needed to cover the type line, ceil((n+1)/(2m+1)), and an
 optimal mechanism collapses each input type class onto one representative
 dataset of a selected output class.  Under Hamming distortion the optimal
-value is the log-ratio of the space size to the Hamming ball size and the
-optimal mechanism is uniform over each ball.
+value is the log-ratio of the space size to the Hamming ball size, attained
+by the mechanism uniform over each ball (`hamming_put`).
 
-All combinatorics are exact (integers and fractions); floats appear only
-in the final logarithms.  Cross-checks re-derive each closed form through
-the generic maximin solver (`put.q_star`) on an explicitly materialized
-distortion spec.
+All combinatorics are exact integers; floats appear only in the final
+logarithms.  Cross-checks re-derive each closed form through the generic
+maximin solver (`put.q_star`) on an explicitly materialized distortion
+spec.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 import numpy as np
 
 from .errors import ValidationError
-from .prob import Alphabet, Channel, Dist
-from .put import DistortionSpec, optimal_mechanism, q_star
+from .prob import Alphabet
+from .put import DistortionSpec, q_star
 
 ENUMERATION_LIMIT = 1024  # largest q**n materialized as an explicit spec
 
@@ -136,41 +135,21 @@ def hamming_ball_size(n: int, m: int, q: int) -> int:
 
 
 @dataclass(frozen=True)
-class UniformBallMechanism:
-    """Symbolic uniform-over-ball mechanism: 1/|ball| on each feasible
-    output, exactly zero elsewhere.  `prob` gives the entries as rationals,
-    so row sums are exactly one; `materialize` builds the float channel as
-    the uniform law restricted to each ball of the explicit spec."""
-
-    n: int
-    m: int
-    q: int
-    ball_size: int
-
-    def prob(self, x: str, y: str) -> Fraction:
-        if len(x) != self.n or len(y) != self.n:
-            raise ValidationError(f"datasets must have length {self.n}")
-        mismatches = sum(a != b for a, b in zip(x, y))
-        return Fraction(1, self.ball_size) if mismatches <= self.m else Fraction(0)
-
-    def materialize(self) -> Channel:
-        spec = build_hamming_spec(self.n, self.m, self.q)
-        return optimal_mechanism(Dist.uniform(spec.output_alphabet), spec)
-
-
-@dataclass(frozen=True)
 class HammingPutResult:
     value: float  # nats
     ball_size: int
-    mechanism: UniformBallMechanism
 
 
 def hamming_put(n: int, m: int, q: int) -> HammingPutResult:
     """Optimal tradeoff log(q^n / ball_size) under Hamming distortion at
-    most m/n, achieved by the uniform-over-ball mechanism."""
+    most m/n, achieved by the mechanism uniform over each ball: 1/ball_size
+    on every output within distance m of the input.  For q^n within
+    `ENUMERATION_LIMIT` it is
+    `optimal_mechanism(Dist.uniform(spec.output_alphabet), spec)` with
+    `spec = build_hamming_spec(n, m, q)`."""
     ball = hamming_ball_size(n, m, q)
     value = n * math.log(q) - math.log(ball)
-    return HammingPutResult(value=value, ball_size=ball, mechanism=UniformBallMechanism(n, m, q, ball))
+    return HammingPutResult(value=value, ball_size=ball)
 
 
 def enumerate_datasets(n: int, q: int) -> list[str]:

@@ -37,7 +37,6 @@ from .measures import (
     arimoto_mi,
     sibson_mi,
     _hellinger_image,
-    _log_col_norms,
     _log_rows,
     _log_sibson_sums,
     _shannon_mi_from_joint,
@@ -279,12 +278,6 @@ class CapacityResult:
     iterations: int
 
 
-@dataclass(frozen=True)
-class StrategyResult:
-    strategy: Channel
-    expected_loss: float
-
-
 def alpha_loss(prob_correct: float, order) -> float:
     """Loss of assigning probability `prob_correct` to the true symbol."""
     order = as_order(order).require_at_least_one("alpha_loss")
@@ -330,15 +323,6 @@ def min_expected_alpha_loss(joint: Joint, order) -> float:
     column variable; attained by the tilted-posterior strategy."""
     order = as_order(order).require_at_least_one("min_expected_alpha_loss")
     return alpha_loss(math.exp(-arimoto_cond_entropy(joint, order)), order)
-
-
-def strategy_for(joint: Joint, order) -> StrategyResult:
-    """Optimal strategy for a joint, bundled with its expected loss."""
-    posterior = conditional_of(joint.swapped()).conditional
-    return StrategyResult(
-        strategy=optimal_strategy(posterior, order),
-        expected_loss=min_expected_alpha_loss(joint, order),
-    )
 
 
 def alpha_leakage(joint: Joint, order) -> float:
@@ -426,6 +410,7 @@ def maximal_alpha_leakage(
         "input-distribution ascent did not reach tolerance: capacity gap (upper - lower)",
     )
     q = np.zeros(len(out_alpha))
+    # The Sibson centre from the solver's M: the log-domain form costs ~10x more.
     q[reachable] = colmax * (M @ p) ** (1.0 / a)
     # Both laws come normalized from the solver: no re-validation.
     return CapacityResult(
@@ -471,30 +456,6 @@ def binary_maximal_alpha_leakage(rho1, rho2, alpha: float):
     lb = _log_divided_difference(np.stack([1.0 - r2, 1.0 - r1]), np.stack([r1, r2]), alpha)
     value = np.asarray(lm / (alpha - 1.0) + logsumexp(lb / (1.0 - alpha), axis=0))
     return float(value) if value.ndim == 0 else value
-
-
-def capacity_lower_bound(channel: Channel, alpha: float) -> tuple[float, bool]:
-    """Closed-form lower bound on the maximal alpha-leakage: Sibson's
-    I^S_alpha at the uniform input,
-    (alpha/(alpha-1)) log( sum_y ||W(y|.)||_alpha / |X|^(1/alpha) ).
-
-    The second return value reports whether the equalization condition for
-    the bound to be tight holds: the per-input sums
-    sum_y W(y|x)^alpha / ||W(y|.)||_alpha^(alpha-1) must agree across x
-    (checked to 1e-9 after normalizing by their mean).  True implies the
-    bound matches the capacity; False asserts nothing.
-    """
-    alpha = as_order(alpha).finite_above_one("capacity lower bound")
-    W = channel.rows
-    n_in = W.shape[0]
-    col_lognorm = _log_col_norms(W, alpha)
-    finite = col_lognorm > -np.inf
-    log_c = logsumexp(
-        alpha * _log_rows(W[:, finite]) - (alpha - 1.0) * col_lognorm[finite][None, :], axis=1
-    )
-    c_norm = np.exp(log_c - logsumexp(log_c) + math.log(n_in))
-    holds = bool(c_norm.max() - c_norm.min() <= 1e-9)
-    return sibson_mi(Dist.uniform(channel.input_alphabet), channel, alpha), holds
 
 
 # --------------------------------------------------------------------------
@@ -543,7 +504,10 @@ def f_leakage(joint: Joint, gen: FGenerator, tol: float = 1e-10, max_iter: int =
     The KL generator short-circuits to Shannon mutual information with the
     output marginal as minimizer; Hellinger of order alpha short-circuits
     through the Sibson closed form and the monotone bijection between the
-    two divergences.  Custom generators run `_min_fdiv_over_reference`.
+    two divergences, and its minimizer is the Sibson centre
+    Q(y) proportional to (sum_x P(x) W(y|x)^alpha)^(1/alpha), the output law
+    that `maximal_alpha_leakage` also returns at its optimal input.  Custom
+    generators run `_min_fdiv_over_reference`.
     """
     prior, channel, _ = conditional_of(joint)
     out_alpha = joint.col_alphabet

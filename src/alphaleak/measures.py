@@ -2,9 +2,8 @@
 
 Covers the Renyi family (entropy, divergence), the Sibson and Arimoto
 mutual informations of order alpha with their alpha = 1 and alpha = inf
-extensions, f-divergences (KL, Hellinger of order alpha, user-supplied
-convex generators), the k_alpha certificate divergence, and the alpha-norm
-center of a family of distributions.
+extensions, and f-divergences (KL, Hellinger of order alpha, user-supplied
+convex generators).
 
 All values are computed and returned in nats; `LogBase` converts at the
 API boundary only, so there is a single internal unit convention.
@@ -20,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -305,36 +304,3 @@ def f_divergence(p: Dist, q: Dist, gen: FGenerator) -> float:
     if escaped > 0.0:
         val = val + escaped * gen.slope_at_inf if math.isfinite(gen.slope_at_inf) else math.inf
     return val
-
-
-def k_alpha(p: Dist, q: Dist, alpha: float) -> float:
-    """The certificate divergence k_alpha(p || q) = sum_y q(y) (p(y)/q(y))^alpha,
-    that is exp((alpha - 1) D_alpha(p || q)).
-
-    Always >= 1 for alpha > 1, with equality iff p = q; returns +inf when p
-    puts mass where q does not.
-    """
-    alpha = as_order(alpha).finite_above_one("k_alpha")
-    return float(np.exp((alpha - 1.0) * renyi_divergence(p, q, alpha)))
-
-
-def alpha_norm_center(components: Sequence[Dist], alpha: float) -> tuple[Dist, float]:
-    """Center of a family of distributions under k_alpha.
-
-    Returns (P_c, Z) with P_c(y) = (sum_k P_k(y)^alpha)^(1/alpha) / Z and Z
-    the normalizer; P_c uniquely minimizes sum_k k_alpha(P_k || .) and the
-    attained minimum equals Z^alpha.
-    """
-    alpha = as_order(alpha).finite_above_one("alpha_norm_center")
-    if not components:
-        raise ValidationError("alpha_norm_center requires a nonempty family")
-    alphabet = components[0].alphabet
-    for comp in components[1:]:
-        if comp.alphabet != alphabet:
-            raise ValidationError("components live on different alphabets")
-    stack = np.stack([c.p for c in components])  # K x n
-    col_lognorms = _log_col_norms(stack, alpha)
-    log_z = logsumexp(col_lognorms)  # an all-zero column adds exp(-inf) = 0
-    pc = np.exp(col_lognorms - log_z)
-    pc = pc / pc.sum()
-    return Dist(alphabet, pc), float(np.exp(log_z))

@@ -249,6 +249,21 @@ def test_capacity_binary_closed_form_column(files, capsys):
     check_csv(out, CAPACITY_BINARY, {"kkt_residual": 1e-10, "closed_form_gap": 1e-12})
 
 
+def test_capacity_in_bits_converts_every_column_in_nats(files, capsys):
+    # the gaps are differences of values, so they take the unit of the values
+    tables = {}
+    for base in ("nats", "bits"):
+        code, out, _ = run(["capacity", files["binary"], "--alpha-sweep", "2,4", "--base", base], capsys)
+        assert code == 0
+        lines = [line.split(",") for line in out.splitlines()]
+        tables[base] = [dict(zip(lines[0], row)) for row in lines[1:]]
+    for nats, bits in zip(tables["nats"], tables["bits"], strict=True):
+        for column in ("value", "kkt_residual", "closed_form", "closed_form_gap"):
+            want = float(nats[column]) / np.log(2.0)
+            assert float(bits[column]) == pytest.approx(want, rel=1e-11, abs=0.0), column
+        assert bits["optimal_input_x0"] == nats["optimal_input_x0"]
+
+
 def test_out_writes_the_file(files, tmp_path, capsys):
     path = tmp_path / "measures.csv"
     argv = ["measures", files["joint"], "--alpha-sweep", "1,1.5,2,inf", "--base", "bits", "--out", str(path)]

@@ -1,10 +1,9 @@
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from alphaleak import ValidationError, lp, q_star, type_index_set
+from alphaleak import Dist, ValidationError, lp, optimal_mechanism, q_star, type_index_set
 from alphaleak.datasets import (
     ENUMERATION_LIMIT,
     build_hamming_spec,
@@ -102,17 +101,16 @@ def test_type_distance_q_star_needs_no_tableau(monkeypatch):
 
 
 def test_uniform_ball_mechanism_is_uniform_on_each_ball():
-    # prob is 1/|ball| inside the Hamming ball and exactly 0 outside; the
-    # rows of the materialized channel sum to 1
+    # the uniform law restricted to each ball puts 1/|ball| inside the
+    # Hamming ball and exactly 0 outside; its rows sum to 1
     for n, m, q in ((3, 1, 2), (2, 1, 3)):
-        mech = hamming_put(n, m, q).mechanism
+        ball_size = hamming_put(n, m, q).ball_size
+        spec = build_hamming_spec(n, m, q)
+        rows = optimal_mechanism(Dist.uniform(spec.output_alphabet), spec).rows
         words = enumerate_datasets(n, q)
-        for x in words:
-            row = [mech.prob(x, y) for y in words]
-            inside = [sum(a != b for a, b in zip(x, y)) <= m for y in words]
-            assert all(p == Fraction(1, mech.ball_size) for p, i in zip(row, inside) if i)
-            assert all(p == 0 for p, i in zip(row, inside) if not i)
-            assert sum(row) == 1
-        rows = mech.materialize().rows
+        for x, row in zip(words, rows, strict=True):
+            inside = np.array([sum(a != b for a, b in zip(x, y)) <= m for y in words])
+            assert np.abs(row[inside] - 1.0 / ball_size).max() <= 1e-16
+            assert np.all(row[~inside] == 0.0)
         assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-15
-        assert np.array_equal(rows > 0, build_hamming_spec(n, m, q).ball_mask)
+        assert np.array_equal(rows > 0, spec.ball_mask)

@@ -17,8 +17,8 @@ from alphaleak import (
     arimoto_mi,
     binary_channel,
     binary_maximal_alpha_leakage,
-    capacity_lower_bound,
     cascade,
+    conditional_of,
     f_divergence,
     f_leakage,
     hellinger_generator,
@@ -32,7 +32,6 @@ from alphaleak import (
     optimal_strategy,
     product_channel,
     sibson_mi,
-    strategy_for,
 )
 import alphaleak.leakage as leakage
 from alphaleak.leakage import _free_least_squares, _simplex_qp_step
@@ -183,13 +182,14 @@ class TestMinExpectedAlphaLoss:
         rng = np.random.default_rng(21)
         for _ in range(25):
             joint = random_joint(rng, rng.integers(2, 4), rng.integers(2, 4))
+            posterior = conditional_of(joint.swapped()).conditional
             for a in (1.0, 1.4, 2.0, 6.0, math.inf):
-                res = strategy_for(joint, a)
+                strategy = optimal_strategy(posterior, a)
                 direct = expected_alpha_loss_of(
-                    joint.m, res.strategy.rows[None, :, :], "inf" if a == math.inf else a
+                    joint.m, strategy.rows[None, :, :], "inf" if a == math.inf else a
                 )[0]
-                assert res.expected_loss == pytest.approx(direct, abs=1e-10)
-                assert np.allclose(res.strategy.rows.sum(axis=1), 1.0, atol=1e-12)
+                assert min_expected_alpha_loss(joint, a) == pytest.approx(direct, abs=1e-10)
+                assert np.allclose(strategy.rows.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestAlphaLeakage:
@@ -573,24 +573,23 @@ class TestBinaryClosedForm:
 
 
 class TestCapacityLowerBound:
+    """Sibson's I^S_alpha at the uniform input bounds the capacity from below."""
+
     def test_bsc_is_tight(self):
         for rho in (0.05, 0.1, 0.25):
             for a in (1.5, 2.0, 4.0):
-                bound, holds = capacity_lower_bound(binary_channel(rho, rho), a)
+                bound = sibson_mi(Dist.uniform(B), binary_channel(rho, rho), a)
                 symbolic = math.log(2) + math.log((1 - rho) ** a + rho**a) / (a - 1.0)
                 assert bound == pytest.approx(symbolic, abs=1e-12)
-                assert holds
                 assert bound == pytest.approx(binary_maximal_alpha_leakage(rho, rho, a), abs=1e-9)
 
     def test_rank_one(self):
-        bound, holds = capacity_lower_bound(Channel(B, B, [[0.3, 0.7], [0.3, 0.7]]), 2.0)
+        bound = sibson_mi(Dist.uniform(B), Channel(B, B, [[0.3, 0.7], [0.3, 0.7]]), 2.0)
         assert bound == pytest.approx(0.0, abs=1e-12)
-        assert holds
 
     def test_asymmetric_strictly_below(self):
-        bound, holds = capacity_lower_bound(binary_channel(0.05, 0.3), 2.0)
+        bound = sibson_mi(Dist.uniform(B), binary_channel(0.05, 0.3), 2.0)
         value = maximal_alpha_leakage(binary_channel(0.05, 0.3), 2.0).value
-        assert not holds
         assert bound < value - 1e-4
 
 
@@ -606,6 +605,17 @@ class TestFLeakage:
             value, q = f_leakage(indep, gen)
             assert value == pytest.approx(0.0, abs=1e-10)
             assert q.allclose(indep.col_marginal(), atol=1e-8)
+
+    def test_hellinger_reference_is_the_capacity_output_law(self):
+        # Two computations of the Sibson centre: from the capacity solver's
+        # matrix, and in the log domain by the Hellinger short circuit.
+        rng = np.random.default_rng(60)
+        for _ in range(200):
+            W = random_channel(rng, *(int(v) for v in rng.integers(2, 12, size=2)))
+            for a in (1.5, 2.0, 5.0, 20.0):
+                res = maximal_alpha_leakage(W, a)
+                _, q = f_leakage(make_joint(res.optimal_input, W), hellinger_generator(a))
+                assert np.abs(q.p - res.target_output.p).max() <= 1e-14
 
     def _grid_min(self, joint, gen):
         from alphaleak import conditional_of, f_divergence

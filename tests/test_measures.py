@@ -9,14 +9,13 @@ from alphaleak import (
     Dist,
     Joint,
     ValidationError,
-    alpha_norm_center,
     arimoto_cond_entropy,
     arimoto_mi,
     binary_channel,
     custom_generator,
     f_divergence,
+    f_leakage,
     hellinger_generator,
-    k_alpha,
     kl_generator,
     log_alpha_norm,
     make_joint,
@@ -301,68 +300,83 @@ class TestFGenerator:
 
 
 class TestKAlpha:
+    """The certificate divergence k_alpha(p || q) = sum_y q (p/q)^alpha is
+    exp((alpha - 1) D_alpha(p || q)), here through `renyi_divergence`."""
+
     def test_unity_iff_equal(self):
         rng = np.random.default_rng(12)
         for _ in range(10_000):
             p = random_dist(rng, 3)
             q = random_dist(rng, 3)
             a = float(rng.uniform(1.01, 8.0))
-            val = k_alpha(p, q, a)
+            val = math.exp((a - 1.0) * renyi_divergence(p, q, a))
             assert val >= 1.0 - 1e-12
             if np.allclose(p.p, q.p, atol=1e-12):
                 assert val == pytest.approx(1.0, abs=1e-12)
-            assert k_alpha(p, p, a) == pytest.approx(1.0, abs=1e-12)
+            assert math.exp((a - 1.0) * renyi_divergence(p, p, a)) == pytest.approx(1.0, abs=1e-12)
 
     def test_point_mass_doubling(self):
-        assert k_alpha(Dist(B, [1.0, 0.0]), Dist.uniform(B), 2.0) == pytest.approx(2.0, abs=1e-14)
+        got = renyi_divergence(Dist(B, [1.0, 0.0]), Dist.uniform(B), 2.0)
+        assert math.exp(got) == pytest.approx(2.0, abs=1e-14)
 
     def test_mild_tilt(self):
         # sum p^2/q = (0.36 + 0.16) / 0.5
-        got = k_alpha(Dist(B, [0.6, 0.4]), Dist.uniform(B), 2.0)
-        assert got == pytest.approx(1.04, abs=1e-14)
+        got = renyi_divergence(Dist(B, [0.6, 0.4]), Dist.uniform(B), 2.0)
+        assert math.exp(got) == pytest.approx(1.04, abs=1e-14)
 
     def test_support_violation(self):
-        assert k_alpha(Dist(B, [0.5, 0.5]), Dist(B, [1.0, 0.0]), 2.0) == math.inf
+        assert renyi_divergence(Dist(B, [0.5, 0.5]), Dist(B, [1.0, 0.0]), 2.0) == math.inf
 
-    def test_rejects_order_at_most_one(self):
-        with pytest.raises(ValidationError):
-            k_alpha(bern(0.5), bern(0.5), 1.0)
+
+def sibson_centre(comps: list[Dist], a: float) -> tuple[Dist, float]:
+    """The Hellinger f-leakage of the family as equally likely channel rows
+    and its minimizer, the Sibson centre, normalized column alpha-norms."""
+    inputs = Alphabet.of_size(len(comps), "k")
+    channel = Channel(inputs, comps[0].alphabet, [c.p for c in comps])
+    value, centre = f_leakage(make_joint(Dist.uniform(inputs), channel), hellinger_generator(a))
+    return centre, value
 
 
 class TestAlphaNormCenter:
+    """The Sibson centre P_c(y) = (sum_k P_k(y)^alpha)^(1/alpha) / Z of a
+    family minimizes sum_k k_alpha(P_k || .), attaining Z^alpha."""
+
     def test_single_component_fixed_point(self):
         d = Dist(B, [0.3, 0.7])
-        center, z = alpha_norm_center([d], 2.0)
+        center, value = sibson_centre([d], 2.0)
         assert center.allclose(d, atol=1e-14)
-        assert z == pytest.approx(1.0, abs=1e-14)
+        assert value == pytest.approx(0.0, abs=1e-14)
 
     def test_two_identical_components(self):
         d = Dist(B, [0.3, 0.7])
         for a in (1.5, 2.0, 5.0):
-            center, z = alpha_norm_center([d, d], a)
+            center, value = sibson_centre([d, d], a)
             assert center.allclose(d, atol=1e-12)
-            assert z == pytest.approx(2.0 ** (1.0 / a), abs=1e-12)
+            assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_bsc_rows_center_uniform(self):
         rows = binary_channel(0.1, 0.1).rows
-        center, _ = alpha_norm_center([Dist(B, rows[0]), Dist(B, rows[1])], 2.0)
+        center, _ = sibson_centre([Dist(B, rows[0]), Dist(B, rows[1])], 2.0)
         assert center.allclose(Dist.uniform(B), atol=1e-12)
 
     def test_sum_identity_and_minimality(self):
         rng = np.random.default_rng(13)
+
+        def k_sum(comps, q, a):
+            return sum(math.exp((a - 1.0) * renyi_divergence(c, q, a)) for c in comps)
+
         for _ in range(30):
             comps = [random_dist(rng, 4) for _ in range(rng.integers(2, 5))]
             a = float(rng.uniform(1.1, 6.0))
-            center, z = alpha_norm_center(comps, a)
-            attained = sum(k_alpha(c, center, a) for c in comps)
+            center, value = sibson_centre(comps, a)
+            z = ((np.stack([c.p for c in comps]) ** a).sum(axis=0) ** (1.0 / a)).sum()
+            attained = k_sum(comps, center, a)
             assert attained == pytest.approx(z**a, abs=1e-9 * max(1.0, z**a))
+            # the leakage is the mean Hellinger divergence (k_alpha - 1)/(alpha - 1)
+            assert attained == pytest.approx(len(comps) * (1.0 + (a - 1.0) * value), rel=1e-12)
             for _ in range(100):
                 other = random_dist(rng, 4)
-                assert sum(k_alpha(c, other, a) for c in comps) >= attained - 1e-9
-
-    def test_empty_family_rejected(self):
-        with pytest.raises(ValidationError):
-            alpha_norm_center([], 2.0)
+                assert k_sum(comps, other, a) >= attained - 1e-9
 
 
 class TestLogBase:

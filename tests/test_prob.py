@@ -11,15 +11,12 @@ from alphaleak import (
     Dist,
     Joint,
     ValidationError,
-    alpha_norm_center,
     avg_hamming_binary_put,
     binary_channel,
     binary_maximal_alpha_leakage,
-    capacity_lower_bound,
     cascade,
     conditional_of,
     hellinger_generator,
-    k_alpha,
     log_alpha_norm,
     make_joint,
     product_channel,
@@ -67,13 +64,9 @@ class TestAlphaOrder:
                 AlphaOrder(bad).finite_above_one("test")
 
 
-P, Q = Dist(B, [0.3, 0.7]), Dist(B, [0.6, 0.4])
 FINITE_ORDER_ONLY = {
-    "capacity_lower_bound": lambda a: capacity_lower_bound(binary_channel(0.1, 0.2), a),
-    "k_alpha": lambda a: k_alpha(P, Q, a),
     "binary_maximal_alpha_leakage": lambda a: binary_maximal_alpha_leakage(0.1, 0.2, a),
     "hellinger_generator": hellinger_generator,
-    "alpha_norm_center": lambda a: alpha_norm_center([P, Q], a),
     "avg_hamming_binary_put": lambda a: avg_hamming_binary_put(0.3, 0.1, a),
 }
 

@@ -16,7 +16,9 @@ fallback, the Frank-Wolfe gap as the stopping rule.  A
 capacity is certified two-sidedly by the minimax identity
 C_alpha = min_Q max_x D_alpha(W_x || Q): I^S_alpha(P) at the returned input
 law P is a lower bound, and max_x D_alpha(W_x || Q_P) at its output law Q_P
-an upper bound.
+an upper bound.  With two outputs, every row mixes the two of extreme W(y0|x)
+and D_alpha(. || Q) is quasi-convex (van Erven & Harremoes, IEEE Trans. IT
+2014), so the solve starts at the closed-form optimum on those two rows.
 
 Leakage operations require alpha >= 1 (orders below 1 have no loss
 interpretation here and are rejected); the raw information measures in
@@ -168,8 +170,9 @@ def _simplex_qp_step(A, r, z, start):
 
 def _minimize_on_simplex(M, value, derivatives, certify, max_iter: int, failure: str, start=None):
     """Minimize the convex F(z) = sum_i g_i((M z)_i) over distributions z,
-    from `start`, a distribution at which M z > 0 (default: the uniform
-    one); a start the certificate accepts is returned after 0 iterations.
+    from `start` (default, and in place of a start where F or its
+    derivatives are not finite: the uniform point); a start the
+    certificate accepts is returned after 0 iterations.
     `value(s)` is F at M z = s > 0, `derivatives(s)`
     the pair (g'(s), g''(s)), g'' > 0; the gradient is M^T g'(M z).  The
     Frank-Wolfe gap <grad F(z), z> - min grad F bounds F(z) - min F without
@@ -192,7 +195,8 @@ def _minimize_on_simplex(M, value, derivatives, certify, max_iter: int, failure:
         return (value(s) if s.min() > 0.0 else math.inf), s
 
     def derivs(z, s):
-        dg, curv = derivatives(s)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            dg, curv = derivatives(s)
         grad = M.T @ dg
         if not (np.isfinite(grad).all() and np.isfinite(curv).all()):
             return None
@@ -223,10 +227,15 @@ def _minimize_on_simplex(M, value, derivatives, certify, max_iter: int, failure:
                 return best
         return best
 
-    n = M.shape[1]
-    z = np.full(n, 1.0 / n) if start is None else start
-    val, s = objective(z)
-    grad, dg, curv, fw = derivs(z, s)
+    z, first = start, None
+    if z is not None:
+        val, s = objective(z)
+        first = derivs(z, s) if math.isfinite(val) else None
+    if first is None:  # no start, or one outside the domain
+        z = np.full(M.shape[1], 1.0 / M.shape[1])
+        val, s = objective(z)
+        first = derivs(z, s)
+    grad, dg, curv, fw = first
     gap, limit = certify(val, fw)
     least_fw = fw
     start = z
@@ -353,7 +362,9 @@ def maximal_alpha_leakage(
     with `_minimize_on_simplex` until the measured gap upper - lower (see
     CapacityResult) is at most `tol` nats, in absolute terms; otherwise
     ConvergenceError is raised with that gap as `residual` and the
-    iterations taken as `iterations`.
+    iterations taken as `iterations`.  With two reachable outputs it starts
+    at the optimum on the two inputs of extreme W(y0|x), which is optimal
+    (see the module docstring), and mostly certifies after 0 iterations.
 
     alpha = 1: Shannon mutual information at `prior_for_one`, which is
     required (the alpha = 1 value depends on the actual input law, not
@@ -386,8 +397,9 @@ def maximal_alpha_leakage(
     # S(P) = sum_y colmax_y t_y^(1/a) and I^S_a(P) = a/(a-1) log S(P); the
     # solver minimizes the convex F = -S.
     reachable = W.sum(axis=0) > 0
-    colmax = W[:, reachable].max(axis=0)
-    M = np.power(W[:, reachable] / colmax, a).T
+    W = W[:, reachable]
+    colmax = W.max(axis=0)
+    M = np.power(W / colmax, a).T
 
     def value(t):
         return -float(colmax @ t ** (1.0 / a))
@@ -401,6 +413,20 @@ def maximal_alpha_leakage(
         # and <grad F, P> = F / a.
         return math.log1p(-a * fw_gap / val) / (a - 1.0), tol
 
+    start = None
+    if M.shape[0] == 2:
+        # The optimum on the inputs i, j of extreme W(y0|x), read from W since
+        # M underflows at large a: S is stationary along t = M[:, j] + x d
+        # where t_0 / t_1 = k.
+        i, j = np.argmax(W[:, 0]), np.argmin(W[:, 0])
+        d = M[:, i] - M[:, j]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            k = np.exp(a / (1.0 - a) * np.log(colmax[1] * -d[1] / (colmax[0] * d[0])))
+            x = (k * M[1, j] - M[0, j]) / (d[0] - k * d[1])
+        if i != j and 0.0 < x < 1.0:
+            start = np.zeros(M.shape[1])
+            start[i], start[j] = x, 1.0 - x
+
     p, val, gap, iterations = _minimize_on_simplex(
         M,
         value,
@@ -408,6 +434,7 @@ def maximal_alpha_leakage(
         certify,
         max_iter,
         "input-distribution ascent did not reach tolerance: capacity gap (upper - lower)",
+        start,
     )
     q = np.zeros(len(out_alpha))
     # The Sibson centre from the solver's M: the log-domain form costs ~10x more.

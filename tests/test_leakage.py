@@ -382,10 +382,98 @@ class TestMaximalAlphaLeakage:
         assert res.kkt_residual == 0.0
 
     def test_nonconvergence_raises_with_the_gap(self):
+        # a 3x3 channel: two-output channels start at their optimum
+        ch = Channel(
+            Alphabet.of_size(3, "x"),
+            Alphabet.of_size(3, "y"),
+            [[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]],
+        )
         with pytest.raises(ConvergenceError, match="capacity gap") as info:
-            maximal_alpha_leakage(binary_channel(0.3, 0.1), 2.0, tol=1e-16, max_iter=2)
+            maximal_alpha_leakage(ch, 2.0, tol=1e-16, max_iter=2)
         assert info.value.iterations == 2
         assert info.value.residual > 1e-16
+
+    def test_tiny_entries_raise_no_warning(self):
+        # steps through points where the derivatives divide by zero; those
+        # points are rejected, and numpy must not warn about them
+        W = [[1e-12, 1.0 - 1e-12 - 1e-8, 1e-8], [0.01, 0.9896, 0.0004]]
+        ch = Channel(Alphabet.of_size(2, "x"), Alphabet.of_size(3, "y"), W)
+        res = maximal_alpha_leakage(ch, 20.0)
+        gap = capacity_gap(np.array(W), 20.0, res.optimal_input.p, res.target_output.p)
+        assert res.kkt_residual == pytest.approx(gap, abs=1e-12)
+        assert res.kkt_residual <= 1e-10
+
+    def test_start_outside_the_domain_falls_back_to_uniform(self, monkeypatch):
+        # from (1/2, 1/2, 0) no input reaches the third output, so F = inf
+        # there; the solve starts from the uniform point instead
+        W = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.4, 0.4, 0.2]])
+        ch = Channel(Alphabet.of_size(3, "x"), Alphabet.of_size(3, "y"), W)
+        cold = maximal_alpha_leakage(ch, 2.0)
+        solve = leakage._minimize_on_simplex
+        monkeypatch.setattr(
+            leakage,
+            "_minimize_on_simplex",
+            lambda *args: solve(*args[:6], np.array([0.5, 0.5, 0.0])),
+        )
+        res = maximal_alpha_leakage(ch, 2.0)
+        assert res.kkt_residual <= 1e-10
+        assert res.iterations == cold.iterations
+        assert res.value == cold.value
+
+
+class TestTwoOutputStart:
+    """With two outputs the solve starts at the optimum on the two inputs
+    of extreme W(y0|x): every row is a mixture of those two, and
+    D_a(. || Q) is quasi-convex, so some optimal input lives on them."""
+
+    ORDERS = (1.01, 1.05, 1.25, 2.0, 5.0, 20.0, 100.0, 1000.0)
+
+    @staticmethod
+    def bound(res, a):
+        # the two-sided gap, the closed form's eps / (a - 1) near the
+        # rank-one locus, and a few ulps of the O(1) value at large a
+        return res.kkt_residual + 1e-14 / (a - 1.0) + 2e-15
+
+    def test_matches_the_binary_closed_form(self):
+        rng = np.random.default_rng(61)
+        r1, r2 = rng.uniform(0.0, 1.0, (2, 60))  # r1 + r2 > 1 for about half
+        edge = rng.uniform(0.0, 1.0, 8)
+        near = TestBinaryClosedForm.near_locus(rng, 10, lo=-9, hi=-6)
+        r1 = np.r_[r1, np.zeros(8), np.ones(8), np.full(8, 1e-12), edge, near[0]]
+        r2 = np.r_[r2, edge, edge, edge, np.zeros(8), near[1]]
+        for x, y in zip(r1, r2):
+            for a in self.ORDERS:
+                res = maximal_alpha_leakage(binary_channel(x, y), a)
+                assert res.kkt_residual <= 1e-10
+                closed = binary_maximal_alpha_leakage(x, y, a)
+                assert abs(res.value - closed) <= self.bound(res, a), (x, y, a)
+
+    def test_matches_the_closed_form_of_the_extreme_rows(self):
+        rng = np.random.default_rng(62)
+        for _ in range(100):
+            n = int(rng.integers(3, 9))
+            W = rng.dirichlet([0.5, 0.5], size=n)
+            i, j = np.argmax(W[:, 0]), np.argmin(W[:, 0])
+            ch = Channel(Alphabet.of_size(n, "x"), Alphabet.of_size(2, "y"), W)
+            for a in self.ORDERS:
+                res = maximal_alpha_leakage(ch, a)
+                assert res.kkt_residual <= 1e-10
+                closed = binary_maximal_alpha_leakage(W[i, 1], W[j, 0], a)
+                assert abs(res.value - closed) <= self.bound(res, a)
+
+    def test_certified_at_the_start_over_the_benchmark_range(self):
+        rng = np.random.default_rng(63)
+        for r1, r2 in rng.uniform(0.02, 0.45, (100, 2)):
+            for a in (1.25, 1.5, 2.0, 3.0, 5.0, 10.0):
+                res = maximal_alpha_leakage(binary_channel(r1, r2), a)
+                assert res.iterations == 0
+                assert res.kkt_residual <= 1e-10
+
+    def test_symmetric_channel_starts_at_the_uniform_input(self):
+        for rho in (0.0, 0.01, 0.1, 0.3, 0.5, 0.7, 0.99):
+            for a in (1.05, 2.0, 10.0):
+                res = maximal_alpha_leakage(binary_channel(rho, rho), a)
+                np.testing.assert_allclose(res.optimal_input.p, [0.5, 0.5], rtol=0, atol=1e-15)
 
 
 def assert_qp_step_is_optimal(A, r, z, start):

@@ -40,8 +40,6 @@ from .measures import (
     sibson_mi,
     _hellinger_image,
     _log_rows,
-    _log_sibson_sums,
-    _shannon_mi_from_joint,
 )
 from .prob import (
     Channel,
@@ -539,11 +537,12 @@ def f_leakage(joint: Joint, gen: FGenerator, tol: float = 1e-10, max_iter: int =
     prior, channel, _ = conditional_of(joint)
     out_alpha = joint.col_alphabet
     if gen.kind == "kl":
-        return _shannon_mi_from_joint(joint.m), joint.col_marginal()
+        return sibson_mi(prior, channel, 1.0), joint.col_marginal()
     if gen.kind == "hellinger":
         # Sibson's sums A(y) = sum_x P(x) W(y|x)^a give Q = A^(1/a) / sum_y A(y)^(1/a).
-        a = gen.alpha
-        log_root = _log_sibson_sums(prior.p, channel.rows, a) / a
+        a, support = gen.alpha, prior.p > 0
+        logs = np.log(prior.p[support])[:, None] + a * _log_rows(channel.rows[support])
+        log_root = logsumexp(logs, axis=0) / a
         q = np.exp(log_root - logsumexp(log_root))
         return _hellinger_image(sibson_mi(prior, channel, a), a), Dist(out_alpha, q / q.sum())
     value, q, _ = _min_fdiv_over_reference(prior.p, channel.rows, gen, tol, max_iter)

@@ -1,9 +1,13 @@
 """Scalar information measures on finite alphabets.
 
 Covers the Renyi family (entropy, divergence), the Sibson and Arimoto
-mutual informations of order alpha with their alpha = 1 and alpha = inf
-extensions, and f-divergences (KL, Hellinger of order alpha, user-supplied
-convex generators).
+mutual informations of order alpha, and f-divergences (KL, Hellinger of
+order alpha, user-supplied convex generators).  Each order-alpha measure is
+one or two tilted log-means T(w, v, d) = (1/d) log(sum w e^(d v) / sum w)
+(`prob._tilted_log_mean`) with d = alpha - 1 or 1 - 1/alpha, so the
+Shannon quantities at alpha = 1 and the max forms at alpha = inf are the
+limits of the same formula, not separate branches, and the formula keeps
+its accuracy as alpha approaches 1.
 
 All values are computed and returned in nats; `LogBase` converts at the
 API boundary only, so there is a single internal unit convention.
@@ -24,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .prob import Channel, Dist, Joint, as_order, log_alpha_norm, logsumexp, xlogy
+from .prob import Channel, Dist, Joint, _tilted_log_mean, as_order, xlogy
 
 _LN2 = math.log(2.0)
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -52,44 +56,25 @@ def _require_same_alphabet(p: Dist, q: Dist) -> None:
         raise ValidationError("distributions live on different alphabets")
 
 
-def shannon_entropy(p: np.ndarray) -> float:
-    return float(-xlogy(p, p).sum())
-
-
 def renyi_entropy(dist: Dist, order) -> float:
-    """Renyi entropy of the given order, in nats.
-
-    (1/(1-alpha)) log sum p^alpha for finite alpha != 1; Shannon entropy at
-    alpha = 1; min-entropy -log max p at alpha = inf.
-    """
-    order = as_order(order)
+    """Renyi entropy of the given order, in nats: -T(P, log P, alpha - 1)
+    (`_tilted_log_mean`), which is (1/(1-alpha)) log sum p^alpha, Shannon
+    entropy at alpha = 1 and min-entropy -log max p at alpha = inf.  A point
+    mass gives +0.0."""
     p = dist.p
-    if order.is_one:
-        return shannon_entropy(p)
-    if order.is_inf:
-        return float(-np.log(p.max()))
-    a = order.value
-    return a / (1.0 - a) * log_alpha_norm(p, order)
+    return 0.0 - float(_tilted_log_mean(p, _log_rows(p), as_order(order).value - 1.0))
 
 
 def renyi_divergence(p: Dist, q: Dist, order) -> float:
-    """Renyi divergence D_alpha(p || q) in nats; +inf on support violation."""
+    """Renyi divergence D_alpha(p || q) = T(p, log p - log q, alpha - 1) in
+    nats (`_tilted_log_mean`); +inf on support violation."""
     order = as_order(order)
     _require_same_alphabet(p, q)
-    pv, qv = p.p, q.p
-    sup = pv > 0
-    if order.value >= 1.0 and np.any(sup & (qv == 0)):
+    sup = p.p > 0
+    pv, qv = p.p[sup], q.p[sup]
+    if order.value >= 1.0 and np.any(qv == 0):
         return math.inf
-    if order.is_one:
-        return float((pv[sup] * (np.log(pv[sup]) - np.log(qv[sup]))).sum())
-    if order.is_inf:
-        return float(np.log(np.max(pv[sup] / qv[sup])))
-    a = order.value
-    both = sup & (qv > 0)
-    if not np.any(both):
-        return math.inf
-    log_terms = a * np.log(pv[both]) + (1.0 - a) * np.log(qv[both])
-    return float(logsumexp(log_terms) / (a - 1.0))
+    return float(_tilted_log_mean(pv, np.log(pv) - _log_rows(qv), order.value - 1.0))
 
 
 def _log_rows(W: np.ndarray) -> np.ndarray:
@@ -99,66 +84,44 @@ def _log_rows(W: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_col_norms(M: np.ndarray, a: float) -> np.ndarray:
-    """log ||M[:, y]||_a of every column of the nonnegative M, for finite
-    a > 0; -inf for an all-zero column."""
-    return logsumexp(a * _log_rows(M), axis=0) / a
-
-
-def _shannon_mi_from_joint(m: np.ndarray) -> float:
-    """I(X; Y) = H(X) + H(Y) - H(X, Y) of the joint pmf m."""
-    return shannon_entropy(m.sum(axis=1)) + shannon_entropy(m.sum(axis=0)) - shannon_entropy(m.ravel())
-
-
-def _log_sibson_sums(px: np.ndarray, W: np.ndarray, a: float) -> np.ndarray:
-    """log A(y) = logsumexp_x (log P(x) + a log W(y|x)) over the support of
-    P, Sibson's sums of finite order a."""
-    support = px > 0
-    return logsumexp(np.log(px[support])[:, None] + a * _log_rows(W[support]), axis=0)
+def _mean_over_outputs(m: np.ndarray, num: np.ndarray, a: float) -> float:
+    """T(P_Y, r, 1 - 1/a) with r_y = T(m(., y), log(num(., y) / P_Y(y)), a - 1)
+    over x (`_tilted_log_mean`), P_Y the column sums of the joint mass m."""
+    py = m.sum(axis=0)
+    r = _tilted_log_mean(m, _log_rows(num / np.where(py > 0, py, 1.0)), a - 1.0)
+    return float(_tilted_log_mean(py, r, 1.0 - 1.0 / a))
 
 
 def sibson_mi(prior: Dist, channel: Channel, order) -> float:
     """Sibson mutual information of order alpha between the channel input
     (distributed as `prior`) and its output.
 
-    For finite alpha != 1 this is the closed form
+    It is T(P_Y, r, 1 - 1/alpha) with r_y = T(P(x) W(y|x),
+    log(W(y|x) / P_Y(y)), alpha - 1) over x (`_mean_over_outputs`): for
+    finite alpha != 1 the closed form
     (alpha/(alpha-1)) log sum_y (sum_x P(x) W(y|x)^alpha)^(1/alpha),
-    which equals inf_Q D_alpha(P_XY || P_X x Q).  alpha = 1 gives Shannon
-    mutual information and alpha = inf gives log sum_y max_x W(y|x) with
-    the max restricted to the prior's support.
+    which equals inf_Q D_alpha(P_XY || P_X x Q); Shannon mutual information
+    at alpha = 1; log sum_y max_x W(y|x), the max restricted to the prior's
+    support, at alpha = inf.
     """
-    order = as_order(order)
     if channel.input_alphabet != prior.alphabet:
         raise ValidationError("channel input alphabet does not match prior alphabet")
     W = channel.rows
-    px = prior.p
-    if order.is_one:
-        return _shannon_mi_from_joint(px[:, None] * W)
-    if order.is_inf:
-        return float(np.log(W[px > 0].max(axis=0).sum()))
-    a = order.value
-    return float(a / (a - 1.0) * logsumexp(_log_sibson_sums(px, W, a) / a))
+    return _mean_over_outputs(prior.p[:, None] * W, W, as_order(order).value)
 
 
 def arimoto_cond_entropy(joint: Joint, order) -> float:
     """Arimoto conditional entropy of the row variable given the column
     variable: (alpha/(1-alpha)) log sum_y ||P_XY(., y)||_alpha.
 
-    At alpha = inf this evaluates to -log sum_y max_x P(x, y), so that
-    exp(-H) is the MAP probability of correctly guessing the row variable.
+    It is -T(P_Y, r, 1 - 1/alpha) with r_y = T(P_XY(., y), log P(x|y),
+    alpha - 1) over x (`_mean_over_outputs`), the Shannon conditional entropy
+    at alpha = 1.  At alpha = inf this evaluates to -log sum_y max_x P(x, y),
+    so that exp(-H) is the MAP probability of correctly guessing the row
+    variable.
     """
-    order = as_order(order)
-    m = joint.m
-    if order.is_one:
-        h = shannon_entropy(m.ravel()) - shannon_entropy(m.sum(axis=0))
-    elif order.is_inf:
-        h = -np.log(m.max(axis=0).sum())
-    else:
-        a = order.value
-        # an all-zero column adds exp(-inf) = 0
-        h = a / (1.0 - a) * logsumexp(_log_col_norms(m, a))
     # rounding can leave a deterministic joint (H = 0) a few ulps below 0
-    return max(0.0, float(h))
+    return max(0.0, -_mean_over_outputs(joint.m, joint.m, as_order(order).value))
 
 
 def arimoto_mi(joint: Joint, order) -> float:

@@ -29,8 +29,9 @@ from .errors import ValidationError
 CONSTRUCT_ATOL = 1e-12
 DERIVED_ATOL = 1e-9
 
-# |alpha - 1| below this routes to the alpha = 1 (continuous-extension)
-# branch; the finite-alpha formulas are numerically indeterminate there.
+# |alpha - 1| below this reads as alpha = 1.  The measures are continuous
+# through alpha = 1 (`_tilted_log_mean`); only the capacity solver, whose
+# finite-order objective degenerates there, still needs the snap.
 ALPHA_ONE_SNAP = 1e-9
 
 
@@ -100,7 +101,8 @@ def _product_labels(parts: Sequence[Alphabet]) -> Alphabet:
 @dataclass(frozen=True)
 class AlphaOrder:
     """Order parameter alpha in (0, inf]; alpha = 1 and inf are the
-    continuous extensions and get dedicated code paths everywhere."""
+    continuous extensions.  The measures reach them as limits of one
+    formula; the leakage solvers and the loss still treat them apart."""
 
     value: float
 
@@ -375,6 +377,31 @@ def logsumexp(a, axis=None):
     return out + np.squeeze(top, axis=axis)
 
 
+def _tilted_log_mean(w, v, d):
+    """T(w, v, d) = (1/d) log(sum w e^(d v) / sum w) over axis 0: the mean
+    of v under the weights w >= 0 at d = 0, the max of v where w > 0 at
+    d = inf.  Entries of weight 0 drop out, whatever v holds there; a
+    column of no weight gives NaN (-inf at d = inf).  In a column where
+    every |d v| <= 1 it is log1p(sum w expm1(d v) / sum w) / d, so neither
+    the O(d) log-sum nor the slack of sum w - 1 is divided by a small d;
+    in the others the logsumexp form."""
+    live = w > 0
+    if not live.all():
+        v = np.where(live, v, -np.inf if math.isinf(d) else 0.0)
+    if math.isinf(d):
+        return v.max(axis=0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        total = w.sum(axis=0)
+        if d == 0.0:
+            return (w * v).sum(axis=0) / total
+        x = d * v
+        near = np.abs(x).max(axis=0) <= 1.0
+        out = np.log1p((w * np.expm1(x)).sum(axis=0) / total) if near.any() else 0.0
+        if not near.all():
+            out = np.where(near, out, logsumexp(np.log(w) + x, axis=0) - np.log(total))
+        return out / d
+
+
 def xlogy(x, y):
     """x * log(y), 0 where x == 0 and -inf (warning as `np.log(0)`) where
     x > 0 = y.  Bare ufuncs: the KL generator calls it on every f(t)."""
@@ -384,11 +411,11 @@ def xlogy(x, y):
 def log_alpha_norm(values, order) -> float:
     """log of the alpha-norm (sum v_i^alpha)^(1/alpha) of a nonnegative vector.
 
-    Computed in the log domain with max-factoring so it survives alpha up
-    to ~1e3 where the linear-domain power sum would under/overflow.  Zero
-    entries are dropped before the log transform (0^alpha = 0); an all-zero
-    vector maps to -inf.  order = 1 gives log of the plain sum and
-    order = inf gives log of the max.
+    It is (1 - 1/alpha) T(v, log v, alpha - 1) + (1/alpha) log sum v
+    (`_tilted_log_mean`), in the log domain, so it survives any alpha where
+    the linear-domain power sum would under/overflow.  Zero entries drop
+    out (0^alpha = 0); an all-zero vector maps to -inf.  order = 1 gives
+    log of the plain sum and order = inf gives log of the max.
     """
     order = as_order(order)
     v = np.asarray(values, dtype=float)
@@ -399,10 +426,5 @@ def log_alpha_norm(values, order) -> float:
     pos = v[v > 0]
     if pos.size == 0:
         return -math.inf
-    if order.is_inf:
-        return float(np.log(pos.max()))
-    logs = np.log(pos)
-    if order.is_one:
-        return float(logsumexp(logs))
     a = order.value
-    return float(logsumexp(a * logs) / a)
+    return float((1.0 - 1.0 / a) * _tilted_log_mean(pos, np.log(pos), a - 1.0) + np.log(pos.sum()) / a)

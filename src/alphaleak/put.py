@@ -57,7 +57,7 @@ from .leakage import _minimize_on_simplex, _relative_certificate, binary_maximal
 from .lp import GameSolution, covering_game, feasible_point
 from .measures import FGenerator, kl_generator
 from .prob import Alphabet, Channel, Dist, Joint, as_order
-from .prob import _floats, _json_fields, _nonnegative_array
+from .prob import _floats, _json_fields, _nonnegative_array, _tilted_log_mean
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,40 +322,49 @@ def sensitive_lower_bound(sj: SensitiveJoint, order) -> tuple[float, bool]:
 
     The bound evaluates, for each (s, x), the largest total sensitive mass
     consistent with any feasible output of x; smaller consistent sets mean
-    more exposure.  The boolean reports whether a mechanism meeting the
-    two equalization conditions for tightness exists: the linear
-    feasibility program of `_tightness_system` is solved by
-    `lp.feasible_point`, and True is returned only for a mechanism x >= 0
-    that meets it to 1e-9 on the row-scaled system (False asserts nothing
-    about non-tightness).
+    more exposure.  It is one formula in tilted log-means through alpha = 1,
+    alpha = inf is its limit, and it is clamped at 0.  The boolean reports
+    whether a mechanism meeting the two equalization conditions for
+    tightness exists: the linear feasibility program of `_tightness_system`
+    is solved by `lp.feasible_point`, and True is returned only for a
+    mechanism x >= 0 that meets it to 1e-9 on the row-scaled system (False
+    asserts nothing about non-tightness).
     """
-    order = as_order(order).require_at_least_one("sensitive_lower_bound")
+    a = as_order(order).require_at_least_one("sensitive_lower_bound").value
     psx = sj.joint.m  # [s, x]
-    ps, px = psx.sum(axis=1), psx.sum(axis=0)  # P_S, P_X
+    ps = psx.sum(axis=1)  # P_S
     ball = sj.spec.ball_mask  # [x, y]
     s_feasible = (psx > 0) @ ball  # [s, y]: is s consistent with a feasible input of y
-    # Inputs of zero probability contribute nothing but their per-input
-    # maxima can be 0/0; mask them out of every branch.
-    live_x = px > 0
-
-    weights = ps**order.value if order.is_finite_gt_one else ps
     n_y = ps @ s_feasible  # N(y) = sum_{s in S_D(y)} P(s)
-    # the per-input max over the ball of N(y), of P(s)^alpha for finite alpha
-    m_x = np.where(ball, weights @ s_feasible, -np.inf).max(axis=1)
-    m_safe = np.where(live_x, m_x, 1.0)
-    if order.is_one:
-        bound = float(-(px[live_x] @ np.log(m_safe[live_x])))
-    elif order.is_inf:
-        total = float(((ps[:, None] * psx) / m_safe[None, :]).sum())
-        bound = math.log(total) - math.log(ps.max())
-    else:
-        a = order.value
-        px_given_s = np.where(ps[:, None] > 0, psx / np.where(ps > 0, ps, 1.0)[:, None], 0.0)
-        norm = float(weights.sum()) ** (1.0 / a)
-        total = float((weights[:, None] * px_given_s * m_safe[None, :] ** ((1.0 - a) / a)).sum())
-        bound = a / (a - 1.0) * math.log(total / norm)
 
-    return bound, feasible_point(*_tightness_system(psx, ps, ball, s_feasible, n_y)).gap <= 1e-9
+    # The bound lives on the values of S and X of positive mass and the
+    # outputs of their balls, where every N(y) > 0.
+    live_s, live_x = ps > 0, psx.sum(axis=0) > 0
+    live_y = ball[live_x].any(axis=0)
+    p_s, p_sx = ps[live_s], psx[np.ix_(live_s, live_x)]
+    feas, live_ball = s_feasible[np.ix_(live_s, live_y)], ball[np.ix_(live_x, live_y)]
+    # mu_y, the largest P(s) consistent with y; mu_x, the largest over x's ball
+    mu_y = np.where(feas, p_s[:, None], 0.0).max(axis=0)
+    mu_x = np.where(live_ball, mu_y, 0.0).max(axis=1)
+    if math.isinf(a):
+        # the limit of the finite orders, with c_x the most values of S at
+        # mu_x that one output of x's ball is consistent with
+        at_mu = p_s == mu_x[:, None]  # [x, s]
+        c_x = np.where(live_ball, at_mu @ feas.astype(int), 0).max(axis=1)
+        bound = math.log((p_sx * at_mu.T / c_x).sum()) - math.log(p_s.max())
+    else:
+        # a T(P_SX, log P(s) - lambda_x, a - 1) - T(P_S, log P_S, a - 1) with
+        # lambda_x the largest (1/a) log N(y) + (1 - 1/a) T(P_S on S(y), log P_S, a - 1)
+        # over x's ball (`_tilted_log_mean`).  Each log is taken relative to
+        # mu_y or mu_x: log P(s) - lambda_x is O(1/a) where P(s) = mu_x, and
+        # the factor a would multiply back the rounding of a log cancelled in it.
+        tilt = _tilted_log_mean(p_s[:, None] * feas, np.log(p_s[:, None] / mu_y), a - 1.0)
+        score = np.log(n_y[live_y] / mu_y) / a + (1.0 - 1.0 / a) * tilt
+        excess = np.where(live_ball, np.log(mu_y / mu_x[:, None]) + score, -np.inf).max(axis=1)
+        v = np.log(p_s[:, None] / mu_x) - excess
+        bound = a * float(_tilted_log_mean(p_sx.ravel(), v.ravel(), a - 1.0))
+        bound -= float(_tilted_log_mean(p_s, np.log(p_s), a - 1.0))
+    return max(0.0, bound), feasible_point(*_tightness_system(psx, ps, ball, s_feasible, n_y)).gap <= 1e-9
 
 
 def _tightness_system(psx, ps, ball, s_feasible, n_y) -> tuple[np.ndarray, np.ndarray]:

@@ -117,15 +117,24 @@ def test_schema_mismatch_exits_2(tmp_path, capsys, argv, obj, named):
 
 
 def test_measures_of_a_deterministic_joint_never_go_negative(tmp_path, capsys):
-    # X = Y: the conditional entropy and the loss are 0, never printed as
-    # -0 or a few ulps below; exactly 0 at alpha = 1
+    # X = Y: the conditional entropy and the loss are exactly 0 at every
+    # order, never printed as -0 or as a few ulps above or below
     path = tmp_path / "joint.json"
     path.write_text(json.dumps(DIAGONAL))
     assert main(["measures", str(path), "--alpha-sweep", "1,1.5,2,5,inf"]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-    assert len(rows) == 5 and rows[0][2] == rows[0][4] == "0"
+    assert len(rows) == 5
     for _, _, cond_entropy, _, loss in rows:
-        assert not cond_entropy.startswith("-") and not loss.startswith("-")
+        assert cond_entropy == loss == "0"
+
+
+def test_measures_of_a_constant_row_variable_print_0(tmp_path, capsys):
+    # one row value: its entropy and the leakage about it are +0, not -0
+    path = tmp_path / "joint.json"
+    path.write_text(json.dumps({"rows": ["a"], "cols": ["u", "v"], "mass": [[0.4, 0.6]]}))
+    assert main(["measures", str(path), "--alpha-sweep", "1,2,inf"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[1:] for row in rows] == [["0", "0", "0", "0"]] * 3
 
 
 def test_put_hard_hellinger(hamming_file, capsys):

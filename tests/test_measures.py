@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,7 +24,7 @@ from alphaleak import (
     renyi_entropy,
     sibson_mi,
 )
-from alphaleak.measures import LogBase, _log_col_norms
+from alphaleak.measures import LogBase
 from util import random_channel, random_dist, random_joint
 
 B = Alphabet(("0", "1"))
@@ -170,11 +171,14 @@ class TestArimoto:
             assert arimoto_mi(joint, a) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_column_norms_match_log_alpha_norm(self):
-        # the vectorized column norms, zero entries and an all-zero column included
-        m = np.array([[0.2, 0.0, 0.0, 1e-300], [0.5, 0.3, 0.0, 0.4], [0.0, 0.1, 0.0, 0.6]])
+        # (a/(1-a)) log sum_y ||P_XY(., y)||_a column by column, zero entries
+        # and an all-zero column included
+        m = np.array([[0.2, 0.0, 0.0, 1e-300], [0.5, 0.3, 0.0, 0.4], [0.0, 0.1, 0.0, 0.6]]) / 2.1
+        joint = Joint(Alphabet.of_size(3), Alphabet.of_size(4), m)
         for a in (0.5, 1.5, 2.0, 10.0, 500.0):
-            want = [log_alpha_norm(m[:, y], a) for y in range(m.shape[1])]
-            assert _log_col_norms(m, a) == pytest.approx(want, rel=1e-15, abs=0)
+            norms = math.fsum(math.exp(log_alpha_norm(m[:, y], a)) for y in range(m.shape[1]))
+            want = a / (1.0 - a) * math.log(norms)
+            assert arimoto_cond_entropy(joint, a) == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_shannon_agreement_at_one(self):
         rng = np.random.default_rng(7)
@@ -185,6 +189,104 @@ class TestArimoto:
             mask = m > 0
             mi = float((m[mask] * np.log(m[mask] / np.outer(px, py)[mask])).sum())
             assert arimoto_mi(joint, 1.0) == pytest.approx(mi, abs=1e-10)
+
+
+def exact(values) -> list:
+    """The float values as exact mpmath numbers, divided by their exact sum."""
+    vals = [mpmath.mpf(float(v)) for v in values]
+    total = mpmath.fsum(vals)
+    return [v / total for v in vals]
+
+
+def mp_renyi_divergence(p, q, a):
+    """D_a(p || q) from its defining sum in 60-digit arithmetic."""
+    if mpmath.isinf(a):
+        return mpmath.log(max(pi / qi for pi, qi in zip(p, q)))
+    if a == 1:
+        return mpmath.fsum(pi * mpmath.log(pi / qi) for pi, qi in zip(p, q))
+    return mpmath.log(mpmath.fsum(pi**a * qi ** (1 - a) for pi, qi in zip(p, q))) / (a - 1)
+
+
+def mp_measures(p, q, prior, W, joint, a) -> dict:
+    """The four measures from their defining sums in 60-digit arithmetic:
+    H_a(P), D_a(P || Q), I^S_a(prior, W) and H^A_a(X|Y) of `joint`, with
+    their alpha = 1 and alpha = inf limits."""
+    inf, one = mpmath.isinf(a), a == 1
+    rows = [[prior[x] * W[x][y] for x in range(len(prior))] for y in range(len(W[0]))]
+    cols = [[joint[x][y] for x in range(len(joint))] for y in range(len(joint[0]))]
+    if inf:
+        h = -mpmath.log(max(p))
+        sibson = mpmath.log(mpmath.fsum(max(W[x][y] for x in range(len(prior))) for y in range(len(W[0]))))
+        arimoto = -mpmath.log(mpmath.fsum(max(col) for col in cols))
+    elif one:
+        h = -mpmath.fsum(pi * mpmath.log(pi) for pi in p)
+        py = [mpmath.fsum(r) for r in rows]
+        sibson = mpmath.fsum(
+            prior[x] * W[x][y] * mpmath.log(W[x][y] / py[y])
+            for x in range(len(prior)) for y in range(len(py))
+        )
+        arimoto = -mpmath.fsum(m * mpmath.log(m / mpmath.fsum(col)) for col in cols for m in col)
+    else:
+        h = mpmath.log(mpmath.fsum(pi**a for pi in p)) / (1 - a)
+        sibson = a / (a - 1) * mpmath.log(mpmath.fsum(
+            mpmath.fsum(prior[x] * W[x][y] ** a for x in range(len(prior))) ** (1 / a)
+            for y in range(len(W[0]))
+        ))
+        arimoto = a / (1 - a) * mpmath.log(mpmath.fsum(mpmath.fsum(m**a for m in col) ** (1 / a) for col in cols))
+    return {
+        "renyi_entropy": h,
+        "renyi_divergence": mp_renyi_divergence(p, q, a),
+        "sibson_mi": sibson,
+        "arimoto_cond_entropy": arimoto,
+    }
+
+
+class TestAgainstMpmath:
+    """The four measures against their defining sums in 60-digit arithmetic,
+    on seeded 16-point inputs normalized exactly: through alpha = 1, where
+    each finite-order formula divides an O(alpha - 1) log-sum by alpha - 1,
+    and out to alpha = 101 and inf."""
+
+    ORDERS_MINUS_ONE = (-0.5, -1e-4, 1e-4, -1e-8, 1e-8, 0.0, 1e-6, 1e-2, 1.0, 10.0, 100.0, math.inf)
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_within_1e14_relative(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 16
+        p, q, prior = (random_dist(rng, n, conc) for conc in (1.0, 1.0, 0.5))
+        channel = random_channel(rng, n, n, conc=0.5)
+        channel = Channel(prior.alphabet, channel.output_alphabet, channel.rows)
+        joint = random_joint(rng, n, n)
+        with mpmath.workdps(60):
+            exact_w = [exact(row) for row in channel.rows]
+            exact_m = exact(joint.m.ravel())
+            exact_joint = [exact_m[i * n:(i + 1) * n] for i in range(n)]
+            for delta in self.ORDERS_MINUS_ONE:
+                a = 1.0 + delta
+                want = mp_measures(
+                    exact(p.p), exact(q.p), exact(prior.p), exact_w, exact_joint, mpmath.mpf(a)
+                )
+                got = {
+                    "renyi_entropy": renyi_entropy(p, a),
+                    "renyi_divergence": renyi_divergence(p, q, a),
+                    "sibson_mi": sibson_mi(prior, channel, a),
+                    "arimoto_cond_entropy": arimoto_cond_entropy(joint, a),
+                }
+                for name, value in got.items():
+                    ref = float(want[name])
+                    assert abs(value - ref) <= 1e-14 * max(1.0, abs(ref)), (name, a, value, ref)
+
+    def test_normalization_slack_is_not_amplified(self):
+        # the mass sums to 1 + 9e-13, inside the construction tolerance; near
+        # alpha = 1 a formula dividing by alpha - 1 would turn that into an
+        # error of ~4.5e-4 nats
+        p = np.random.default_rng(7).dirichlet(np.ones(16))
+        p[0] += 9e-13
+        dist, uniform = Dist(Alphabet.of_size(16), p), Dist.uniform(Alphabet.of_size(16))
+        a = 1.0 + 2e-9
+        with mpmath.workdps(60):
+            want = mp_renyi_divergence(exact(p), exact(uniform.p), mpmath.mpf(a))
+        assert abs(renyi_divergence(dist, uniform, a) - float(want)) <= 1e-12
 
 
 class TestFGenerator:

@@ -1,6 +1,7 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -15,6 +16,7 @@ from alphaleak import (
     Joint,
     SensitiveJoint,
     ValidationError,
+    alpha_leakage,
     avg_hamming_binary_put,
     hellinger_generator,
     kl_generator,
@@ -581,6 +583,109 @@ class TestSensitiveLowerBound:
             Joint(Alphabet.of_size(n_s, "s"), xs, m / m.sum()),
             DistortionSpec(xs, Alphabet.of_size(n_y, "y"), d, 1.0),
         )
+
+    @staticmethod
+    def function_sensitive_joint(seed: int) -> SensitiveJoint:
+        """S a function of X (2-3 values of S, 3-6 of X) and 0/1 distortions,
+        70% ones, at bound 0 with a zero in every row: the bound is often
+        positive, where a full-support joint only gives 0."""
+        rng = np.random.default_rng([seed, 1])
+        n_s, n_x, n_y = int(rng.integers(2, 4)), int(rng.integers(3, 7)), int(rng.integers(2, 6))
+        s_of_x = np.r_[np.arange(n_s), rng.integers(n_s, size=n_x - n_s)]
+        m = np.zeros((n_s, n_x))
+        m[s_of_x, np.arange(n_x)] = rng.dirichlet(np.ones(n_x))
+        d = (rng.random((n_x, n_y)) < 0.7).astype(float)
+        d[np.arange(n_x), rng.integers(n_y, size=n_x)] = 0.0
+        xs = Alphabet.of_size(n_x, "x")
+        return SensitiveJoint(
+            Joint(Alphabet.of_size(n_s, "s"), xs, m),
+            DistortionSpec(xs, Alphabet.of_size(n_y, "y"), d, 0.0),
+        )
+
+    @staticmethod
+    def mp_bound(sj: SensitiveJoint, a: float):
+        """The finite-order bound in 60-digit arithmetic, straight from its
+        sums: (a/(a-1)) log(sum_{s,x} P(s)^a P(x|s) m_x^((1-a)/a) / ||P_S||_a),
+        m_x the largest sum of P(s)^a over the values s consistent with an
+        output of x's ball; clamped at 0."""
+        with mpmath.workdps(60):
+            a = mpmath.mpf(a)
+            psx = [[mpmath.mpf(float(v)) for v in row] for row in sj.joint.m]
+            total = mpmath.fsum(v for row in psx for v in row)
+            psx = [[v / total for v in row] for row in psx]
+            ps = [mpmath.fsum(row) for row in psx]
+            ball = sj.spec.ball_mask
+            n_x, n_y = ball.shape
+            feasible = [
+                [any(row[x] > 0 and ball[x, y] for x in range(n_x)) for y in range(n_y)] for row in psx
+            ]
+            power = [p**a for p in ps]
+            m_x = [
+                max(mpmath.fsum(w for w, f in zip(power, feasible) if f[y]) for y in range(n_y) if ball[x, y])
+                for x in range(n_x)
+            ]
+            inner = mpmath.fsum(
+                power[s] * psx[s][x] / ps[s] * m_x[x] ** ((1 - a) / a)
+                for s in range(len(ps)) for x in range(n_x) if psx[s][x] > 0
+            )
+            return max(0.0, float(a / (a - 1) * mpmath.log(inner / mpmath.fsum(power) ** (1 / a))))
+
+    def test_bound_against_60_digit_arithmetic(self):
+        # the finite orders to 1e-14 up to alpha = 1e12, with no warning and
+        # no overflow; alpha = inf is their limit, within the O(1/alpha) of
+        # the order 1e12
+        for seed in range(30):
+            for sj in (self.random_sensitive_joint(seed), self.function_sensitive_joint(seed)):
+                for a in (1.5, 2.0, 5.0, 600.0, 1e3, 1e8, 1e12):
+                    assert sensitive_lower_bound(sj, a)[0] == pytest.approx(self.mp_bound(sj, a), abs=1e-14)
+                limit = sensitive_lower_bound(sj, math.inf)[0]
+                assert limit == pytest.approx(self.mp_bound(sj, 1e12), abs=1e-11), seed
+
+    def test_bound_is_nonnegative_and_below_sampled_mechanisms(self):
+        # mechanisms P(y | s, x) confined to x's ball: none leaks less about S
+        # than the bound, at any order; joints with S a function of X give
+        # positive bounds
+        rng = np.random.default_rng(11)
+        orders = (1.0, 2.0, 5.0, 1e3, 1e8, math.inf)
+        positive = 0
+        for seed in range(40):
+            for sj in (self.random_sensitive_joint(seed), self.function_sensitive_joint(seed)):
+                psx, ball = sj.joint.m, sj.spec.ball_mask
+                bounds = [sensitive_lower_bound(sj, a)[0] for a in orders]
+                assert min(bounds) >= 0.0
+                positive += bounds[-1] > 0.0
+                for _ in range(10):
+                    mech = rng.dirichlet(np.ones(ball.shape[1]), size=psx.shape) * ball
+                    mech /= mech.sum(axis=2, keepdims=True)
+                    mass = np.einsum("sx,sxy->sy", psx, mech)
+                    sy = Joint(sj.joint.row_alphabet, sj.spec.output_alphabet, mass)
+                    for a, bound in zip(orders, bounds):
+                        assert bound <= alpha_leakage(sy, a) + 1e-12, (seed, a)
+        assert positive >= 5
+
+    def test_tight_mechanisms_attain_the_bound(self):
+        # the mechanism of every "tight" answer leaks exactly the bound, at
+        # alpha = inf too, where the bound is the limit of the finite orders
+        tight = 0
+        for seed in range(40):
+            for sj in (self.random_sensitive_joint(seed), self.function_sensitive_joint(seed)):
+                psx, ball = sj.joint.m, sj.spec.ball_mask
+                ps, s_feasible = psx.sum(axis=1), (psx > 0) @ ball
+                n_y = ps @ s_feasible
+                point = lp.feasible_point(*put._tightness_system(psx, ps, ball, s_feasible, n_y))
+                if point.gap > 1e-9:
+                    continue
+                tight += 1
+                # the system's variables, in its order: P(y | s, x) on the argmax outputs of x's ball
+                top = np.where(ball, n_y, -np.inf).max(axis=1, keepdims=True)
+                best = ball & (n_y >= top - 1e-12 * np.maximum(1.0, top))
+                s, x, y = np.argwhere((psx > 0)[:, :, None] & best[None, :, :]).T
+                mass = np.zeros((len(ps), ball.shape[1]))
+                np.add.at(mass, (s, y), psx[s, x] * point.x)
+                sy = Joint(sj.joint.row_alphabet, sj.spec.output_alphabet, mass / mass.sum())
+                for a in (1.0, 2.0, 5.0, math.inf):
+                    assert alpha_leakage(sy, a) == pytest.approx(sensitive_lower_bound(sj, a)[0], abs=1e-12)
+        assert tight >= 40
 
     def test_tightness_on_random_joints(self):
         # recorded from the loop-built feasibility program; 7 of 60 are False

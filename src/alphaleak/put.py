@@ -14,9 +14,9 @@ mechanism distributing Q* restricted to each ball:
 The LP runs on the coarsest equitable partition of the ball matrix, so
 symmetric specs shrink to a few classes: a Hamming spec of 16 datasets or
 more collapses to one input and one output class, and Q* comes back
-uniform (the uniform-over-ball mechanism), while type-distance specs are
-interval games, solved by greedy piercing.  The duality gap is measured on
-the full ball matrix.
+uniform (the uniform-over-ball mechanism), type-distance specs are interval
+games, solved by greedy piercing, and most small specs by greedy packing
+(see `lp`).  The duality gap is measured on the full ball matrix.
 
 **Perfect privacy.**  When some output lies in every ball, q* = 1: a
 constant mechanism on such an output leaks nothing, and any Q supported

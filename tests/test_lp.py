@@ -6,6 +6,7 @@ from scipy.optimize import linprog
 
 from alphaleak import lp
 from alphaleak.datasets import build_hamming_spec, build_type_distance_spec
+from util import covering_random_spec
 
 
 def highs_value(A: np.ndarray) -> float:
@@ -170,7 +171,8 @@ def _full_lp(A: np.ndarray) -> lp.GameSolution:
 def test_shared_outputs_are_solved_without_the_tableau(monkeypatch):
     # q* = 1 exactly when some output lies in every ball.  Then no pivot
     # runs, and the answer matches the LP; else uniform mu caps every
-    # column at (n_in - 1)/n_in.
+    # column at (n_in - 1)/n_in, and the answer, from the packing pass or
+    # the tableau, still matches the LP.
     entered = []
     simplex = lp._simplex
     monkeypatch.setattr(lp, "_simplex", lambda *args: entered.append(1) or simplex(*args))
@@ -183,16 +185,17 @@ def test_shared_outputs_are_solved_without_the_tableau(monkeypatch):
             A[:, rng.integers(n_out)] = 1.0
         shared = bool(A.all(axis=0).any())
         shared_count += shared
+        full = _full_lp(A)
         entered.clear()
         sol = lp.covering_game(A.astype(bool) if k % 3 else A)
-        assert bool(entered) != shared
+        assert sol.value == pytest.approx(full.value, rel=0, abs=1e-12)
         if shared:
-            full = _full_lp(A)
-            assert sol.value == pytest.approx(full.value, rel=0, abs=1e-12)
+            assert not entered
             assert sol.gap == pytest.approx(full.gap, rel=0, abs=1e-12)
             assert sol.value == pytest.approx(1.0, rel=0, abs=1e-12)
             assert np.array_equal(sol.q > 0, A.all(axis=0))
         else:
+            assert sol.gap <= 1e-12
             assert sol.value <= 1.0 - 1.0 / n_in + 1e-12
     assert 1200 <= shared_count < 2400
 
@@ -209,6 +212,84 @@ def test_shared_outputs_skip_refinement(monkeypatch):
     assert sol.value == 1.0 and abs(sol.gap) <= 1e-15
     assert np.array_equal(sol.q, np.where(A.all(axis=0), 0.5, 0.0))
     assert np.array_equal(sol.mu, np.full(A.shape[0], 1.0 / A.shape[0]))
+
+
+def assert_packing_certificate(A: np.ndarray, sol: lp.GameSolution, cover) -> None:
+    # q* = 1/k, Q uniform on k points, mu uniform on k pairwise-disjoint
+    # balls, each holding one of the points: the gap is exactly 0.
+    points, balls = cover
+    k = len(points)
+    assert sol.gap == 0.0 and sol.value == 1.0 / k
+    assert np.count_nonzero(sol.q) == k and set(sol.q[sol.q > 0]) == {1.0 / k}
+    assert np.count_nonzero(sol.mu) == k and np.array_equal(np.flatnonzero(sol.mu), np.sort(balls))
+    assert ((sol.mu > 0).astype(int) @ A.astype(int) <= 1).all()
+
+
+def test_small_games_are_answered_by_packing_when_it_certifies(monkeypatch):
+    # On the benchmark's random specs every value matches the full LP.
+    # When the greedy packing's points hit every ball, no pivot runs and
+    # the answer carries the exact certificate; that happens on most
+    # games without a shared output.
+    entered, covers = [], []
+    simplex, packing_cover = lp._simplex, lp._packing_cover
+    monkeypatch.setattr(lp, "_simplex", lambda *args: entered.append(1) or simplex(*args))
+    monkeypatch.setattr(lp, "_packing_cover", lambda mask: covers.append(packing_cover(mask)) or covers[-1])
+    rng = np.random.default_rng(78)
+    packed = not_shared = 0
+    for k in range(3000):
+        A = covering_random_spec(rng).ball_mask
+        full = _full_lp(A.astype(float))
+        entered.clear(), covers.clear()
+        sol = lp.covering_game(A if k % 2 else A.astype(float))
+        assert sol.value == pytest.approx(full.value, rel=0, abs=1e-12)
+        if A.all(axis=0).any():
+            assert not covers and not entered
+            continue
+        not_shared += 1
+        assert len(covers) == 1 and bool(entered) == (covers[0] is None)
+        if covers[0] is not None:
+            packed += 1
+            assert_packing_certificate(A, sol, covers[0])
+        else:
+            assert sol.gap <= 1e-12
+    assert not_shared >= 1000 and packed >= 0.6 * not_shared
+
+
+def test_odd_cycle_of_balls_reaches_the_tableau(monkeypatch):
+    # Balls {i, i + 1 mod 5}: two disjoint balls at most, three points
+    # needed, so the packing has no certificate and q* = 2/5 lies between.
+    entered = []
+    simplex = lp._simplex
+    monkeypatch.setattr(lp, "_simplex", lambda *args: entered.append(1) or simplex(*args))
+    A = np.eye(5, dtype=bool) | np.roll(np.eye(5, dtype=bool), 1, axis=1)
+    assert lp._packing_cover(A) is None
+    sol = lp.covering_game(A)
+    assert entered
+    assert sol.value == pytest.approx(0.4, rel=0, abs=1e-12) and sol.gap <= 1e-12
+
+
+def test_packing_is_exact_on_wide_games():
+    # Outputs past bit 53 (float mantissa) and 63 (int64) are still told
+    # apart: every packing answer is certified with gap 0, and every
+    # answer, from the packing or the tableau, matches the full LP.
+    rng = np.random.default_rng(79)
+    packed = 0
+    for _ in range(60):
+        n_in, n_out = int(rng.integers(3, 16)), int(rng.integers(64, 301))
+        A = rng.random((n_in, n_out)) < rng.uniform(0.005, 0.05)
+        A[np.arange(n_in), rng.integers(0, n_out, n_in)] = True
+        if A.all(axis=0).any():
+            continue
+        cover = lp._packing_cover(A)
+        sol = lp.covering_game(A.astype(float))
+        assert sol.value == pytest.approx(_full_lp(A.astype(float)).value, rel=0, abs=1e-12)
+        if cover is not None:
+            packed += 1
+            assert A[cover[1], cover[0]].all() and A[:, cover[0]].any(axis=1).all()
+            assert_packing_certificate(A, sol, cover)
+        else:
+            assert sol.gap <= 1e-12
+    assert 10 <= packed < 60
 
 
 def line_game(rng, n_in, n_out) -> np.ndarray:

@@ -33,7 +33,7 @@ from alphaleak import leakage, lp, prob, put
 from alphaleak.datasets import build_hamming_spec, build_type_distance_spec, hamming_ball_size
 from alphaleak.lp import GameSolution, covering_game
 from alphaleak.measures import FGenerator
-from util import aware_put_gap, random_dist
+from util import aware_put_gap, covering_random_spec, random_dist
 
 B = Alphabet(("0", "1"))
 
@@ -200,17 +200,6 @@ class TestOptimalMechanism:
         target = Dist.uniform(Alphabet.of_size(2, "z"))
         with pytest.raises(ValidationError, match="output alphabet"):
             optimal_mechanism(target, ball_spec(np.eye(2)))
-
-
-def covering_random_spec(rng) -> DistortionSpec:
-    """The `covering` benchmark workload's random spec: 2-8 x 2-8 integer
-    distortions in {0..3}, bound in {0, 1, 2}, every ball nonempty."""
-    n_in, n_out = (int(v) for v in rng.integers(2, 9, size=2))
-    while True:
-        d = rng.integers(0, 4, size=(n_in, n_out))
-        bound = int(rng.integers(0, 3))
-        if np.all((d <= bound).any(axis=1)):
-            return DistortionSpec(Alphabet.of_size(n_in, "x"), Alphabet.of_size(n_out, "y"), d, bound)
 
 
 def test_hard_put_output_passes_the_validating_constructors(monkeypatch):
@@ -410,14 +399,34 @@ class TestPutMaxAlphaLeakage:
             # hard constraint holds exactly
             assert np.all(base_sol.mechanism.rows[~spec.ball_mask] == 0.0)
 
-    def test_mechanism_capacity_attains_value(self):
+    @staticmethod
+    def assert_capacity_brackets(mechanism, value, orders):
+        # The paper's theorem: for every alpha > 1 the mechanism's maximal
+        # alpha-leakage is -log q*, which must lie in the capacity solver's
+        # certified interval [cap.value, cap.value + kkt_residual].
+        for a in orders:
+            cap = maximal_alpha_leakage(mechanism, a)
+            assert cap.value - 1e-13 <= value <= cap.value + cap.kkt_residual + 1e-13
+
+    def test_mechanism_capacity_attains_value(self, monkeypatch):
+        entered = []
+        simplex = lp._simplex
+        monkeypatch.setattr(lp, "_simplex", lambda *args: entered.append(1) or simplex(*args))
         rng = np.random.default_rng(34)
-        for _ in range(10):
-            spec = random_spec(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
+        paths = {"shared": 0, "packing": 0, "tableau": 0}
+        for _ in range(150):
+            spec = covering_random_spec(rng)
+            entered.clear()
             value, sol = put_max_alpha_leakage(spec, 2.0)
-            for a in (2.0, 5.0, math.inf):
-                cap = maximal_alpha_leakage(sol.mechanism, a)
-                assert cap.value == pytest.approx(value, abs=1e-6)
+            shared = spec.ball_mask.all(axis=0).any()
+            paths["shared" if shared else "tableau" if entered else "packing"] += 1
+            assert value == -math.log(sol.q_star)
+            self.assert_capacity_brackets(sol.mechanism, value, (1.5, 2.0, 10.0, math.inf))
+        assert min(paths.values()) >= 20
+
+    def test_hamming_mechanism_capacity_attains_value(self):
+        value, sol = put_max_alpha_leakage(build_hamming_spec(10, 1, 2), 2.0)
+        self.assert_capacity_brackets(sol.mechanism, value, (1.5, 2.0, 10.0))
 
     def test_alpha_one_requires_prior(self):
         with pytest.raises(ValidationError):

@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from alphaleak import Alphabet, Channel, Dist, Joint
+from alphaleak import Alphabet, Channel, Dist, DistortionSpec, Joint
 
 
 def random_dist(rng: np.random.Generator, n: int, conc: float = 1.0) -> Dist:
@@ -50,6 +50,17 @@ def tall_sparse_channel(rng: np.random.Generator) -> np.ndarray:
     W[rng.random(W.shape) < 0.3] = 0.0
     W[W.sum(axis=1) == 0.0, -1] = 1.0
     return W / W.sum(axis=1, keepdims=True)
+
+
+def covering_random_spec(rng: np.random.Generator) -> DistortionSpec:
+    """The `covering` benchmark workload's random spec: 2-8 x 2-8 integer
+    distortions in {0..3}, bound in {0, 1, 2}, every ball nonempty."""
+    n_in, n_out = (int(v) for v in rng.integers(2, 9, size=2))
+    while True:
+        d = rng.integers(0, 4, size=(n_in, n_out))
+        bound = int(rng.integers(0, 3))
+        if np.all((d <= bound).any(axis=1)):
+            return DistortionSpec(Alphabet.of_size(n_in, "x"), Alphabet.of_size(n_out, "y"), d, bound)
 
 
 def random_joint(rng: np.random.Generator, n_row: int, n_col: int, conc: float = 1.0) -> Joint:

@@ -9,11 +9,9 @@ from .errors import (
 )
 from .prob import (
     Alphabet,
-    AlphaOrder,
     Channel,
     Dist,
     Joint,
-    as_order,
     binary_channel,
     cascade,
     conditional_of,
@@ -23,7 +21,6 @@ from .prob import (
 )
 from .measures import (
     FGenerator,
-    LogBase,
     arimoto_cond_entropy,
     arimoto_mi,
     custom_generator,

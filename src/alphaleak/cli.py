@@ -28,14 +28,13 @@ from .leakage import (
     optimal_strategy,
 )
 from .measures import (
-    LogBase,
     arimoto_cond_entropy,
     custom_generator,
     hellinger_generator,
     kl_generator,
     renyi_entropy,
 )
-from .prob import AlphaOrder, Channel, Dist, Joint, as_order, conditional_of
+from .prob import Channel, Dist, Joint, _order, conditional_of
 from .put import (
     DistortionSpec,
     avg_hamming_binary_put,
@@ -50,10 +49,10 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_INCOMPATIBLE = 4
 
 
-def parse_sweep(text: str) -> list[AlphaOrder]:
-    """Sweep syntax: 'start:stop:step', a comma list, or the single tokens
-    '1' and 'inf' (the two continuous extensions are distinct code paths
-    and must be nameable)."""
+def parse_sweep(text: str) -> list[float]:
+    """The orders of a sweep, as floats: 'start:stop:step' or a comma list,
+    whose tokens may be '1' and 'inf' (the limits alpha = 1 and alpha = inf
+    are orders like any other)."""
     text = text.strip()
     if ":" in text:
         try:
@@ -63,8 +62,8 @@ def parse_sweep(text: str) -> list[AlphaOrder]:
         if not (all(map(math.isfinite, (start, stop, step))) and step > 0 and stop >= start):
             raise ValidationError(f"sweep {text!r} must increase in finite steps")
         count = int(math.floor((stop - start) / step + 1e-12)) + 1
-        return [AlphaOrder(start + k * step) for k in range(count)]
-    orders = [as_order(tok) for tok in text.split(",") if tok]
+        return [_order(start + k * step) for k in range(count)]
+    orders = [_order(tok) for tok in text.split(",") if tok]
     if not orders:
         raise ValidationError(f"sweep {text!r} names no order")
     return orders
@@ -104,21 +103,28 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _orders(args) -> list[AlphaOrder]:
+def _log_base(text: str) -> tuple[str, float]:
+    """--base as its unit name and the divisor that converts nats to it."""
+    unit = text.strip().lower()
+    per = {"nats": 1.0, "bits": math.log(2.0)}.get(unit)
+    if per is None:
+        raise ValidationError(f"unknown log base {text!r} (use 'nats' or 'bits')")
+    return unit, per
+
+
+def _orders(args) -> list[float]:
     """The orders of --alpha or --alpha-sweep: strictly increasing, and each
     at least 1, the range of the leakage operations."""
     if args.alpha_sweep:
         orders = parse_sweep(args.alpha_sweep)
     elif args.alpha:
-        orders = [as_order(args.alpha)]
+        orders = [_order(args.alpha)]
     else:
         raise ValidationError("provide --alpha or --alpha-sweep")
-    if any(b.value <= a.value for a, b in zip(orders, orders[1:])):
+    if any(b <= a for a, b in zip(orders, orders[1:])):
         raise ValidationError("alpha sweep must be strictly increasing")
     context = f"put {args.put_mode}" if args.command == "put" else f"{args.command} sweep"
-    for order in orders:
-        order.require_at_least_one(context)
-    return orders
+    return [_order(order, context) for order in orders]
 
 
 def _solver(args) -> dict:
@@ -132,14 +138,14 @@ def _solver(args) -> dict:
 
 
 def cmd_measures(args) -> None:
-    orders, base = _orders(args), LogBase.parse(args.base)
+    orders, (_, per) = _orders(args), _log_base(args.base)
     joint = Joint.from_json(_load_json(args.joint))
     rows = [
         [
-            _fmt(order.value),
-            _fmt(base.from_nats(renyi_entropy(joint.row_marginal(), order))),
-            _fmt(base.from_nats(arimoto_cond_entropy(joint, order))),
-            _fmt(base.from_nats(alpha_leakage(joint, order))),
+            _fmt(order),
+            _fmt(renyi_entropy(joint.row_marginal(), order) / per),
+            _fmt(arimoto_cond_entropy(joint, order) / per),
+            _fmt(alpha_leakage(joint, order) / per),
             _fmt(min_expected_alpha_loss(joint, order)),
         ]
         for order in orders
@@ -149,14 +155,14 @@ def cmd_measures(args) -> None:
 
 
 def cmd_capacity(args) -> None:
-    orders, base, solver = _orders(args), LogBase.parse(args.base), _solver(args)
+    orders, (_, per), solver = _orders(args), _log_base(args.base), _solver(args)
     channels = [Channel.from_json(_load_json(path)) for path in args.channel]
     if len(channels) not in (1, 2):
         raise ValidationError("capacity takes one or two channel files")
 
-    def solve(ch: Channel, order: AlphaOrder):
+    def solve(ch: Channel, order: float):
         prior = None
-        if order.is_one:
+        if order == 1.0:
             print("note: alpha = 1 capacity uses a uniform input distribution", file=sys.stderr)
             prior = Dist.uniform(ch.input_alphabet)
         return maximal_alpha_leakage(ch, order, prior_for_one=prior, **solver)
@@ -173,36 +179,36 @@ def cmd_capacity(args) -> None:
         for order in orders:
             res = solve(ch, order)
             row = [
-                _fmt(order.value),
-                _fmt(base.from_nats(res.value)),
-                _fmt(base.from_nats(res.kkt_residual)),
+                _fmt(order),
+                _fmt(res.value / per),
+                _fmt(res.kkt_residual / per),
             ] + [_fmt(v) for v in res.optimal_input.p]
             if is_binary:
-                if order.is_finite_gt_one:
-                    closed = binary_maximal_alpha_leakage(ch.rows[0, 1], ch.rows[1, 0], order.value)
-                    row += [_fmt(base.from_nats(closed)), _fmt(base.from_nats(abs(closed - res.value)))]
+                if 1.0 < order < math.inf:
+                    closed = binary_maximal_alpha_leakage(ch.rows[0, 1], ch.rows[1, 0], order)
+                    row += [_fmt(closed / per), _fmt(abs(closed - res.value) / per)]
                 else:
                     row += ["", ""]
             rows.append(row)
     else:
         header = ["alpha", "value_1", "value_2", "diff"]
-        diffs: list[tuple[AlphaOrder, float]] = []
+        diffs: list[tuple[float, float]] = []
         for order in orders:
             r1, r2 = (solve(ch, order) for ch in channels)
             diffs.append((order, r1.value - r2.value))
             rows.append(
                 [
-                    _fmt(order.value),
-                    _fmt(base.from_nats(r1.value)),
-                    _fmt(base.from_nats(r2.value)),
-                    _fmt(base.from_nats(r1.value - r2.value)),
+                    _fmt(order),
+                    _fmt(r1.value / per),
+                    _fmt(r2.value / per),
+                    _fmt((r1.value - r2.value) / per),
                 ]
             )
         for (o1, d1), (o2, d2) in zip(diffs, diffs[1:]):
             if d1 * d2 < 0:
                 print(
-                    f"crossing: leakage ordering flips between alpha={_fmt(o1.value)} "
-                    f"and alpha={_fmt(o2.value)}",
+                    f"crossing: leakage ordering flips between alpha={_fmt(o1)} "
+                    f"and alpha={_fmt(o2)}",
                     file=sys.stderr,
                 )
     _emit(_csv(header, rows), args.out)
@@ -210,7 +216,7 @@ def cmd_capacity(args) -> None:
 
 def cmd_strategy(args) -> None:
     orders = _orders(args)
-    LogBase.parse(args.base)  # the columns are probabilities, but a malformed --base is still exit 2
+    _log_base(args.base)  # the columns are probabilities, but a malformed --base is still exit 2
     joint = Joint.from_json(_load_json(args.joint))
     posterior = conditional_of(joint.swapped()).conditional
     header = ["alpha", "output", "input", "posterior", "strategy"]
@@ -221,7 +227,7 @@ def cmd_strategy(args) -> None:
             for xi, x in enumerate(posterior.output_alphabet.labels):
                 rows.append(
                     [
-                        _fmt(order.value),
+                        _fmt(order),
                         y,
                         x,
                         _fmt(posterior.rows[yi, xi]),
@@ -236,7 +242,7 @@ def _put_json_summary(payload: dict, path: str | None, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
-def _named_generator(name: str, order: AlphaOrder):
+def _named_generator(name: str, order: float):
     if name == "kl":
         return kl_generator()
     if name == "hellinger":
@@ -252,14 +258,14 @@ def _named_generator(name: str, order: AlphaOrder):
 
 
 def cmd_put_hard(args) -> None:
-    orders, base, solver = _orders(args), LogBase.parse(args.base), _solver(args)
+    orders, (base, per), solver = _orders(args), _log_base(args.base), _solver(args)
     spec = DistortionSpec.from_json(_load_json(args.spec))
     if len(orders) != 1:
         raise ValidationError("put hard expects a single --alpha")
     order = orders[0]
     # Only the alpha = 1 tradeoff depends on the input law; it is certified
     # by a Frank-Wolfe gap, every other one by the covering LP's duality gap.
-    aware = args.generator == "alpha" and order.is_one
+    aware = args.generator == "alpha" and order == 1.0
     if args.prior and not aware:
         raise ValidationError("--prior is read only at --alpha 1 with --generator alpha")
     if args.generator != "alpha":
@@ -273,13 +279,13 @@ def cmd_put_hard(args) -> None:
             prior = Dist.uniform(spec.input_alphabet)
             print("note: alpha = 1 tradeoff uses a uniform input distribution", file=sys.stderr)
         value, solution = put_max_alpha_leakage(spec, order, prior_for_one=prior, **solver)
-        value = base.from_nats(value)
-        unit = f" {base.value}"
+        value /= per
+        unit = f" {base}"
     payload = solution.to_json()
-    payload["alpha"] = _fmt(order.value)
+    payload["alpha"] = _fmt(order)
     payload["generator"] = args.generator
     summary = (
-        f"hard-distortion PUT at alpha={_fmt(order.value)} "
+        f"hard-distortion PUT at alpha={_fmt(order)} "
         f"[{args.generator}]: {value:.12g}{unit} "
         f"(q*={solution.q_star:.12g}, {'Frank-Wolfe' if aware else 'duality'} gap {solution.duality_gap:.3e})"
     )
@@ -287,7 +293,7 @@ def cmd_put_hard(args) -> None:
 
 
 def cmd_put_types(args) -> None:
-    base = LogBase.parse(args.base)
+    unit, per = _log_base(args.base)
     result = type_distance_put(args.n, args.m)
     payload = {
         "n": args.n,
@@ -301,14 +307,14 @@ def cmd_put_types(args) -> None:
         },
     }
     summary = (
-        f"type-distance PUT(n={args.n}, m={args.m}): {base.from_nats(result.value):.12g} "
-        f"{base.value}; output type classes {list(result.index_set.members)}"
+        f"type-distance PUT(n={args.n}, m={args.m}): {result.value / per:.12g} "
+        f"{unit}; output type classes {list(result.index_set.members)}"
     )
     _put_json_summary(payload, args.out, summary)
 
 
 def cmd_put_hamming(args) -> None:
-    base = LogBase.parse(args.base)
+    unit, per = _log_base(args.base)
     result = hamming_put(args.n, args.m, args.q)
     payload = {
         "n": args.n,
@@ -320,26 +326,26 @@ def cmd_put_hamming(args) -> None:
     }
     summary = (
         f"Hamming PUT(n={args.n}, m={args.m}, q={args.q}): "
-        f"{base.from_nats(result.value):.12g} {base.value}; "
+        f"{result.value / per:.12g} {unit}; "
         f"uniform mechanism over balls of {result.ball_size} datasets"
     )
     _put_json_summary(payload, args.out, summary)
 
 
 def cmd_put_avg_binary(args) -> None:
-    orders, base = _orders(args), LogBase.parse(args.base)
+    orders, (_, per) = _orders(args), _log_base(args.base)
     header = ["alpha", "value", "rho1", "rho2", "guess_prob", "gap"]
     rows = []
     for order in orders:
         res = avg_hamming_binary_put(args.p, args.D, order)
         rows.append(
             [
-                _fmt(order.value),
-                _fmt(base.from_nats(res.value)),
+                _fmt(order),
+                _fmt(res.value / per),
                 _fmt(res.rho1),
                 _fmt(res.rho2),
                 _fmt(res.guess_prob),
-                _fmt(base.from_nats(res.gap)),
+                _fmt(res.gap / per),
             ]
         )
     _emit(_csv(header, rows), args.out)

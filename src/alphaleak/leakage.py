@@ -20,9 +20,10 @@ an upper bound.  With two outputs, every row mixes the two of extreme W(y0|x)
 and D_alpha(. || Q) is quasi-convex (van Erven & Harremoes, IEEE Trans. IT
 2014), so the solve starts at the closed-form optimum on those two rows.
 
-Leakage operations require alpha >= 1 (orders below 1 have no loss
-interpretation here and are rejected); the raw information measures in
-`measures` accept orders in (0, 1) as well.
+Orders are plain floats, inf included (`prob._order`).  Leakage
+operations require alpha >= 1 (orders below 1 have no loss interpretation
+here and are rejected); the raw information measures in `measures` accept
+orders in (0, 1) as well.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .prob import (
     Channel,
     Dist,
     Joint,
-    as_order,
+    _order,
     conditional_of,
     logsumexp,
 )
@@ -287,17 +288,16 @@ class CapacityResult:
 
 def alpha_loss(prob_correct: float, order) -> float:
     """Loss of assigning probability `prob_correct` to the true symbol."""
-    order = as_order(order).require_at_least_one("alpha_loss")
+    a = _order(order, "alpha_loss")
     p = float(prob_correct)
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"probability of correct guess must be in [0, 1], got {p}")
     if p == 1.0:
         return 0.0  # a sure guess costs nothing; the formulas below give -0.0
-    if order.is_one:
+    if a == 1.0:
         return -math.log(p) if p > 0 else math.inf
-    if order.is_inf:
+    if math.isinf(a):
         return 1.0 - p
-    a = order.value
     if p == 0.0:
         return a / (a - 1.0)
     return a / (a - 1.0) * -math.expm1((a - 1.0) / a * math.log(p))
@@ -311,15 +311,15 @@ def optimal_strategy(posterior_channel: Channel, order) -> Channel:
     At alpha = 1 the posterior itself is optimal; at alpha = inf the MAP
     rule, splitting ties uniformly over the argmax set.
     """
-    order = as_order(order).require_at_least_one("optimal_strategy")
+    a = _order(order, "optimal_strategy")
     post = posterior_channel.rows
-    if order.is_one:
+    if a == 1.0:
         rows = post.copy()
-    elif order.is_inf:
+    elif math.isinf(a):
         best = post == post.max(axis=1, keepdims=True)
         rows = best / best.sum(axis=1, keepdims=True)
     else:
-        logs = order.value * _log_rows(post)
+        logs = a * _log_rows(post)
         rows = np.exp(logs - logsumexp(logs, axis=1)[:, None])
         rows /= rows.sum(axis=1, keepdims=True)
     return Channel(posterior_channel.input_alphabet, posterior_channel.output_alphabet, rows)
@@ -328,16 +328,15 @@ def optimal_strategy(posterior_channel: Channel, order) -> Channel:
 def min_expected_alpha_loss(joint: Joint, order) -> float:
     """Minimal expected alpha-loss of guessing the row variable from the
     column variable; attained by the tilted-posterior strategy."""
-    order = as_order(order).require_at_least_one("min_expected_alpha_loss")
-    return alpha_loss(math.exp(-arimoto_cond_entropy(joint, order)), order)
+    a = _order(order, "min_expected_alpha_loss")
+    return alpha_loss(math.exp(-arimoto_cond_entropy(joint, a)), a)
 
 
 def alpha_leakage(joint: Joint, order) -> float:
     """Leakage about the row variable from observing the column variable:
     the multiplicative gain in alpha-loss performance, which equals the
     Arimoto mutual information of order alpha."""
-    order = as_order(order).require_at_least_one("alpha_leakage")
-    return arimoto_mi(joint, order)
+    return arimoto_mi(joint, _order(order, "alpha_leakage"))
 
 
 def maximal_leakage(channel: Channel) -> float:
@@ -368,18 +367,18 @@ def maximal_alpha_leakage(
     required (the alpha = 1 value depends on the actual input law, not
     just its support).  alpha = inf: closed form log sum_y max_x W(y|x).
     """
-    order = as_order(order).require_at_least_one("maximal_alpha_leakage")
+    a = _order(order, "maximal_alpha_leakage")
     in_alpha, out_alpha = channel.input_alphabet, channel.output_alphabet
     W = channel.rows
 
-    if order.is_one:
+    if a == 1.0:
         if prior_for_one is None:
             raise ValidationError("maximal alpha-leakage at alpha = 1 needs an input distribution")
-        value = sibson_mi(prior_for_one, channel, order)  # checks the alphabets
+        value = sibson_mi(prior_for_one, channel, a)  # checks the alphabets
         q = prior_for_one.p @ W
         return CapacityResult(value, prior_for_one, Dist(out_alpha, q / q.sum()), 0.0, 0)
 
-    if order.is_inf:
+    if math.isinf(a):
         colmax = W.max(axis=0)
         return CapacityResult(
             maximal_leakage(channel),
@@ -389,7 +388,6 @@ def maximal_alpha_leakage(
             0,
         )
 
-    a = order.value
     # Outputs no input can reach contribute nothing and are dropped.  With
     # t = M P, M = ((W / colmax)^a)^T, the Sibson sum is
     # S(P) = sum_y colmax_y t_y^(1/a) and I^S_a(P) = a/(a-1) log S(P); the
@@ -471,15 +469,18 @@ def binary_maximal_alpha_leakage(rho1, rho2, alpha: float):
     delta = 1 - rho1 - rho2.  Each power difference is delta times the
     divided difference (`_log_divided_difference`) and the delta factors
     cancel, so the formula keeps its accuracy up to and on the rank-one
-    locus delta = 0, where it is 0.  It never calls the capacity solver.
+    locus delta = 0, where it is 0; a value that rounds below 0 there is
+    returned as +0.0.  It never calls the capacity solver.
     """
-    alpha = as_order(alpha).finite_above_one("binary closed form")
+    alpha = _order(alpha, "binary closed form", finite=True)
     r1, r2 = np.broadcast_arrays(np.asarray(rho1, dtype=float), np.asarray(rho2, dtype=float))
     if not (np.all((0.0 <= r1) & (r1 <= 1.0)) and np.all((0.0 <= r2) & (r2 <= 1.0))):
         raise ValidationError("crossover probabilities must lie in [0, 1]")
     lm = _log_divided_difference((1.0 - r1) * (1.0 - r2), r1 * r2, alpha)
     lb = _log_divided_difference(np.stack([1.0 - r2, 1.0 - r1]), np.stack([r1, r2]), alpha)
-    value = np.asarray(lm / (alpha - 1.0) + logsumexp(lb / (1.0 - alpha), axis=0))
+    value = lm / (alpha - 1.0) + logsumexp(lb / (1.0 - alpha), axis=0)
+    # rounding near the locus can leave the value a few ulps below 0 (or -0.0)
+    value = np.where(value <= 0.0, 0.0, value)
     return float(value) if value.ndim == 0 else value
 
 

@@ -9,8 +9,9 @@ Shannon quantities at alpha = 1 and the max forms at alpha = inf are the
 limits of the same formula, not separate branches, and the formula keeps
 its accuracy as alpha approaches 1.
 
-All values are computed and returned in nats; `LogBase` converts at the
-API boundary only, so there is a single internal unit convention.
+Orders are plain floats, inf included (`prob._order` reads and checks
+them).  All values are computed and returned in nats; the CLI's --base
+converts at the output only, so there is a single internal unit convention.
 
 Conventions for zero probabilities follow the finite-sum semantics of the
 defining expressions: 0^alpha = 0 and zero-weight terms are dropped before
@@ -20,7 +21,6 @@ fails (for orders > 1, some p(x) > 0 where q(x) = 0).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -28,27 +28,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .prob import Channel, Dist, Joint, _tilted_log_mean, as_order, xlogy
+from .prob import Channel, Dist, Joint, _order, _tilted_log_mean, xlogy
 
-_LN2 = math.log(2.0)
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
-
-
-class LogBase(enum.Enum):
-    """Output unit for logarithmic quantities; internals are always nats."""
-
-    NATS = "nats"
-    BITS = "bits"
-
-    @staticmethod
-    def parse(text: str) -> "LogBase":
-        try:
-            return LogBase(text.strip().lower())
-        except ValueError:
-            raise ValidationError(f"unknown log base {text!r} (use 'nats' or 'bits')") from None
-
-    def from_nats(self, value: float) -> float:
-        return value / _LN2 if self is LogBase.BITS else value
 
 
 def _require_same_alphabet(p: Dist, q: Dist) -> None:
@@ -62,19 +44,19 @@ def renyi_entropy(dist: Dist, order) -> float:
     entropy at alpha = 1 and min-entropy -log max p at alpha = inf.  A point
     mass gives +0.0."""
     p = dist.p
-    return 0.0 - float(_tilted_log_mean(p, _log_rows(p), as_order(order).value - 1.0))
+    return 0.0 - float(_tilted_log_mean(p, _log_rows(p), _order(order) - 1.0))
 
 
 def renyi_divergence(p: Dist, q: Dist, order) -> float:
     """Renyi divergence D_alpha(p || q) = T(p, log p - log q, alpha - 1) in
     nats (`_tilted_log_mean`); +inf on support violation."""
-    order = as_order(order)
+    a = _order(order)
     _require_same_alphabet(p, q)
     sup = p.p > 0
     pv, qv = p.p[sup], q.p[sup]
-    if order.value >= 1.0 and np.any(qv == 0):
+    if a >= 1.0 and np.any(qv == 0):
         return math.inf
-    return float(_tilted_log_mean(pv, np.log(pv) - _log_rows(qv), order.value - 1.0))
+    return float(_tilted_log_mean(pv, np.log(pv) - _log_rows(qv), a - 1.0))
 
 
 def _log_rows(W: np.ndarray) -> np.ndarray:
@@ -107,7 +89,7 @@ def sibson_mi(prior: Dist, channel: Channel, order) -> float:
     if channel.input_alphabet != prior.alphabet:
         raise ValidationError("channel input alphabet does not match prior alphabet")
     W = channel.rows
-    return _mean_over_outputs(prior.p[:, None] * W, W, as_order(order).value)
+    return _mean_over_outputs(prior.p[:, None] * W, W, _order(order))
 
 
 def arimoto_cond_entropy(joint: Joint, order) -> float:
@@ -121,7 +103,7 @@ def arimoto_cond_entropy(joint: Joint, order) -> float:
     variable.
     """
     # rounding can leave a deterministic joint (H = 0) a few ulps below 0
-    return max(0.0, -_mean_over_outputs(joint.m, joint.m, as_order(order).value))
+    return max(0.0, -_mean_over_outputs(joint.m, joint.m, _order(order)))
 
 
 def arimoto_mi(joint: Joint, order) -> float:
@@ -186,7 +168,7 @@ def kl_generator() -> FGenerator:
 def hellinger_generator(alpha: float) -> FGenerator:
     """f_alpha(t) = (t^alpha - 1)/(alpha - 1), the Hellinger divergence of
     order alpha > 1."""
-    a = as_order(alpha).finite_above_one("Hellinger generator")
+    a = _order(alpha, "Hellinger generator", finite=True)
     return FGenerator(
         "hellinger", a, -1.0 / (a - 1.0), math.inf, f"hellinger({a:g})",
         f=_elementwise(lambda t: (np.power(t, a) - 1.0) / (a - 1.0)),

@@ -98,62 +98,28 @@ def _product_labels(parts: Sequence[Alphabet]) -> Alphabet:
     return Alphabet(sep.join(combo) for combo in itertools.product(*(a.labels for a in parts)))
 
 
-@dataclass(frozen=True)
-class AlphaOrder:
-    """Order parameter alpha in (0, inf]; alpha = 1 and inf are the
-    continuous extensions.  The measures reach them as limits of one
-    formula; the leakage solvers and the loss still treat them apart."""
-
-    value: float
-
-    def __init__(self, value):
-        if isinstance(value, AlphaOrder):
-            value = value.value
-        value = float(value)
-        if math.isnan(value) or value <= 0:
-            raise ValidationError(f"alpha must be positive, got {value}")
-        if abs(value - 1.0) < ALPHA_ONE_SNAP:
-            value = 1.0
-        object.__setattr__(self, "value", value)
-
-    @property
-    def is_one(self) -> bool:
-        return self.value == 1.0
-
-    @property
-    def is_inf(self) -> bool:
-        return math.isinf(self.value)
-
-    @property
-    def is_finite_gt_one(self) -> bool:
-        return 1.0 < self.value < math.inf
-
-    def require_at_least_one(self, context: str) -> "AlphaOrder":
-        if self.value < 1.0:
-            raise ValidationError(f"{context} requires alpha >= 1, got {self.value}")
-        return self
-
-    def finite_above_one(self, context: str) -> float:
-        """The value, when 1 < alpha < inf; else ValidationError naming `context`."""
-        if not self.is_finite_gt_one:
-            raise ValidationError(f"{context} requires finite alpha > 1, got {self.value}")
-        return self.value
-
-    def __repr__(self):
-        return f"AlphaOrder({'inf' if self.is_inf else self.value})"
-
-
-def as_order(order) -> AlphaOrder:
-    """Coerce a float, a numeric string ('inf' included), or an AlphaOrder to
-    AlphaOrder; a string that is not a number raises ValidationError."""
-    if isinstance(order, AlphaOrder):
-        return order
-    if isinstance(order, str):
+def _order(value, context: str | None = None, finite: bool = False) -> float:
+    """The order alpha as a float, inf included, from a number or a numeric
+    string; within ALPHA_ONE_SNAP of 1 it reads as 1.  Without `context`
+    every alpha > 0 passes; with it, alpha >= 1, or 1 < alpha < inf when
+    `finite`, else ValidationError naming `context`."""
+    if isinstance(value, str):
         try:
-            order = float(order)
+            value = float(value)
         except ValueError:
-            raise ValidationError(f"alpha {order!r} is not a number") from None
-    return AlphaOrder(order)
+            raise ValidationError(f"alpha {value!r} is not a number") from None
+    value = float(value)
+    if math.isnan(value) or value <= 0:
+        raise ValidationError(f"alpha must be positive, got {value}")
+    if abs(value - 1.0) < ALPHA_ONE_SNAP:
+        value = 1.0
+    if context is None:
+        return value
+    if finite and not 1.0 < value < math.inf:
+        raise ValidationError(f"{context} requires finite alpha > 1, got {value}")
+    if value < 1.0:
+        raise ValidationError(f"{context} requires alpha >= 1, got {value}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,7 +383,7 @@ def log_alpha_norm(values, order) -> float:
     out (0^alpha = 0); an all-zero vector maps to -inf.  order = 1 gives
     log of the plain sum and order = inf gives log of the max.
     """
-    order = as_order(order)
+    a = _order(order)
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ValidationError("log_alpha_norm expects a vector")
@@ -426,5 +392,4 @@ def log_alpha_norm(values, order) -> float:
     pos = v[v > 0]
     if pos.size == 0:
         return -math.inf
-    a = order.value
     return float((1.0 - 1.0 / a) * _tilted_log_mean(pos, np.log(pos), a - 1.0) + np.log(pos.sum()) / a)

@@ -56,8 +56,8 @@ from .errors import ConvergenceError, IncompatibleGeneratorError, ValidationErro
 from .leakage import _minimize_on_simplex, _relative_certificate, binary_maximal_alpha_leakage
 from .lp import GameSolution, covering_game, feasible_point
 from .measures import FGenerator, kl_generator
-from .prob import Alphabet, Channel, Dist, Joint, as_order
-from .prob import _floats, _json_fields, _nonnegative_array, _tilted_log_mean
+from .prob import Alphabet, Channel, Dist, Joint
+from .prob import _floats, _json_fields, _nonnegative_array, _order, _tilted_log_mean
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,8 +274,7 @@ def put_max_alpha_leakage(
     the Frank-Wolfe gap measured at the returned output distribution in
     place of an LP duality gap.
     """
-    order = as_order(order).require_at_least_one("put_max_alpha_leakage")
-    if order.is_one:
+    if _order(order, "put_max_alpha_leakage") == 1.0:
         if prior_for_one is None:
             raise ValidationError("the alpha = 1 tradeoff needs an input distribution")
         mask = spec.ball_mask
@@ -330,7 +329,7 @@ def sensitive_lower_bound(sj: SensitiveJoint, order) -> tuple[float, bool]:
     mechanism x >= 0 that meets it to 1e-9 on the row-scaled system (False
     asserts nothing about non-tightness).
     """
-    a = as_order(order).require_at_least_one("sensitive_lower_bound").value
+    a = _order(order, "sensitive_lower_bound")
     psx = sj.joint.m  # [s, x]
     ps = psx.sum(axis=1)  # P_S
     ball = sj.spec.ball_mask  # [x, y]
@@ -446,7 +445,7 @@ def avg_hamming_binary_put(p: float, D: float, alpha: float) -> AvgHammingSoluti
     ConvergenceError after 40 rounds.  Also reports the MAP success
     probability sum_y max_x P_XY(x, y) of the solution.
     """
-    p, D, alpha = float(p), float(D), as_order(alpha).finite_above_one("avg_hamming_binary_put")
+    p, D, alpha = float(p), float(D), _order(alpha, "avg_hamming_binary_put", finite=True)
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p must lie in (0, 1), got {p}")
     if not 0.0 < D < 1.0 - max(p, 1.0 - p):

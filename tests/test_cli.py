@@ -1,10 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from alphaleak import DistortionSpec, lp, put_max_alpha_leakage
-from alphaleak.cli import main
+from alphaleak import DistortionSpec, ValidationError, lp, put_max_alpha_leakage
+from alphaleak.cli import _log_base, main
 from alphaleak.datasets import build_hamming_spec, build_type_distance_spec
 
 
@@ -45,6 +46,14 @@ def test_put_hard_type_spec_at_the_enumeration_limit(tmp_path, capsys, monkeypat
     out = json.loads(capsys.readouterr().out)
     assert out["q_star"] == 1 / 342 and out["duality_gap"] == 0.0
     assert np.count_nonzero(out["Q_star"]) == 342
+
+
+def test_log_base_parses_and_converts():
+    unit, per = _log_base(" Bits ")
+    assert unit == "bits" and math.log(2) / per == pytest.approx(1.0, abs=1e-15)
+    assert _log_base("nats") == ("nats", 1.0)
+    with pytest.raises(ValidationError, match="unknown log base 'trits'"):
+        _log_base("trits")
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

@@ -3,8 +3,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import alphaleak
+import alphaleak.cli  # noqa: F401  (a module of the package like the others)
 
 
 def modules_after(statements: str, names=("scipy",)) -> list[str]:
@@ -49,3 +51,12 @@ def test_capacity_solve_loads_no_scipy():
         "al.maximal_alpha_leakage(al.Channel(al.Alphabet.of_size(30, 'x'), al.Alphabet.of_size(40, 'y'), W), 2.0)"
     )
     assert modules_after(statements) == []
+
+
+def test_orders_and_units_are_not_public_types():
+    """An order is a float (inf included) and --base belongs to the CLI, so
+    neither has a public class."""
+    gone = {"AlphaOrder", "as_order", "LogBase"}
+    assert not gone & set(alphaleak.__all__)
+    modules = [m for m in vars(alphaleak).values() if isinstance(m, ModuleType)]  # cli included
+    assert not any(hasattr(module, name) for module in modules for name in gone)

@@ -654,6 +654,14 @@ class TestBinaryClosedForm:
         for a in self.ORDERS:
             assert binary_maximal_alpha_leakage(r1, r2, a).min() >= -1e-14
 
+    def test_clamped_at_zero_near_the_locus(self):
+        # unclamped, 13-30% of these pairs round below 0, to -4.7e-13 at alpha = 1.001
+        r1, r2 = self.near_locus(np.random.default_rng(56), 20_000, lo=-16, hi=-3)
+        for a in (1.001, 1.01, 1.05, 2.0, 20.0, 1000.0):
+            assert not np.signbit(binary_maximal_alpha_leakage(r1, r2, a)).any()
+            scalars = [binary_maximal_alpha_leakage(x, y, a) for x, y in zip(r1[:100], r2[:100])]
+            assert min(math.copysign(1.0, v) for v in scalars) == 1.0
+
     def test_nondecreasing_in_alpha_near_the_locus(self):
         r1, r2 = self.near_locus(np.random.default_rng(55), 400, lo=-14, hi=-3)
         values = np.stack([binary_maximal_alpha_leakage(r1, r2, a) for a in self.ORDERS])
@@ -864,6 +872,31 @@ class TestPaperTheorems:
             lo, hi = self.bracket(product_channel([ch, other]), a)
             assert lo <= hi1 + hi2
             assert lo1 + lo2 <= hi
+
+    @pytest.mark.parametrize("a", ORDERS)
+    def test_subadditive_over_two_releases_of_the_same_input(self, a):
+        # W(y1, y2 | x) = W1(y1 | x) W2(y2 | x): both outputs come from one X
+        for rng, ch in self.channels(64, 80):
+            other = random_channel(rng, ch.shape[0], int(rng.integers(2, 5)))
+            rows = (ch.rows[:, :, None] * other.rows[:, None, :]).reshape(ch.shape[0], -1)
+            both = Channel(ch.input_alphabet, Alphabet.of_size(rows.shape[1], "y"), rows)
+            assert self.bracket(both, a)[0] <= self.bracket(ch, a)[1] + self.bracket(other, a)[1]
+
+    @pytest.mark.parametrize("a", [1.3, 2.0, 5.0, 20.0])
+    def test_maximal_alpha_leakage_is_the_arimoto_capacity(self, a):
+        # I^A_a at P equals I^S_a at P^a / sum P^a (Verdu, ITA 2015), so the
+        # Arimoto information peaks at the capacity, at P_A proportional to P*^(1/a).
+        rng = np.random.default_rng(65)
+        for _ in range(60):
+            ch = random_channel(rng, *rng.integers(2, 9, size=2))
+            res = maximal_alpha_leakage(ch, a)
+            slack = res.kkt_residual + self.ROUNDING
+            tilted = res.optimal_input.p ** (1.0 / a)
+            p_a = Dist(ch.input_alphabet, tilted / tilted.sum())
+            assert abs(arimoto_mi(make_joint(p_a, ch), a) - res.value) <= slack
+            for _ in range(5):
+                prior = Dist(ch.input_alphabet, rng.dirichlet(np.ones(ch.shape[0])))
+                assert arimoto_mi(make_joint(prior, ch), a) <= res.value + slack
 
     @pytest.mark.parametrize("a", ORDERS)
     def test_nondecreasing_in_alpha(self, a):

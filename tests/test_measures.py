@@ -24,7 +24,6 @@ from alphaleak import (
     renyi_entropy,
     sibson_mi,
 )
-from alphaleak.measures import LogBase
 from util import random_channel, random_dist, random_joint
 
 B = Alphabet(("0", "1"))
@@ -479,11 +478,3 @@ class TestAlphaNormCenter:
             for _ in range(100):
                 other = random_dist(rng, 4)
                 assert k_sum(comps, other, a) >= attained - 1e-9
-
-
-class TestLogBase:
-    def test_parse_and_convert(self):
-        assert LogBase.parse("bits").from_nats(math.log(2)) == pytest.approx(1.0, abs=1e-15)
-        assert LogBase.parse("nats").from_nats(1.75) == 1.75
-        with pytest.raises(ValidationError):
-            LogBase.parse("trits")

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from alphaleak import (
     Alphabet,
-    AlphaOrder,
     Channel,
     Dist,
     Joint,
@@ -21,7 +20,7 @@ from alphaleak import (
     make_joint,
     product_channel,
 )
-from alphaleak.prob import _nonnegative_array, logsumexp, xlogy
+from alphaleak.prob import _nonnegative_array, _order, logsumexp, xlogy
 from util import random_channel, random_dist
 
 B = Alphabet(("0", "1"))
@@ -41,27 +40,34 @@ class TestAlphabet:
 
 
 class TestAlphaOrder:
+    """`_order` reads an order as a float, inf included, and checks its range."""
+
     def test_snaps_near_one(self):
-        assert AlphaOrder(1.0 + 5e-10).is_one
-        assert not AlphaOrder(1.0 + 5e-9).is_one
+        assert _order(1.0 + 5e-10) == 1.0
+        assert _order(1.0 + 5e-9) == 1.0 + 5e-9
+        assert _order("2") == 2.0 and _order("inf") == math.inf
 
     def test_rejects_nonpositive(self):
-        for bad in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValidationError):
-                AlphaOrder(bad)
+        for bad in (0.0, -1.0, float("nan"), "-2"):
+            with pytest.raises(ValidationError, match="alpha must be positive"):
+                _order(bad)
+        with pytest.raises(ValidationError, match="alpha 'two' is not a number"):
+            _order("two")
 
     def test_infinity(self):
-        assert AlphaOrder(math.inf).is_inf
+        assert _order(math.inf) == math.inf
+        assert _order(math.inf, "test") == math.inf
 
     def test_leakage_gate(self):
-        with pytest.raises(ValidationError):
-            AlphaOrder(0.5).require_at_least_one("test")
+        assert _order(1.0 - 5e-10, "test") == 1.0
+        with pytest.raises(ValidationError, match="test requires alpha >= 1, got 0.5"):
+            _order(0.5, "test")
 
     def test_finite_above_one(self):
-        assert AlphaOrder(2.5).finite_above_one("test") == 2.5
+        assert _order(2.5, "test", finite=True) == 2.5
         for bad in (0.5, 1.0, math.inf):
             with pytest.raises(ValidationError, match="test requires finite alpha > 1"):
-                AlphaOrder(bad).finite_above_one("test")
+                _order(bad, "test", finite=True)
 
 
 FINITE_ORDER_ONLY = {

@@ -1,10 +1,12 @@
 """Command-line surface.
 
-Loads distributions, channels, and distortion specs from the JSON schemas
-defined by the library, runs the requested operation over a single order
-or an alpha sweep, and writes CSV (measures, capacity, strategy,
-avg-binary sweeps) or JSON (PUT solutions).  Values are printed with 12
-significant digits and no randomness, so outputs are reproducible
+Loads joints, channels, distributions and distortion specs from JSON files
+whose schemas are defined here (`_SCHEMAS`), runs the requested operation
+over a single order or an alpha sweep (a start:stop:step sweep holds at
+most 10000 orders), and writes CSV (measures, capacity, strategy,
+avg-binary sweeps) or JSON (PUT solutions, built by `cmd_put_*`).  Files
+are read and written as UTF-8 whatever the locale.  Values are printed with
+12 significant digits and no randomness, so outputs are reproducible
 bit-for-bit across runs with the same configuration.
 
 Exit codes: 0 success, 2 validation or input error, 3 solver
@@ -15,9 +17,12 @@ distortion).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+
+import numpy as np
 
 from .errors import ConvergenceError, IncompatibleGeneratorError, ValidationError
 from .leakage import (
@@ -34,7 +39,7 @@ from .measures import (
     kl_generator,
     renyi_entropy,
 )
-from .prob import Channel, Dist, Joint, _order, conditional_of
+from .prob import Alphabet, Channel, Dist, Joint, _order, conditional_of
 from .put import (
     DistortionSpec,
     avg_hamming_binary_put,
@@ -47,6 +52,17 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_INCOMPATIBLE = 4
+_MAX_SWEEP = 10_000
+
+_floats = functools.partial(np.asarray, dtype=float)
+
+# Each input's JSON keys, in the order of its constructor's arguments, and their parsers.
+_SCHEMAS = {
+    Joint: {"rows": Alphabet, "cols": Alphabet, "mass": _floats},
+    Channel: {"input": Alphabet, "output": Alphabet, "rows": _floats},
+    Dist: {"alphabet": Alphabet, "mass": _floats},
+    DistortionSpec: {"input": Alphabet, "output": Alphabet, "d": _floats, "D": float},
+}
 
 
 def parse_sweep(text: str) -> list[float]:
@@ -61,8 +77,10 @@ def parse_sweep(text: str) -> list[float]:
             raise ValidationError(f"sweep {text!r} is not start:stop:step") from None
         if not (all(map(math.isfinite, (start, stop, step))) and step > 0 and stop >= start):
             raise ValidationError(f"sweep {text!r} must increase in finite steps")
-        count = int(math.floor((stop - start) / step + 1e-12)) + 1
-        return [_order(start + k * step) for k in range(count)]
+        steps = (stop - start) / step + 1e-12
+        if not steps < _MAX_SWEEP:  # inf when the span overflows
+            raise ValidationError(f"sweep {text!r} has {np.floor(steps) + 1:.0f} orders, over {_MAX_SWEEP}")
+        return [_order(start + k * step) for k in range(int(steps) + 1)]
     orders = [_order(tok) for tok in text.split(",") if tok]
     if not orders:
         raise ValidationError(f"sweep {text!r} names no order")
@@ -74,28 +92,43 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _load_json(path: str) -> dict:
-    """The parsed file; a file that cannot be opened, or that is not UTF-8
-    JSON (a ValueError), is a ValidationError."""
+def _read(path: str, kind: type):
+    """The `kind` built from the JSON file at `path` by its `_SCHEMAS` entry;
+    a file that cannot be opened, is not UTF-8 JSON (a ValueError) or does
+    not fit the schema is a ValidationError."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
     except OSError as exc:
         reason = "not found" if isinstance(exc, FileNotFoundError) else f"unreadable ({exc.strerror})"
         raise ValidationError(f"input file {reason}: {path}") from None
     except ValueError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValidationError(f"expected a JSON object, got {type(obj).__name__}")
+    values = []
+    for key, parse in _SCHEMAS[kind].items():
+        if key not in obj:
+            raise ValidationError(f"JSON object has no {key!r} key")
+        try:
+            values.append(parse(obj[key]))
+        except (TypeError, ValueError, ValidationError) as exc:
+            raise ValidationError(f"bad {key!r} entry: {exc}") from None
+    return kind(*values)
 
 
 def _emit(text: str, path: str | None) -> None:
     if path:
         try:
-            with open(path, "w") as fh:
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)  # encoded whole before any byte is written
+        except UnicodeEncodeError as exc:
+            raise ValidationError(f"stdout ({exc.encoding}) cannot encode the output; use --out") from None
 
 
 def _csv(header: list[str], rows: list[list[str]]) -> str:
@@ -139,7 +172,7 @@ def _solver(args) -> dict:
 
 def cmd_measures(args) -> None:
     orders, (_, per) = _orders(args), _log_base(args.base)
-    joint = Joint.from_json(_load_json(args.joint))
+    joint = _read(args.joint, Joint)
     rows = [
         [
             _fmt(order),
@@ -156,7 +189,7 @@ def cmd_measures(args) -> None:
 
 def cmd_capacity(args) -> None:
     orders, (_, per), solver = _orders(args), _log_base(args.base), _solver(args)
-    channels = [Channel.from_json(_load_json(path)) for path in args.channel]
+    channels = [_read(path, Channel) for path in args.channel]
     if len(channels) not in (1, 2):
         raise ValidationError("capacity takes one or two channel files")
 
@@ -217,7 +250,7 @@ def cmd_capacity(args) -> None:
 def cmd_strategy(args) -> None:
     orders = _orders(args)
     _log_base(args.base)  # the columns are probabilities, but a malformed --base is still exit 2
-    joint = Joint.from_json(_load_json(args.joint))
+    joint = _read(args.joint, Joint)
     posterior = conditional_of(joint.swapped()).conditional
     header = ["alpha", "output", "input", "posterior", "strategy"]
     rows = []
@@ -235,6 +268,11 @@ def cmd_strategy(args) -> None:
                     ]
                 )
     _emit(_csv(header, rows), args.out)
+
+
+def _in_units(nats: float) -> dict:
+    """A PUT value as the JSON payloads hold it, in nats and in bits."""
+    return {"value_nats": nats, "value_bits": nats / math.log(2.0)}
 
 
 def _put_json_summary(payload: dict, path: str | None, summary: str) -> None:
@@ -259,7 +297,7 @@ def _named_generator(name: str, order: float):
 
 def cmd_put_hard(args) -> None:
     orders, (base, per), solver = _orders(args), _log_base(args.base), _solver(args)
-    spec = DistortionSpec.from_json(_load_json(args.spec))
+    spec = _read(args.spec, DistortionSpec)
     if len(orders) != 1:
         raise ValidationError("put hard expects a single --alpha")
     order = orders[0]
@@ -274,16 +312,22 @@ def cmd_put_hard(args) -> None:
     else:
         prior = None
         if args.prior:
-            prior = Dist.from_json(_load_json(args.prior))
+            prior = _read(args.prior, Dist)
         elif aware:
             prior = Dist.uniform(spec.input_alphabet)
             print("note: alpha = 1 tradeoff uses a uniform input distribution", file=sys.stderr)
         value, solution = put_max_alpha_leakage(spec, order, prior_for_one=prior, **solver)
         value /= per
         unit = f" {base}"
-    payload = solution.to_json()
-    payload["alpha"] = _fmt(order)
-    payload["generator"] = args.generator
+    payload = {
+        "q_star": solution.q_star,
+        **_in_units(solution.value),
+        "Q_star": solution.target_output.p.tolist(),
+        "mechanism": solution.mechanism.rows.tolist(),
+        "duality_gap": solution.duality_gap,
+        "alpha": _fmt(order),
+        "generator": args.generator,
+    }
     summary = (
         f"hard-distortion PUT at alpha={_fmt(order)} "
         f"[{args.generator}]: {value:.12g}{unit} "
@@ -298,8 +342,7 @@ def cmd_put_types(args) -> None:
     payload = {
         "n": args.n,
         "m": args.m,
-        "value_nats": result.value,
-        "value_bits": result.value / math.log(2.0),
+        **_in_units(result.value),
         "index_set": list(result.index_set.members),
         "type_map": {str(i): j for i, j in sorted(result.type_map.items())},
         "representatives": {
@@ -320,8 +363,7 @@ def cmd_put_hamming(args) -> None:
         "n": args.n,
         "m": args.m,
         "q": args.q,
-        "value_nats": result.value,
-        "value_bits": result.value / math.log(2.0),
+        **_in_units(result.value),
         "ball_size": result.ball_size,
     }
     summary = (

@@ -16,7 +16,6 @@ finite, nonnegative and divided by their own (row) sums by construction.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -45,25 +44,6 @@ def _nonnegative_array(values, name: str, ndim: int) -> np.ndarray:
         raise ValidationError(f"{name} contains negative entries")
     arr.flags.writeable = False
     return arr
-
-
-def _json_fields(obj, **parsers) -> list:
-    """The entries of the JSON object `obj` named in `parsers`, each parsed
-    by its parser; ValidationError names a missing key or a bad entry."""
-    if not isinstance(obj, dict):
-        raise ValidationError(f"expected a JSON object, got {type(obj).__name__}")
-    values = []
-    for key, parse in parsers.items():
-        if key not in obj:
-            raise ValidationError(f"JSON object has no {key!r} key")
-        try:
-            values.append(parse(obj[key]))
-        except (TypeError, ValueError, ValidationError) as exc:
-            raise ValidationError(f"bad {key!r} entry: {exc}") from None
-    return values
-
-
-_floats = functools.partial(np.asarray, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -153,13 +133,6 @@ class Dist:
         n = len(alphabet)
         return Dist(alphabet, np.full(n, 1.0 / n))
 
-    @staticmethod
-    def from_json(obj: dict) -> "Dist":
-        return Dist(*_json_fields(obj, alphabet=Alphabet, mass=_floats))
-
-    def to_json(self) -> dict:
-        return {"alphabet": list(self.alphabet.labels), "mass": [float(v) for v in self.p]}
-
     def allclose(self, other: "Dist", atol: float = DERIVED_ATOL) -> bool:
         return self.alphabet == other.alphabet and bool(np.allclose(self.p, other.p, atol=atol, rtol=0))
 
@@ -204,17 +177,6 @@ class Channel:
     def identity(alphabet: Alphabet) -> "Channel":
         return Channel(alphabet, alphabet, np.eye(len(alphabet)))
 
-    @staticmethod
-    def from_json(obj: dict) -> "Channel":
-        return Channel(*_json_fields(obj, input=Alphabet, output=Alphabet, rows=_floats))
-
-    def to_json(self) -> dict:
-        return {
-            "input": list(self.input_alphabet.labels),
-            "output": list(self.output_alphabet.labels),
-            "rows": [[float(v) for v in row] for row in self.rows],
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class Joint:
@@ -246,17 +208,6 @@ class Joint:
 
     def swapped(self) -> "Joint":
         return Joint(self.col_alphabet, self.row_alphabet, self.m.T)
-
-    @staticmethod
-    def from_json(obj: dict) -> "Joint":
-        return Joint(*_json_fields(obj, rows=Alphabet, cols=Alphabet, mass=_floats))
-
-    def to_json(self) -> dict:
-        return {
-            "rows": list(self.row_alphabet.labels),
-            "cols": list(self.col_alphabet.labels),
-            "mass": [[float(v) for v in row] for row in self.m],
-        }
 
 
 BINARY = Alphabet(("0", "1"))

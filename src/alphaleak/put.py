@@ -56,8 +56,7 @@ from .errors import ConvergenceError, IncompatibleGeneratorError, ValidationErro
 from .leakage import _minimize_on_simplex, _relative_certificate, binary_maximal_alpha_leakage
 from .lp import GameSolution, covering_game, feasible_point
 from .measures import FGenerator, kl_generator
-from .prob import Alphabet, Channel, Dist, Joint
-from .prob import _floats, _json_fields, _nonnegative_array, _order, _tilted_log_mean
+from .prob import Alphabet, Channel, Dist, Joint, _nonnegative_array, _order, _tilted_log_mean
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,18 +99,6 @@ class DistortionSpec:
     @property
     def ball_mask(self) -> np.ndarray:
         return self._ball_mask
-
-    @staticmethod
-    def from_json(obj: dict) -> "DistortionSpec":
-        return DistortionSpec(*_json_fields(obj, input=Alphabet, output=Alphabet, d=_floats, D=float))
-
-    def to_json(self) -> dict:
-        return {
-            "input": list(self.input_alphabet.labels),
-            "output": list(self.output_alphabet.labels),
-            "d": self.d.tolist(),
-            "D": self.bound,
-        }
 
 
 def q_star(spec: DistortionSpec, tol: float = 1e-10) -> GameSolution:
@@ -156,16 +143,6 @@ class PutSolution:
     value: float  # leakage, nats
     dual_certificate: Dist | None
     duality_gap: float
-
-    def to_json(self) -> dict:
-        return {
-            "q_star": self.q_star,
-            "value_nats": self.value,
-            "value_bits": self.value / math.log(2.0),
-            "Q_star": self.target_output.p.tolist(),
-            "mechanism": self.mechanism.rows.tolist(),
-            "duality_gap": self.duality_gap,
-        }
 
 
 def _require_compatible(gen: FGenerator) -> None:

@@ -1,18 +1,24 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from alphaleak import DistortionSpec, ValidationError, lp, put_max_alpha_leakage
+import alphaleak
+from alphaleak import ValidationError, lp, put_max_alpha_leakage
 from alphaleak.cli import _log_base, main
 from alphaleak.datasets import build_hamming_spec, build_type_distance_spec
+from util import spec_json
 
 
 @pytest.fixture
 def hamming_file(tmp_path):
     path = tmp_path / "hamming4-1-3.json"
-    path.write_text(json.dumps(build_hamming_spec(4, 1, 3).to_json()))
+    path.write_text(json.dumps(spec_json(build_hamming_spec(4, 1, 3))))
     return str(path)
 
 
@@ -27,8 +33,7 @@ def test_put_hard_hamming(hamming_file, capsys):
 def test_put_hard_json_round_trips_the_solution(hamming_file, capsys):
     assert main(["put", "hard", hamming_file, "--alpha", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
-    with open(hamming_file) as fh:
-        _, sol = put_max_alpha_leakage(DistortionSpec.from_json(json.load(fh)), 2.0)
+    _, sol = put_max_alpha_leakage(build_hamming_spec(4, 1, 3), 2.0)
     assert out["Q_star"] == sol.target_output.p.tolist()
     assert out["mechanism"] == sol.mechanism.rows.tolist()
     assert out["q_star"] == sol.q_star and out["duality_gap"] == sol.duality_gap
@@ -41,7 +46,7 @@ def test_put_hard_type_spec_at_the_enumeration_limit(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(lp, "_simplex", refuse)
     path = tmp_path / "type1023-1.json"
-    path.write_text(json.dumps(build_type_distance_spec(1023, 1).to_json()))
+    path.write_text(json.dumps(spec_json(build_type_distance_spec(1023, 1))))
     assert main(["put", "hard", str(path), "--alpha", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["q_star"] == 1 / 342 and out["duality_gap"] == 0.0
@@ -68,6 +73,7 @@ CH = {"input": ["a", "b"], "output": ["u", "v"], "rows": [[0.9, 0.1], [0.2, 0.8]
 DIAGONAL = {"rows": ["a", "b"], "cols": ["a", "b"], "mass": [[0.3, 0.0], [0.0, 0.7]]}
 HARD = ["put", "hard", "FILE", "--alpha", "2"]
 AVG_BINARY = ["put", "avg-binary", "--p", "0.3", "--D", "0.1"]
+HARD1 = ["put", "hard", "SPEC", "--alpha", "1", "--prior"]
 
 
 @pytest.mark.parametrize(
@@ -97,6 +103,12 @@ AVG_BINARY = ["put", "avg-binary", "--p", "0.3", "--D", "0.1"]
         (["measures", "FILE", "--alpha", "2", "--out", "NODIR"], DIAGONAL, "cannot write"),
         (["measures", "DIR", "--alpha", "2"], DIAGONAL, "input file unreadable"),
         (["measures", "BINARY", "--alpha", "2"], DIAGONAL, "invalid JSON"),
+        (["capacity", "FILE", "--alpha", "2"], {k: v for k, v in CH.items() if k != "rows"}, "no 'rows' key"),
+        (["capacity", "FILE", "--alpha", "2"], {**CH, "rows": [[0.9, "x"], [0.2, 0.8]]}, "bad 'rows' entry"),
+        (HARD1 + ["FILE"], {"alphabet": ["a", "b"]}, "no 'mass' key"),
+        (HARD1 + ["FILE"], {"alphabet": ["a", "b"], "mass": [0.5, "x"]}, "bad 'mass' entry"),
+        (["capacity", "FILE", "--alpha-sweep", "1:2:1e-12"], CH, "has 1000000000001 orders, over 10000"),
+        (["capacity", "FILE", "--alpha-sweep", "1:10001:1"], CH, "has 10001 orders, over 10000"),
     ],
     ids=[
         "no-bound", "bad-distortion-entry", "top-level-list", "spec-as-joint", "string-alphabet",
@@ -104,6 +116,8 @@ AVG_BINARY = ["put", "avg-binary", "--p", "0.3", "--D", "0.1"]
         "sweep-below-one", "hard-sweep", "missing-file", "strategy-bad-base",
         "measures-empty-sweep", "measures-empty-sweep-2", "avg-binary-empty-sweep", "avg-binary-empty-sweep-2",
         "hard-kl-prior", "hard-alpha-2-prior", "out-in-missing-dir", "directory", "binary-file",
+        "channel-no-rows", "channel-bad-rows", "prior-no-mass", "prior-bad-mass", "sweep-1e12-orders",
+        "sweep-10001-orders",
     ],
 )
 def test_schema_mismatch_exits_2(tmp_path, capsys, argv, obj, named):
@@ -116,13 +130,40 @@ def test_schema_mismatch_exits_2(tmp_path, capsys, argv, obj, named):
     prior.write_text(json.dumps({"alphabet": ["u", "v", "w"], "mass": [0.2, 0.3, 0.5]}))
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\x89PNG\r\n\x1a\n\xff")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC))
     files = {
-        "FILE": str(path), "MISSING": str(tmp_path / "missing.json"), "PRIOR": str(prior),
+        "FILE": str(path), "MISSING": str(tmp_path / "missing.json"), "PRIOR": str(prior), "SPEC": str(spec),
         "NODIR": str(tmp_path / "missing" / "out.csv"), "DIR": str(tmp_path), "BINARY": str(binary),
     }
     assert main([files.get(word, word) for word in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+def test_utf8_files_under_an_ascii_locale(tmp_path):
+    # JSON is UTF-8 whatever the locale: a non-ASCII label is read, written
+    # to --out as UTF-8, and a stdout that cannot encode it is exit 2
+    joint = tmp_path / "joint.json"
+    joint.write_text(json.dumps({**DIAGONAL, "rows": ["\u00e9", "b"]}, ensure_ascii=False), encoding="utf-8")
+    src = str(Path(alphaleak.__file__).resolve().parent.parent)
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONPATH=src)
+    env.pop("PYTHONIOENCODING", None)
+
+    def cli(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "alphaleak.cli", *argv], env=env, capture_output=True, timeout=60
+        )
+        assert b"Traceback" not in proc.stderr, proc.stderr
+        return proc
+
+    assert cli("measures", str(joint), "--alpha", "2").returncode == 0
+    out = tmp_path / "strategy.csv"
+    assert cli("strategy", str(joint), "--alpha", "2", "--out", str(out)).returncode == 0
+    assert "2,a,\u00e9,1,1" in out.read_text(encoding="utf-8")
+    proc = cli("strategy", str(joint), "--alpha", "2")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"error: ") and b"--out" in proc.stderr
 
 
 def test_measures_of_a_deterministic_joint_never_go_negative(tmp_path, capsys):

@@ -109,16 +109,6 @@ class TestConstructors:
         with pytest.raises(ValidationError):
             Joint(B, B, [[0.5, 0.5], [0.5, 0.5]])
 
-    def test_json_round_trip(self):
-        d = Dist(B, [0.25, 0.75])
-        assert Dist.from_json(d.to_json()).allclose(d)
-        ch = binary_channel(0.1, 0.3)
-        ch2 = Channel.from_json(ch.to_json())
-        assert np.array_equal(ch.rows, ch2.rows)
-        j = make_joint(d, ch)
-        j2 = Joint.from_json(j.to_json())
-        assert np.array_equal(j.m, j2.m)
-
     @pytest.mark.parametrize(
         "make",
         [

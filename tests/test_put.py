@@ -22,6 +22,7 @@ from alphaleak import (
     kl_generator,
     custom_generator,
     maximal_alpha_leakage,
+    maximal_f_leakage,
     optimal_mechanism,
     put_f_leakage,
     put_max_alpha_leakage,
@@ -61,17 +62,6 @@ class TestDistortionSpec:
     def test_negative_distortion_rejected(self):
         with pytest.raises(ValidationError):
             DistortionSpec(B, B, [[0.0, -1.0], [1.0, 0.0]], 1.0)
-
-    def test_json_round_trip(self):
-        spec = DistortionSpec(B, B, [[0.0, 1.0], [1.0, 0.0]], 0.5)
-        spec2 = DistortionSpec.from_json(spec.to_json())
-        assert np.array_equal(spec.d, spec2.d) and spec.bound == spec2.bound
-
-    def test_json_distances_are_python_floats(self):
-        spec = build_hamming_spec(4, 1, 3)
-        d = spec.to_json()["d"]
-        assert d == [[float(v) for v in row] for row in spec.d]
-        assert all(type(v) is float for row in d for v in row)
 
     def test_balls_full_when_bound_dominates(self):
         spec = DistortionSpec(B, B, [[0.0, 1.0], [1.0, 0.0]], 2.0)
@@ -494,6 +484,61 @@ def shifted_hellinger_two() -> FGenerator:
         fprime=lambda t: 2.0 * t - 1.75,
         fsecond=lambda t: np.full(np.shape(t), 2.0),
     )
+
+
+class TestPutTheorems:
+    """The paper's hard-distortion theorems, each on certified values: no
+    tolerance is wider than a returned bracket plus TIE, the rounding
+    (relative) of a value of a few nats."""
+
+    TIE = 1e-15
+
+    def test_mechanism_maximal_f_leakage_is_the_put_value(self):
+        # maximal_f_leakage returns the lower end of a bracket at most
+        # tol = 1e-9 (relative) wide that holds the mechanism's value
+        rng = np.random.default_rng(39)
+        specs = [covering_random_spec(rng) for _ in range(60)]
+        specs += [build_hamming_spec(*nmq) for nmq in ((4, 1, 3), (8, 1, 2), (5, 1, 3))]
+        specs += [build_type_distance_spec(*nm) for nm in ((15, 1), (63, 2))]
+        for spec in specs:
+            for gen in (kl_generator(), hellinger_generator(2.0)):
+                value, sol = put_max_f_leakage(spec, gen)
+                lower = maximal_f_leakage(sol.mechanism, gen, tol=1e-9)
+                scale = max(1.0, abs(value))
+                assert lower <= value + self.TIE * scale
+                assert value <= lower + (1e-9 + self.TIE) * scale
+
+    def test_alpha_one_aware_value_is_at_most_the_free_value(self):
+        # the aware value lies in [optimum, optimum + gap] and the optimum
+        # is at most -log q*
+        rng = np.random.default_rng(40)
+        for _ in range(60):
+            spec = covering_random_spec(rng)
+            prior = Dist(spec.input_alphabet, rng.dirichlet(np.ones(len(spec.input_alphabet))))
+            free, _ = put_max_alpha_leakage(spec, 2.0)
+            aware, sol = put_max_alpha_leakage(spec, 1.0, prior_for_one=prior)
+            assert aware - sol.duality_gap <= free + self.TIE * max(1.0, free)
+
+    @pytest.mark.parametrize("n, m, q", [(4, 1, 3), (8, 1, 2), (5, 1, 3)])
+    def test_alpha_one_aware_value_is_the_free_value_on_hamming(self, n, m, q):
+        # a uniform prior on a vertex-transitive spec: the uniform Q is
+        # optimal by symmetry, so the bound above is attained
+        spec = build_hamming_spec(n, m, q)
+        free, _ = put_max_alpha_leakage(spec, 2.0)
+        aware, sol = put_max_alpha_leakage(spec, 1.0, prior_for_one=Dist.uniform(spec.input_alphabet))
+        tie = self.TIE * max(1.0, free)
+        assert free - tie <= aware <= free + sol.duality_gap + tie
+
+    def test_avg_hamming_binary_tradeoff_is_nondecreasing_in_alpha(self):
+        # v(a2) >= optimum(a2) >= optimum(a1) >= v(a1) - gap(a1)
+        rng = np.random.default_rng(41)
+        orders = (1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 50.0)
+        for _ in range(40):
+            p = float(rng.uniform(0.05, 0.95))
+            D = float(rng.uniform(0.02, 0.98)) * min(p, 1.0 - p)
+            sols = [avg_hamming_binary_put(p, D, a) for a in orders]
+            for a, lo, hi in zip(orders, sols, sols[1:]):
+                assert hi.value >= lo.value - lo.gap, (p, D, a)
 
 
 class TestSharedOutputs:

@@ -63,6 +63,16 @@ def covering_random_spec(rng: np.random.Generator) -> DistortionSpec:
             return DistortionSpec(Alphabet.of_size(n_in, "x"), Alphabet.of_size(n_out, "y"), d, bound)
 
 
+def spec_json(spec: DistortionSpec) -> dict:
+    """The JSON object the CLI reads as a distortion spec."""
+    return {
+        "input": list(spec.input_alphabet.labels),
+        "output": list(spec.output_alphabet.labels),
+        "d": spec.d.tolist(),
+        "D": spec.bound,
+    }
+
+
 def random_joint(rng: np.random.Generator, n_row: int, n_col: int, conc: float = 1.0) -> Joint:
     m = rng.dirichlet(np.full(n_row * n_col, conc)).reshape(n_row, n_col)
     return Joint(Alphabet.of_size(n_row, "x"), Alphabet.of_size(n_col, "y"), m)

@@ -17,7 +17,6 @@ distortion).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -54,14 +53,37 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_INCOMPATIBLE = 4
 _MAX_SWEEP = 10_000
 
-_floats = functools.partial(np.asarray, dtype=float)
+
+def _labels(value) -> Alphabet:
+    """A JSON array of labels (`Alphabet` names a string itself)."""
+    if not isinstance(value, (list, str)):
+        raise ValidationError(f"alphabet must be a JSON array, got {type(value).__name__}")
+    return Alphabet(value)
+
+
+def _number(value) -> float:
+    """A JSON number, not true or false (which Python reads as 1 and 0)."""
+    if type(value) not in (int, float):
+        raise ValidationError(f"{json.dumps(value)} is not a JSON number")
+    return float(value)
+
+
+def _numbers(value) -> np.ndarray:
+    """Nested JSON arrays of numbers.  numpy names an entry it cannot convert;
+    `_number` refuses the first string or true/false that it did convert."""
+    arr = np.asarray(value, dtype=float)
+    leaves = np.asarray(value, dtype=object).ravel()
+    if not set(map(type, leaves)) <= {int, float}:
+        _number(next(leaf for leaf in leaves if type(leaf) not in (int, float)))
+    return arr
+
 
 # Each input's JSON keys, in the order of its constructor's arguments, and their parsers.
 _SCHEMAS = {
-    Joint: {"rows": Alphabet, "cols": Alphabet, "mass": _floats},
-    Channel: {"input": Alphabet, "output": Alphabet, "rows": _floats},
-    Dist: {"alphabet": Alphabet, "mass": _floats},
-    DistortionSpec: {"input": Alphabet, "output": Alphabet, "d": _floats, "D": float},
+    Joint: {"rows": _labels, "cols": _labels, "mass": _numbers},
+    Channel: {"input": _labels, "output": _labels, "rows": _numbers},
+    Dist: {"alphabet": _labels, "mass": _numbers},
+    DistortionSpec: {"input": _labels, "output": _labels, "d": _numbers, "D": _number},
 }
 
 
@@ -131,9 +153,10 @@ def _emit(text: str, path: str | None) -> None:
             raise ValidationError(f"stdout ({exc.encoding}) cannot encode the output; use --out") from None
 
 
-def _csv(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)] + [",".join(row) for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], rows: list[list]) -> str:
+    """The CSV text; a cell that is not a string is a number, written by `_fmt`."""
+    cells = (",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows)
+    return "\n".join([",".join(header), *cells]) + "\n"
 
 
 def _log_base(text: str) -> tuple[str, float]:
@@ -175,11 +198,11 @@ def cmd_measures(args) -> None:
     joint = _read(args.joint, Joint)
     rows = [
         [
-            _fmt(order),
-            _fmt(renyi_entropy(joint.row_marginal(), order) / per),
-            _fmt(arimoto_cond_entropy(joint, order) / per),
-            _fmt(alpha_leakage(joint, order) / per),
-            _fmt(min_expected_alpha_loss(joint, order)),
+            order,
+            renyi_entropy(joint.row_marginal(), order) / per,
+            arimoto_cond_entropy(joint, order) / per,
+            alpha_leakage(joint, order) / per,
+            min_expected_alpha_loss(joint, order),
         ]
         for order in orders
     ]
@@ -211,15 +234,11 @@ def cmd_capacity(args) -> None:
             header += ["closed_form", "closed_form_gap"]
         for order in orders:
             res = solve(ch, order)
-            row = [
-                _fmt(order),
-                _fmt(res.value / per),
-                _fmt(res.kkt_residual / per),
-            ] + [_fmt(v) for v in res.optimal_input.p]
+            row = [order, res.value / per, res.kkt_residual / per, *res.optimal_input.p]
             if is_binary:
                 if 1.0 < order < math.inf:
                     closed = binary_maximal_alpha_leakage(ch.rows[0, 1], ch.rows[1, 0], order)
-                    row += [_fmt(closed / per), _fmt(abs(closed - res.value) / per)]
+                    row += [closed / per, abs(closed - res.value) / per]
                 else:
                     row += ["", ""]
             rows.append(row)
@@ -229,14 +248,7 @@ def cmd_capacity(args) -> None:
         for order in orders:
             r1, r2 = (solve(ch, order) for ch in channels)
             diffs.append((order, r1.value - r2.value))
-            rows.append(
-                [
-                    _fmt(order),
-                    _fmt(r1.value / per),
-                    _fmt(r2.value / per),
-                    _fmt((r1.value - r2.value) / per),
-                ]
-            )
+            rows.append([order, r1.value / per, r2.value / per, (r1.value - r2.value) / per])
         for (o1, d1), (o2, d2) in zip(diffs, diffs[1:]):
             if d1 * d2 < 0:
                 print(
@@ -258,15 +270,7 @@ def cmd_strategy(args) -> None:
         tilted = optimal_strategy(posterior, order)
         for yi, y in enumerate(posterior.input_alphabet.labels):
             for xi, x in enumerate(posterior.output_alphabet.labels):
-                rows.append(
-                    [
-                        _fmt(order),
-                        y,
-                        x,
-                        _fmt(posterior.rows[yi, xi]),
-                        _fmt(tilted.rows[yi, xi]),
-                    ]
-                )
+                rows.append([order, y, x, posterior.rows[yi, xi], tilted.rows[yi, xi]])
     _emit(_csv(header, rows), args.out)
 
 
@@ -380,16 +384,7 @@ def cmd_put_avg_binary(args) -> None:
     rows = []
     for order in orders:
         res = avg_hamming_binary_put(args.p, args.D, order)
-        rows.append(
-            [
-                _fmt(order),
-                _fmt(res.value / per),
-                _fmt(res.rho1),
-                _fmt(res.rho2),
-                _fmt(res.guess_prob),
-                _fmt(res.gap / per),
-            ]
-        )
+        rows.append([order, res.value / per, res.rho1, res.rho2, res.guess_prob, res.gap / per])
     _emit(_csv(header, rows), args.out)
 
 

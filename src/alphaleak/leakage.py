@@ -39,6 +39,7 @@ from .measures import (
     arimoto_cond_entropy,
     arimoto_mi,
     sibson_mi,
+    _at_least_zero,
     _hellinger_image,
     _log_rows,
 )
@@ -342,7 +343,7 @@ def alpha_leakage(joint: Joint, order) -> float:
 def maximal_leakage(channel: Channel) -> float:
     """log of the sum over outputs of the column-wise channel maximum; the
     alpha = inf end of the maximal alpha-leakage family."""
-    return float(np.log(channel.rows.max(axis=0).sum()))
+    return _at_least_zero(float(np.log(channel.rows.max(axis=0).sum())))
 
 
 def maximal_alpha_leakage(
@@ -437,7 +438,7 @@ def maximal_alpha_leakage(
     q[reachable] = colmax * (M @ p) ** (1.0 / a)
     # Both laws come normalized from the solver: no re-validation.
     return CapacityResult(
-        a / (a - 1.0) * math.log(-val),
+        _at_least_zero(a / (a - 1.0) * math.log(-val)),
         Dist._trusted(in_alpha, p),
         Dist._trusted(out_alpha, q / q.sum()),
         gap,
@@ -588,7 +589,7 @@ def maximal_f_leakage(
         lower = float(p @ g) - inner_gap
         gap = float(g.max() - lower)
         if gap <= tol * max(1.0, abs(lower)):
-            return lower
+            return _at_least_zero(lower)
         scale = max(1.0, float(np.abs(g).max()))
         p = p * np.exp((g - g.max()) / scale)
         p /= p.sum()

@@ -33,6 +33,12 @@ from .prob import Channel, Dist, Joint, _order, _tilted_log_mean, xlogy
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
+def _at_least_zero(value: float) -> float:
+    """A nonnegative quantity that rounding left at or below 0, -0.0
+    included, as +0.0; NaN passes (`max(0.0, value)` would turn it into 0)."""
+    return 0.0 if value <= 0.0 else value
+
+
 def _require_same_alphabet(p: Dist, q: Dist) -> None:
     if p.alphabet != q.alphabet:
         raise ValidationError("distributions live on different alphabets")
@@ -89,7 +95,7 @@ def sibson_mi(prior: Dist, channel: Channel, order) -> float:
     if channel.input_alphabet != prior.alphabet:
         raise ValidationError("channel input alphabet does not match prior alphabet")
     W = channel.rows
-    return _mean_over_outputs(prior.p[:, None] * W, W, _order(order))
+    return _at_least_zero(_mean_over_outputs(prior.p[:, None] * W, W, _order(order)))
 
 
 def arimoto_cond_entropy(joint: Joint, order) -> float:
@@ -103,12 +109,12 @@ def arimoto_cond_entropy(joint: Joint, order) -> float:
     variable.
     """
     # rounding can leave a deterministic joint (H = 0) a few ulps below 0
-    return max(0.0, -_mean_over_outputs(joint.m, joint.m, _order(order)))
+    return _at_least_zero(-_mean_over_outputs(joint.m, joint.m, _order(order)))
 
 
 def arimoto_mi(joint: Joint, order) -> float:
     """Arimoto mutual information: H_alpha(X) - H^A_alpha(X|Y)."""
-    return renyi_entropy(joint.row_marginal(), order) - arimoto_cond_entropy(joint, order)
+    return _at_least_zero(renyi_entropy(joint.row_marginal(), order) - arimoto_cond_entropy(joint, order))
 
 
 # --------------------------------------------------------------------------

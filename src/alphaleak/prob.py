@@ -6,7 +6,9 @@ row-stochastic conditional), and `Joint` (a joint pmf over a product
 alphabet).  All types are immutable after construction and every operation
 is a pure function, so concurrent use needs no locking.
 
-Construction validates the simplex / row-stochastic constraints to an
+Construction checks every array in one place, `_nonnegative_array`: it
+must hold numbers, have its alphabets' sizes as its shape, and be finite
+and nonnegative.  The simplex / row-stochastic constraints then hold to an
 absolute tolerance of 1e-12; derived-quantity assertions elsewhere use the
 looser 1e-9 so accumulated float error is not mistaken for bad input.
 `Dist._trusted` and `Channel._trusted` instead keep a solver's fresh float
@@ -34,10 +36,14 @@ DERIVED_ATOL = 1e-9
 ALPHA_ONE_SNAP = 1e-9
 
 
-def _nonnegative_array(values, name: str, ndim: int) -> np.ndarray:
-    arr = np.array(values, dtype=float, order="C")
-    if arr.ndim != ndim:
-        raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
+def _nonnegative_array(values, name: str, *alphabets: Alphabet) -> np.ndarray:
+    try:
+        arr = np.array(values, dtype=float, order="C")
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} is not an array of numbers") from None
+    shape = tuple(map(len, alphabets))
+    if arr.shape != shape:
+        raise ValidationError(f"{name} shape {arr.shape} incompatible with alphabets {shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite entries")
     if np.any(arr < 0):
@@ -110,9 +116,7 @@ class Dist:
     p: np.ndarray = field(repr=False)
 
     def __init__(self, alphabet: Alphabet, p):
-        arr = _nonnegative_array(p, "mass", ndim=1)
-        if len(arr) != len(alphabet):
-            raise ValidationError(f"mass length {len(arr)} != alphabet size {len(alphabet)}")
+        arr = _nonnegative_array(p, "mass", alphabet)
         if abs(arr.sum() - 1.0) > CONSTRUCT_ATOL:
             raise ValidationError(f"mass sums to {arr.sum()!r}, not 1 within {CONSTRUCT_ATOL}")
         object.__setattr__(self, "alphabet", alphabet)
@@ -124,9 +128,6 @@ class Dist:
         self = object.__new__(cls)
         self.__dict__.update(alphabet=alphabet, p=p)
         return self
-
-    def __len__(self) -> int:
-        return len(self.p)
 
     @staticmethod
     def uniform(alphabet: Alphabet) -> "Dist":
@@ -146,12 +147,7 @@ class Channel:
     rows: np.ndarray = field(repr=False)
 
     def __init__(self, input_alphabet: Alphabet, output_alphabet: Alphabet, rows):
-        arr = _nonnegative_array(rows, "rows", ndim=2)
-        if arr.shape != (len(input_alphabet), len(output_alphabet)):
-            raise ValidationError(
-                f"rows shape {arr.shape} incompatible with alphabets "
-                f"({len(input_alphabet)}, {len(output_alphabet)})"
-            )
+        arr = _nonnegative_array(rows, "rows", input_alphabet, output_alphabet)
         sums = arr.sum(axis=1)
         bad = np.flatnonzero(np.abs(sums - 1.0) > CONSTRUCT_ATOL)
         if bad.size:
@@ -188,12 +184,7 @@ class Joint:
     m: np.ndarray = field(repr=False)
 
     def __init__(self, row_alphabet: Alphabet, col_alphabet: Alphabet, m):
-        arr = _nonnegative_array(m, "mass", ndim=2)
-        if arr.shape != (len(row_alphabet), len(col_alphabet)):
-            raise ValidationError(
-                f"mass shape {arr.shape} incompatible with alphabets "
-                f"({len(row_alphabet)}, {len(col_alphabet)})"
-            )
+        arr = _nonnegative_array(m, "mass", row_alphabet, col_alphabet)
         if abs(arr.sum() - 1.0) > CONSTRUCT_ATOL:
             raise ValidationError(f"total mass {arr.sum()!r} is not 1 within {CONSTRUCT_ATOL}")
         object.__setattr__(self, "row_alphabet", row_alphabet)

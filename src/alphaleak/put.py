@@ -55,7 +55,7 @@ import numpy as np
 from .errors import ConvergenceError, IncompatibleGeneratorError, ValidationError
 from .leakage import _minimize_on_simplex, _relative_certificate, binary_maximal_alpha_leakage
 from .lp import GameSolution, covering_game, feasible_point
-from .measures import FGenerator, kl_generator
+from .measures import FGenerator, _at_least_zero, kl_generator
 from .prob import Alphabet, Channel, Dist, Joint, _nonnegative_array, _order, _tilted_log_mean
 
 
@@ -74,12 +74,7 @@ class DistortionSpec:
     bound: float
 
     def __init__(self, input_alphabet, output_alphabet, d, bound):
-        d = _nonnegative_array(d, "distortion", ndim=2)
-        if d.shape != (len(input_alphabet), len(output_alphabet)):
-            raise ValidationError(
-                f"distortion shape {d.shape} incompatible with alphabets "
-                f"({len(input_alphabet)}, {len(output_alphabet)})"
-            )
+        d = _nonnegative_array(d, "distortion", input_alphabet, output_alphabet)
         bound = float(bound)
         if not math.isfinite(bound):
             raise ValidationError("distortion bound must be finite")
@@ -233,7 +228,7 @@ def put_f_leakage(
     """
     _require_compatible(gen)
     val, q, _ = _solve_aware(prior, spec, spec.ball_mask, gen, tol, max_iter)
-    return val, Dist(spec.output_alphabet, q)
+    return _at_least_zero(val), Dist(spec.output_alphabet, q)
 
 
 def put_max_alpha_leakage(
@@ -270,7 +265,7 @@ def put_max_alpha_leakage(
             dual_certificate=None,
             duality_gap=gap,
         )
-    return _hard_put(spec, tol, lambda q: -math.log(q))
+    return _hard_put(spec, tol, lambda q: _at_least_zero(-math.log(q)))
 
 
 # --------------------------------------------------------------------------
@@ -340,7 +335,7 @@ def sensitive_lower_bound(sj: SensitiveJoint, order) -> tuple[float, bool]:
         v = np.log(p_s[:, None] / mu_x) - excess
         bound = a * float(_tilted_log_mean(p_sx.ravel(), v.ravel(), a - 1.0))
         bound -= float(_tilted_log_mean(p_s, np.log(p_s), a - 1.0))
-    return max(0.0, bound), feasible_point(*_tightness_system(psx, ps, ball, s_feasible, n_y)).gap <= 1e-9
+    return _at_least_zero(bound), feasible_point(*_tightness_system(psx, ps, ball, s_feasible, n_y)).gap <= 1e-9
 
 
 def _tightness_system(psx, ps, ball, s_feasible, n_y) -> tuple[np.ndarray, np.ndarray]:

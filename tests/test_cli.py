@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import alphaleak
-from alphaleak import ValidationError, lp, put_max_alpha_leakage
+from alphaleak import Alphabet, Channel, Dist, ValidationError, lp, put_max_alpha_leakage, sibson_mi
 from alphaleak.cli import _log_base, main
 from alphaleak.datasets import build_hamming_spec, build_type_distance_spec
 from util import spec_json
@@ -109,6 +109,15 @@ HARD1 = ["put", "hard", "SPEC", "--alpha", "1", "--prior"]
         (HARD1 + ["FILE"], {"alphabet": ["a", "b"], "mass": [0.5, "x"]}, "bad 'mass' entry"),
         (["capacity", "FILE", "--alpha-sweep", "1:2:1e-12"], CH, "has 1000000000001 orders, over 10000"),
         (["capacity", "FILE", "--alpha-sweep", "1:10001:1"], CH, "has 10001 orders, over 10000"),
+        (["capacity", "FILE", "--alpha", "2"], {**CH, "input": {"a": 7, "b": 8}},
+         "bad 'input' entry: alphabet must be a JSON array"),
+        (HARD, {**SPEC, "D": True}, "bad 'D' entry: true is not a JSON number"),
+        (["measures", "FILE", "--alpha", "2"], {**DIAGONAL, "mass": [[True, False], [False, False]]},
+         "bad 'mass' entry: true is not a JSON number"),
+        (HARD1 + ["FILE"], {"alphabet": ["a", "b"], "mass": [True, False]}, "bad 'mass' entry: true is not"),
+        (["capacity", "FILE"], CH, "provide --alpha or --alpha-sweep"),
+        (["capacity", "FILE", "--alpha-sweep", "2,1.5"], CH, "alpha sweep must be strictly increasing"),
+        (["capacity", "FILE", "FILE", "FILE", "--alpha", "2"], CH, "capacity takes one or two channel files"),
     ],
     ids=[
         "no-bound", "bad-distortion-entry", "top-level-list", "spec-as-joint", "string-alphabet",
@@ -117,7 +126,8 @@ HARD1 = ["put", "hard", "SPEC", "--alpha", "1", "--prior"]
         "measures-empty-sweep", "measures-empty-sweep-2", "avg-binary-empty-sweep", "avg-binary-empty-sweep-2",
         "hard-kl-prior", "hard-alpha-2-prior", "out-in-missing-dir", "directory", "binary-file",
         "channel-no-rows", "channel-bad-rows", "prior-no-mass", "prior-bad-mass", "sweep-1e12-orders",
-        "sweep-10001-orders",
+        "sweep-10001-orders", "object-alphabet", "boolean-bound", "boolean-joint-mass", "boolean-prior-mass",
+        "no-alpha", "decreasing-sweep", "three-channels",
     ],
 )
 def test_schema_mismatch_exits_2(tmp_path, capsys, argv, obj, named):
@@ -185,6 +195,49 @@ def test_measures_of_a_constant_row_variable_print_0(tmp_path, capsys):
     assert main(["measures", str(path), "--alpha-sweep", "1,2,inf"]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
     assert [row[1:] for row in rows] == [["0", "0", "0", "0"]] * 3
+
+
+def test_measures_of_an_independent_pair_print_no_negative_leakage(tmp_path, capsys):
+    # a product joint leaks exactly 0: no cell may print below 0, as -0 or -1e-16
+    path = tmp_path / "joint.json"
+    mass = np.outer([0.2, 0.3, 0.5], [0.1, 0.2, 0.3, 0.4]).tolist()
+    path.write_text(json.dumps({"rows": ["a", "b", "c"], "cols": ["u", "v", "w", "z"], "mass": mass}))
+    assert main(["measures", str(path), "--alpha-sweep", "1,1.5,2,3,inf"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 5
+    for row in rows:
+        assert not any(cell.startswith("-") for cell in row), row
+        assert abs(float(row[3])) <= 1e-15
+
+
+def test_put_hard_perfect_privacy_prints_plus_zero(tmp_path, capsys):
+    # D = 1 puts both outputs in both balls: q* = 1 and the leakage is +0, not -0
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**SPEC, "D": 1}))
+    assert main(["put", "hard", str(path), "--alpha", "2"]) == 0
+    captured = capsys.readouterr()
+    assert '"value_nats": 0.0, "value_bits": 0.0' in captured.out
+    assert captured.err.startswith("hard-distortion PUT at alpha=2 [alpha]: 0 nats (q*=1,")
+
+
+def test_put_hard_kl_is_minus_log_q_star(hamming_file, capsys):
+    # maximal KL-leakage under hard distortion: q* f(1/q*) + (1 - q*) f(0) = -log q*
+    assert main(["put", "hard", hamming_file, "--alpha", "2", "--generator", "kl"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["value_nats"] == pytest.approx(-math.log(out["q_star"]), rel=0, abs=1e-12)
+    assert out["q_star"] == pytest.approx(9 / 81, rel=0, abs=1e-12) and out["generator"] == "kl"
+
+
+def test_capacity_at_alpha_one_uses_a_uniform_prior(tmp_path, capsys):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(CH))
+    assert main(["capacity", str(path), "--alpha", "1"]) == 0
+    captured = capsys.readouterr()
+    ch = Channel(Alphabet(CH["input"]), Alphabet(CH["output"]), CH["rows"])
+    value = sibson_mi(Dist.uniform(ch.input_alphabet), ch, 1.0)
+    # a 2x2 channel has no closed form at alpha = 1: its two columns stay empty
+    assert captured.out.splitlines()[1] == f"1,{value:.12g},0,0.5,0.5,,"
+    assert captured.err == "note: alpha = 1 capacity uses a uniform input distribution\n"
 
 
 def test_put_hard_hellinger(hamming_file, capsys):

@@ -9,8 +9,10 @@ from alphaleak.datasets import (
     build_hamming_spec,
     build_type_distance_spec,
     enumerate_datasets,
+    hamming_ball_size,
     hamming_crosscheck,
     hamming_put,
+    representative_dataset,
     type_distance_crosscheck,
 )
 
@@ -114,3 +116,24 @@ def test_uniform_ball_mechanism_is_uniform_on_each_ball():
             assert np.all(row[~inside] == 0.0)
         assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-15
         assert np.array_equal(rows > 0, spec.ball_mask)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: type_index_set(0, 0), r"need n >= 1 and 0 <= m <= n, got \(n, m\) = \(0, 0\)"),
+        (lambda: type_index_set(3, 4), r"got \(n, m\) = \(3, 4\)"),
+        (lambda: type_index_set(3, -1), r"got \(n, m\) = \(3, -1\)"),
+        (lambda: type_index_set(4, 1).member_for(5), r"type index 5 outside \[0, 4\]"),
+        (lambda: type_index_set(4, 1).member_for(-1), r"type index -1 outside \[0, 4\]"),
+        (lambda: representative_dataset(4, 5), r"type class index 5 outside \[0, 4\]"),
+        (lambda: hamming_ball_size(3, 1, 1), "alphabet size must be >= 2, got 1"),
+        (lambda: enumerate_datasets(2, 11), r"alphabet sizes 2..10, got 11"),
+        (lambda: enumerate_datasets(11, 2), rf"q\^n = 2048 exceeds the enumeration limit {ENUMERATION_LIMIT}"),
+    ],
+    ids=["n-zero", "m-above-n", "m-negative", "member-above-n", "member-negative", "representative",
+         "ball-q-1", "enumerate-q-11", "enumerate-past-limit"],
+)
+def test_range_checks(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()

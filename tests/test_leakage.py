@@ -226,6 +226,27 @@ class TestAlphaLeakage:
             alpha_leakage(BSC01_JOINT, 0.5)
 
 
+def _is_plus_zero_or_more(value: float) -> bool:
+    return value >= 0.0 and math.copysign(1.0, value) == 1.0
+
+
+@pytest.mark.parametrize("a", [1.0, 1.5, 2.0, 5.0, math.inf])
+def test_no_leakage_of_an_independent_pair_is_below_plus_zero(a):
+    # Y independent of X: every leakage is 0 in exact arithmetic, and
+    # rounding must not return it as -0.0 or a few ulps below 0
+    rng = np.random.default_rng(71)
+    for _ in range(60):
+        n, m = rng.integers(2, 6, size=2)
+        prior, out = random_dist(rng, n), random_dist(rng, m)
+        ch = Channel(prior.alphabet, out.alphabet, np.tile(out.p, (n, 1)))
+        values = (
+            alpha_leakage(make_joint(prior, ch), a),
+            sibson_mi(prior, ch, a),
+            maximal_alpha_leakage(ch, a, prior_for_one=prior).value,
+        )
+        assert all(map(_is_plus_zero_or_more, values)), values
+
+
 class TestMaximalLeakage:
     def test_identity(self):
         for k in (2, 3, 5):
@@ -586,6 +607,13 @@ class TestBinaryClosedForm:
         with pytest.raises(ValidationError):
             binary_maximal_alpha_leakage(0.1, 0.1, 1.0)
 
+    @pytest.mark.parametrize("rho1, rho2", [(-0.1, 0.2), (0.1, 1.2)])
+    @pytest.mark.parametrize("build", [binary_channel, lambda r1, r2: binary_maximal_alpha_leakage(r1, r2, 2.0)],
+                             ids=["binary_channel", "closed_form"])
+    def test_rejects_crossovers_outside_the_unit_interval(self, build, rho1, rho2):
+        with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
+            build(rho1, rho2)
+
     def test_large_alpha_approaches_maximal_leakage(self):
         got = binary_maximal_alpha_leakage(0.1, 0.2, 1000.0)
         assert got == pytest.approx(maximal_leakage(binary_channel(0.1, 0.2)), abs=2e-3)
@@ -748,6 +776,13 @@ class TestFLeakage:
 
 
 class TestMaximalFLeakage:
+    def test_kl_of_equal_rows_is_never_below_plus_zero(self):
+        rng = np.random.default_rng(72)
+        for _ in range(60):
+            n, m = rng.integers(2, 6, size=2)
+            ch = Channel(Alphabet.of_size(n), Alphabet.of_size(m), np.tile(rng.dirichlet(np.ones(m)), (n, 1)))
+            assert _is_plus_zero_or_more(maximal_f_leakage(ch, kl_generator()))
+
     def test_rank_one_zero_for_all_generators(self):
         rank1 = Channel(B, B, [[0.3, 0.7], [0.3, 0.7]])
         gens = [

@@ -92,6 +92,10 @@ class TestSibsonMI:
             math.log(2), abs=1e-15
         )
 
+    def test_prior_on_another_alphabet(self):
+        with pytest.raises(ValidationError, match="channel input alphabet does not match prior alphabet"):
+            sibson_mi(Dist.uniform(Alphabet(("a", "b"))), binary_channel(0.1, 0.1), 2.0)
+
     def test_bsc_order_two_closed_form(self):
         got = sibson_mi(Dist.uniform(B), binary_channel(0.1, 0.1), 2.0)
         assert got == pytest.approx(math.log(1.64), abs=1e-14)

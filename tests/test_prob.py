@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from alphaleak import (
     Alphabet,
     Channel,
     Dist,
+    DistortionSpec,
     Joint,
     ValidationError,
     avg_hamming_binary_put,
@@ -121,7 +123,7 @@ class TestConstructors:
     )
     def test_validated_arrays_are_read_only_copies(self, make):
         values = make()
-        arr = _nonnegative_array(values, "rows", ndim=2)
+        arr = _nonnegative_array(values, "rows", B, B)
         assert arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.owndata
         assert not arr.flags.writeable and not np.shares_memory(arr, values)
         ch = Channel(B, B, values)
@@ -129,6 +131,27 @@ class TestConstructors:
         assert before == np.asarray(values, dtype=float).tolist()
         values[0][0] = 7
         assert ch.rows.tolist() == before
+
+    @pytest.mark.parametrize(
+        "build, name, shape",
+        [
+            (lambda v: Dist(B, v), "mass", (2,)),
+            (lambda v: Channel(B, B, v), "rows", (2, 2)),
+            (lambda v: Joint(B, B, v), "mass", (2, 2)),
+            (lambda v: DistortionSpec(B, B, v, 1.0), "distortion", (2, 2)),
+        ],
+        ids=["Dist", "Channel", "Joint", "DistortionSpec"],
+    )
+    def test_arrays_that_do_not_fit_raise_validation_error(self, build, name, shape):
+        # a wrong length or ndim names both shapes; what numpy cannot turn
+        # into a float array is not a raw ValueError or TypeError
+        for bad in (np.full((3,) + shape[1:], 0.5), np.full(shape + (1,), 0.5)):
+            message = f"{name} shape {bad.shape} incompatible with alphabets {shape}"
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                build(bad)
+        for bad in ("ab", [[1.0], [0.0, 1.0]], {"a": 1.0}):
+            with pytest.raises(ValidationError, match=f"^{name} is not an array of numbers$"):
+                build(bad)
 
     def test_dist_keeps_its_own_copy(self):
         p = np.array([0.25, 0.75])
@@ -254,6 +277,10 @@ class TestLogAlphaNorm:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             log_alpha_norm([0.5, -0.1], 2.0)
+
+    def test_rejects_a_matrix(self):
+        with pytest.raises(ValidationError, match="expects a vector"):
+            log_alpha_norm([[0.5, 0.5]], 2.0)
 
     def test_survives_huge_alpha(self):
         val = log_alpha_norm([0.3, 0.7], 1000.0)

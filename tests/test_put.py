@@ -75,6 +75,10 @@ class TestDistortionSpec:
         spec = build_hamming_spec(2, 1, 3)
         assert np.all(spec.ball_mask.sum(axis=1) == 5)
 
+    def test_infinite_bound_rejected(self):
+        with pytest.raises(ValidationError, match="distortion bound must be finite"):
+            DistortionSpec(B, B, [[0.0, 1.0], [1.0, 0.0]], math.inf)
+
     def test_ball_mask_is_stored_read_only(self):
         spec = DistortionSpec(B, B, [[0.0, 1.0], [1.0, 0.0]], 0.0)
         assert spec.ball_mask is spec.ball_mask
@@ -259,6 +263,24 @@ class TestPutFLeakage:
         spec = DistortionSpec(B, B, np.zeros((2, 2)), 1.0)
         value, _ = put_f_leakage(Dist(B, [0.3, 0.7]), spec, kl_generator())
         assert value == pytest.approx(0.0, abs=1e-10)
+
+    def test_prior_on_another_alphabet(self):
+        spec = DistortionSpec(B, B, np.zeros((2, 2)), 1.0)
+        with pytest.raises(ValidationError, match="prior alphabet does not match"):
+            put_f_leakage(Dist.uniform(Alphabet(("a", "b"))), spec, kl_generator())
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 5.0])
+    def test_perfect_privacy_is_never_below_plus_zero(self, alpha):
+        # an output in every ball: the Hellinger value is 0 in exact
+        # arithmetic, and rounding must not return -0.0 or less
+        rng = np.random.default_rng(73)
+        for _ in range(40):
+            n, m = rng.integers(2, 6, size=2)
+            d = rng.integers(1, 4, size=(n, m)).astype(float)
+            d[:, rng.integers(m)] = 0.0
+            spec = DistortionSpec(Alphabet.of_size(n), Alphabet.of_size(m, "y"), d, 0.0)
+            value, _ = put_f_leakage(random_dist(rng, n), spec, hellinger_generator(alpha))
+            assert value >= 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_singleton_balls_give_entropy(self):
         al = Alphabet.of_size(3)

@@ -7,18 +7,21 @@ The induced leakage of a joint equals the Arimoto mutual information; the
 leakage maximized over every function of X equals, for alpha > 1, the
 order-alpha channel capacity sup_P I^S_alpha(P, W).  This module solves
 it, and the reference-distribution minimization of an f-leakage, with
-`_minimize_on_simplex`, shared with the distribution-aware PUT of `put`:
-Newton steps to the minimizer of the quadratic model over the simplex, as
-in mix-SQP (Kim, Carbonetto, Stephens & Anitescu, JCGS 2020), each block
-pivot solving its least squares by the normal equations (an SVD only where
-they are rank-deficient or ill-conditioned), Frank-Wolfe steps as the
-fallback, the Frank-Wolfe gap as the stopping rule.  A
-capacity is certified two-sidedly by the minimax identity
-C_alpha = min_Q max_x D_alpha(W_x || Q): I^S_alpha(P) at the returned input
-law P is a lower bound, and max_x D_alpha(W_x || Q_P) at its output law Q_P
-an upper bound.  With two outputs, every row mixes the two of extreme W(y0|x)
-and D_alpha(. || Q) is quasi-convex (van Erven & Harremoes, IEEE Trans. IT
-2014), so the solve starts at the closed-form optimum on those two rows.
+`_minimize_on_simplex`, shared with the distribution-aware PUT of `put`.
+It minimizes F(z) = sum_i g_i((M z)_i) over the simplex through one
+callback, evaluate(s) -> (F, g', g'') at s = M z, which computes once per
+point the powers or generator values the three share, by Newton steps to
+the minimizer of the quadratic model over the simplex, as in mix-SQP
+(Kim, Carbonetto, Stephens & Anitescu, JCGS 2020), each block pivot
+solving its least squares by the normal equations (an SVD only where they
+are rank-deficient or ill-conditioned), Frank-Wolfe steps as the fallback,
+the Frank-Wolfe gap as the stopping rule.  A capacity is certified
+two-sidedly by the minimax identity C_alpha = min_Q max_x D_alpha(W_x || Q):
+I^S_alpha(P) at the returned input law P is a lower bound, and
+max_x D_alpha(W_x || Q_P) at its output law Q_P an upper bound.  With two
+outputs, every row mixes the two of extreme W(y0|x) and D_alpha(. || Q) is
+quasi-convex (van Erven & Harremoes, IEEE Trans. IT 2014), so the solve
+starts at the closed-form optimum on those two rows.
 
 Orders are plain floats, inf included (`prob._order`).  Leakage
 operations require alpha >= 1 (orders below 1 have no loss interpretation
@@ -168,40 +171,43 @@ def _simplex_qp_step(A, r, z, start):
     return None if np.array_equal(cur, z) else cur - z
 
 
-def _minimize_on_simplex(M, value, derivatives, certify, max_iter: int, failure: str, start=None):
+def _minimize_on_simplex(M, evaluate, certify, max_iter: int, failure: str, start=None):
     """Minimize the convex F(z) = sum_i g_i((M z)_i) over distributions z,
-    from `start` (default, and in place of a start where F or its
-    derivatives are not finite: the uniform point); a start the
-    certificate accepts is returned after 0 iterations.
-    `value(s)` is F at M z = s > 0, `derivatives(s)`
-    the pair (g'(s), g''(s)), g'' > 0; the gradient is M^T g'(M z).  The
-    Frank-Wolfe gap <grad F(z), z> - min grad F bounds F(z) - min F without
-    knowledge of the optimal support (Jaggi, ICML 2013); `certify(F, gap)`
-    maps it to (gap, limit), the certificate in the caller's units and the
-    bound that accepts it.  Each iteration steps to the minimizer w over
-    the simplex of the model |c^(1/2) M (w - z) + g'/c^(1/2)|^2, c = g''
-    (`_simplex_qp_step`, from where the last step ended), or else towards
-    the coordinate of least gradient.  Steps may empty coordinates exactly;
-    a point where the derivatives overflow counts as outside the domain.
+    from `start` (default, and in place of a start outside the domain: the
+    uniform point); a start the certificate accepts is returned after 0
+    iterations.  `evaluate(s)` returns (F, g'(s), g''(s)) at s = M z > 0;
+    the gradient is M^T g'(M z), and a point where F, it or g'' overflows
+    is outside the domain.  The Frank-Wolfe gap <grad F(z), z> - min grad F
+    bounds F(z) - min F without knowledge of the optimal support (Jaggi,
+    ICML 2013); `certify(F, gap)` maps it to (gap, limit), the certificate
+    in the caller's units and the bound that accepts it.  Each iteration
+    steps to the minimizer w over the simplex of the model
+    |c^(1/2) M (w - z) + g'/c^(1/2)|^2, c = g'' (`_simplex_qp_step`, from
+    where the last step ended), or else, and wherever some c <= 0 leaves
+    no such model, towards the coordinate of least gradient.  Steps may
+    empty coordinates exactly.
 
-    Returns (z, F(z), gap, iterations) once gap <= limit.  When that is not
-    reached within `max_iter` iterations, or no step lowers F any more,
-    raises ConvergenceError with the gap reached as `residual` and the
-    iterations taken as `iterations`; its message starts with `failure`.
+    Returns (z, M z, F(z), gap, iterations) once gap <= limit.  When that
+    is not reached within `max_iter` iterations, or no step lowers F any
+    more, raises ConvergenceError with the gap reached as `residual` and
+    the iterations taken as `iterations`; its message starts with `failure`.
     """
 
-    def objective(z):
+    def at(z):
+        """F(z) and, inside the domain, (M z, grad, g', g'', Frank-Wolfe gap)."""
         s = M @ z
-        return (value(s) if s.min() > 0.0 else math.inf), s
-
-    def derivs(z, s):
+        # x.item(x.argmin()) is x.min() without the wrapper that slows small solves
+        if not s.item(s.argmin()) > 0.0:
+            return math.inf, None
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            dg, curv = derivatives(s)
+            val, dg, curv = evaluate(s)
         grad = M.T @ dg
-        if not (np.isfinite(grad).all() and np.isfinite(curv).all()):
-            return None
+        # z >= 0 sums to 1: <grad, z> is finite iff grad is (0 * inf is NaN)
+        mean = float(z @ grad)
+        if not (math.isfinite(val) and math.isfinite(mean) and np.isfinite(curv).all()):
+            return val, None
         # Nonnegative in exact arithmetic; rounding must not make it less.
-        return grad, dg, curv, max(0.0, float(z @ grad - grad.min()))
+        return val, (s, grad, dg, curv, max(0.0, mean - grad.item(grad.argmin())))
 
     def line_search(z, val, least_fw, step, newton):
         """The whole Newton step if it lowers F by more than rounding, else
@@ -216,26 +222,22 @@ def _minimize_on_simplex(M, value, derivatives, certify, max_iter: int, failure:
         for k, length in enumerate(0.5 ** np.arange(60)):
             cand = np.maximum(z + length * step, 0.0)
             cand /= cand.sum()
-            cand_val, s = objective(cand)
-            if newton and k == 0 and math.isfinite(cand_val):
-                moved = derivs(cand, s)
-                if moved is not None and (cand_val < floor or moved[3] <= least_fw / 2):
-                    return cand, cand_val, moved
-            elif cand_val < floor and (moved := derivs(cand, s)) is not None:
-                best, floor = (cand, cand_val, moved), cand_val
+            cand_val, terms = at(cand)
+            if newton and k == 0:
+                if terms is not None and (cand_val < floor or terms[4] <= least_fw / 2):
+                    return cand, cand_val, terms
+            elif cand_val < floor and terms is not None:
+                best, floor = (cand, cand_val, terms), cand_val
             elif best is not None:
                 return best
         return best
 
-    z, first = start, None
-    if z is not None:
-        val, s = objective(z)
-        first = derivs(z, s) if math.isfinite(val) else None
-    if first is None:  # no start, or one outside the domain
+    z = start
+    val, terms = (math.inf, None) if z is None else at(z)
+    if terms is None:  # no start, or one outside the domain
         z = np.full(M.shape[1], 1.0 / M.shape[1])
-        val, s = objective(z)
-        first = derivs(z, s)
-    grad, dg, curv, fw = first
+        val, terms = at(z)
+    s, grad, dg, curv, fw = terms
     gap, limit = certify(val, fw)
     least_fw = fw
     start = z
@@ -244,8 +246,10 @@ def _minimize_on_simplex(M, value, derivatives, certify, max_iter: int, failure:
         if iterations == max_iter:
             break
         iterations += 1
-        root = np.sqrt(curv)
-        step = _simplex_qp_step(root[:, None] * M, dg / root, z, start)
+        step = None
+        if curv.min() > 0.0:
+            root = np.sqrt(curv)
+            step = _simplex_qp_step(root[:, None] * M, dg / root, z, start)
         moved = None if step is None else line_search(z, val, least_fw, step, True)
         if moved is None:
             # The Frank-Wolfe step is a descent direction whenever gap > 0.
@@ -255,11 +259,11 @@ def _minimize_on_simplex(M, value, derivatives, certify, max_iter: int, failure:
         if moved is None:
             break
         start = z + step
-        z, val, (grad, dg, curv, fw) = moved
+        z, val, (s, grad, dg, curv, fw) = moved
         gap, limit = certify(val, fw)
         least_fw = min(least_fw, fw)
     else:
-        return z, val, gap, iterations
+        return z, s, val, gap, iterations
     raise ConvergenceError(
         f"{failure} {gap:.3e} above {limit:.3e} after {iterations} iterations",
         residual=gap,
@@ -393,17 +397,18 @@ def maximal_alpha_leakage(
     # t = M P, M = ((W / colmax)^a)^T, the Sibson sum is
     # S(P) = sum_y colmax_y t_y^(1/a) and I^S_a(P) = a/(a-1) log S(P); the
     # solver minimizes the convex F = -S.
-    reachable = W.sum(axis=0) > 0
-    W = W[:, reachable]
     colmax = W.max(axis=0)
+    if min(colmax.tolist()) == 0.0:  # W >= 0
+        reachable = colmax > 0.0
+        W, colmax = W[:, reachable], colmax[reachable]
     M = np.power(W / colmax, a).T
 
-    def value(t):
-        return -float(colmax @ t ** (1.0 / a))
-
-    def derivatives(t):
-        root = colmax * t ** (1.0 / a)
-        return -root / (a * t), (a - 1.0) / (a * a) * root / (t * t)
+    def evaluate(t):
+        root = t ** (1.0 / a)
+        value = -float(colmax @ root)
+        root *= colmax
+        root /= t
+        return value, root * (-1.0 / a), root / t * ((a - 1.0) / (a * a))
 
     def certify(val, fw_gap):
         # max_x D_a(W_x || Q_P) - I^S_a(P) = log(min grad F / <grad F, P>) / (a-1),
@@ -414,28 +419,29 @@ def maximal_alpha_leakage(
     if M.shape[0] == 2:
         # The optimum on the inputs i, j of extreme W(y0|x), read from W since
         # M underflows at large a: S is stationary along t = M[:, j] + x d
-        # where t_0 / t_1 = k.
-        i, j = np.argmax(W[:, 0]), np.argmin(W[:, 0])
-        d = M[:, i] - M[:, j]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            k = np.exp(a / (1.0 - a) * np.log(colmax[1] * -d[1] / (colmax[0] * d[0])))
-            x = (k * M[1, j] - M[0, j]) / (d[0] - k * d[1])
-        if i != j and 0.0 < x < 1.0:
+        # where t_0 / t_1 = k; none if i = j, or k is 0 or overflows.
+        col = W[:, 0].tolist()
+        i, j = col.index(max(col)), col.index(min(col))
+        (m0, m1), (c0, c1) = M.tolist(), colmax.tolist()
+        try:
+            k = math.exp(a / (1.0 - a) * math.log(c1 * (m1[j] - m1[i]) / (c0 * (m0[i] - m0[j]))))
+            x = (k * m1[j] - m0[j]) / (m0[i] - m0[j] - k * (m1[i] - m1[j]))
+        except (ArithmeticError, ValueError):
+            x = math.nan
+        if 0.0 < x < 1.0:
             start = np.zeros(M.shape[1])
             start[i], start[j] = x, 1.0 - x
 
-    p, val, gap, iterations = _minimize_on_simplex(
-        M,
-        value,
-        derivatives,
-        certify,
-        max_iter,
+    p, t, val, gap, iterations = _minimize_on_simplex(
+        M, evaluate, certify, max_iter,
         "input-distribution ascent did not reach tolerance: capacity gap (upper - lower)",
-        start,
+        start=start,
     )
-    q = np.zeros(len(out_alpha))
-    # The Sibson centre from the solver's M: the log-domain form costs ~10x more.
-    q[reachable] = colmax * (M @ p) ** (1.0 / a)
+    # The Sibson centre at the solver's last t = M P (the log form costs ~10x).
+    q = centre = colmax * t ** (1.0 / a)
+    if len(centre) < len(out_alpha):
+        q = np.zeros(len(out_alpha))
+        q[reachable] = centre
     # Both laws come normalized from the solver: no re-validation.
     return CapacityResult(
         _at_least_zero(a / (a - 1.0) * math.log(-val)),
@@ -501,22 +507,16 @@ def _min_fdiv_over_reference(
     reach = px @ W > 0
     P, W_reach = px[:, None], W[:, reach]
 
-    def value(q):
-        return float((P * q * gen.f(W_reach / q)).sum())
-
-    def derivatives(q):
+    def evaluate(q):
         ratios = W_reach / q
+        f = gen.f(ratios)
         safe = np.where(ratios > 0, ratios, 1.0)
-        slope = gen.f(ratios) - ratios * gen.fprime(safe)
+        slope = f - ratios * gen.fprime(safe)
         curv = ratios * ratios * gen.fsecond(safe) / q
-        return (P * slope).sum(axis=0), (P * curv).sum(axis=0)
+        return float((P * q * f).sum()), (P * slope).sum(axis=0), (P * curv).sum(axis=0)
 
-    q_reach, val, gap, _ = _minimize_on_simplex(
-        np.eye(int(reach.sum())),
-        value,
-        derivatives,
-        _relative_certificate(tol),
-        max_iter,
+    q_reach, _, val, gap, _ = _minimize_on_simplex(
+        np.eye(int(reach.sum())), evaluate, _relative_certificate(tol), max_iter,
         "reference-distribution descent did not reach tolerance: Frank-Wolfe gap",
     )
     q = np.zeros(W.shape[1])

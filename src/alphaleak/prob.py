@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +60,11 @@ class Alphabet:
     labels: tuple[str, ...]
 
     def __init__(self, labels: Iterable[str]):
+        # A string would give one label per character, a mapping its keys.
         if isinstance(labels, str):
             raise ValidationError(f"alphabet must be a list of labels, not the string {labels!r}")
+        if isinstance(labels, Mapping) or not isinstance(labels, Iterable):
+            raise ValidationError(f"alphabet must be a list of labels, not {type(labels).__name__}")
         labels = tuple(str(x) for x in labels)
         if not labels:
             raise ValidationError("alphabet must be nonempty")

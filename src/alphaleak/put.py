@@ -75,7 +75,10 @@ class DistortionSpec:
 
     def __init__(self, input_alphabet, output_alphabet, d, bound):
         d = _nonnegative_array(d, "distortion", input_alphabet, output_alphabet)
-        bound = float(bound)
+        try:
+            bound = float(bound)
+        except (TypeError, ValueError):
+            raise ValidationError(f"distortion bound must be a number, got {bound!r}") from None
         if not math.isfinite(bound):
             raise ValidationError("distortion bound must be finite")
         object.__setattr__(self, "input_alphabet", input_alphabet)
@@ -184,22 +187,19 @@ def _solve_aware(prior: Dist, spec: DistortionSpec, mask, gen: FGenerator, tol, 
     if prior.alphabet != spec.input_alphabet:
         raise ValidationError("prior alphabet does not match the distortion input alphabet")
     live = prior.p > 0
-    px, f0 = prior.p[live], gen.f_at_zero
-    balls = mask[live]
+    px, balls, f0 = prior.p[live], mask[live], gen.f_at_zero
     shared = balls.all(axis=0)
 
-    def value(masses):
-        with np.errstate(over="ignore"):
-            return float(f0 + px @ (masses * (gen.f(1.0 / masses) - f0)))
-
-    def derivatives(masses):
+    def evaluate(masses):
         inv = 1.0 / masses
-        return px * (gen.f(inv) - inv * gen.fprime(inv) - f0), px * gen.fsecond(inv) * inv**3
+        f = gen.f(inv)
+        value = float(f0 + px @ (masses * (f - f0)))
+        return value, px * (f - inv * gen.fprime(inv) - f0), px * gen.fsecond(inv) * inv**3
 
-    q, val, gap, _ = _minimize_on_simplex(
-        balls.astype(float), value, derivatives, _relative_certificate(tol), max_iter,
+    q, _, val, gap, _ = _minimize_on_simplex(
+        balls.astype(float), evaluate, _relative_certificate(tol), max_iter,
         "output-distribution descent did not reach tolerance: Frank-Wolfe gap",
-        shared / np.count_nonzero(shared) if shared.any() else None,
+        start=shared / np.count_nonzero(shared) if shared.any() else None,
     )
     return val, q, gap
 

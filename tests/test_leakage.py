@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from alphaleak import (
     Channel,
     ConvergenceError,
     Dist,
+    DistortionSpec,
     Joint,
     ValidationError,
     alpha_leakage,
@@ -31,6 +33,7 @@ from alphaleak import (
     min_expected_alpha_loss,
     optimal_strategy,
     product_channel,
+    put_f_leakage,
     sibson_mi,
 )
 import alphaleak.leakage as leakage
@@ -51,6 +54,28 @@ from util import (
 )
 
 B = Alphabet(("0", "1"))
+
+
+def record_evaluations(monkeypatch):
+    """Patch `leakage._minimize_on_simplex` so that each solve appends the
+    list of points s = M z at which it called `evaluate`."""
+    solves = []
+    solve = leakage._minimize_on_simplex
+
+    def recorded(M, evaluate, *args, **kwargs):
+        points = []
+        solves.append(points)
+
+        def counted(s):
+            points.append(s.tobytes())
+            return evaluate(s)
+
+        return solve(M, counted, *args, **kwargs)
+
+    monkeypatch.setattr(leakage, "_minimize_on_simplex", recorded)
+    return solves
+
+
 BSC01_JOINT = make_joint(Dist(B, [0.4, 0.6]), binary_channel(0.1, 0.1))
 
 
@@ -434,12 +459,30 @@ class TestMaximalAlphaLeakage:
         monkeypatch.setattr(
             leakage,
             "_minimize_on_simplex",
-            lambda *args: solve(*args[:6], np.array([0.5, 0.5, 0.0])),
+            lambda *args, start=None: solve(*args, start=np.array([0.5, 0.5, 0.0])),
         )
         res = maximal_alpha_leakage(ch, 2.0)
         assert res.kkt_residual <= 1e-10
         assert res.iterations == cold.iterations
         assert res.value == cold.value
+
+    def test_iterating_solves_evaluate_each_point_once(self, monkeypatch):
+        # F, g' and g'' come from one call per point, and no point is
+        # evaluated again once its terms are known
+        solves = record_evaluations(monkeypatch)
+        rng = np.random.default_rng(41)
+        iterations = []
+        for n in (3, 4, 5, 6, 8, 12, 16):
+            for _ in range(4):
+                ch = random_channel(rng, n, n)
+                for a in (1.5, 2.0, 4.0, 20.0):
+                    res = maximal_alpha_leakage(ch, a)
+                    assert res.kkt_residual <= 1e-10
+                    iterations.append(res.iterations)
+                    points = solves[-1]
+                    assert len(points) > res.iterations
+                    assert len(set(points)) == len(points), (n, a)
+        assert min(iterations) > 0
 
 
 class TestTwoOutputStart:
@@ -489,6 +532,12 @@ class TestTwoOutputStart:
                 res = maximal_alpha_leakage(binary_channel(r1, r2), a)
                 assert res.iterations == 0
                 assert res.kkt_residual <= 1e-10
+
+    def test_a_certified_start_is_evaluated_once(self, monkeypatch):
+        solves = record_evaluations(monkeypatch)
+        res = maximal_alpha_leakage(binary_channel(0.1, 0.3), 2.0)
+        assert res.iterations == 0 and res.kkt_residual <= 1e-10
+        assert len(solves) == 1 and len(solves[0]) == 1
 
     def test_symmetric_channel_starts_at_the_uniform_input(self):
         for rho in (0.0, 0.01, 0.1, 0.3, 0.5, 0.7, 0.99):
@@ -856,6 +905,25 @@ class TestMaximalFLeakage:
         joint = make_joint(Dist.uniform(ch.input_alphabet), ch)
         assert f_leakage(joint, t_log_t)[0] == pytest.approx(f_leakage(joint, kl)[0], abs=1e-8)
         assert maximal_f_leakage(ch, t_log_t) == pytest.approx(maximal_f_leakage(ch, kl), abs=1e-8)
+
+    def test_a_generator_of_zero_curvature_raises_no_numpy_error(self):
+        # total variation: f'' = 0 off t = 1 leaves no Newton model, so the
+        # solver takes Frank-Wolfe steps; it certifies a value or raises
+        # ConvergenceError, and never divides by the zero curvature
+        tv = custom_generator(lambda t: abs(t - 1.0) / 2.0, 0.5, 0.5)
+        X, Y = Alphabet.of_size(3, "x"), Alphabet.of_size(3, "y")
+        ch = Channel(Alphabet.of_size(2, "x"), Y, [[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
+        cyclic = DistortionSpec(X, Y, [[0, 1, 2], [2, 0, 1], [1, 2, 0]], 1)
+        prior = Dist(X, [0.2, 0.3, 0.5])
+        with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            for solve in (lambda: maximal_f_leakage(ch, tv), lambda: put_f_leakage(prior, cyclic, tv)[0]):
+                try:
+                    value = solve()
+                except ConvergenceError as exc:
+                    assert exc.iterations > 0 and exc.residual > 0.0
+                else:
+                    assert 0.0 <= value < math.inf
 
     def test_kl_is_shannon_capacity(self):
         got = maximal_f_leakage(binary_channel(0.1, 0.1), kl_generator(), tol=1e-10)

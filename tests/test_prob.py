@@ -40,6 +40,16 @@ class TestAlphabet:
         with pytest.raises(ValidationError, match="not the string 'ab'"):
             Alphabet("ab")
 
+    @pytest.mark.parametrize("labels, kind", [({"a": 1}, "dict"), (5, "int"), (None, "NoneType")])
+    def test_rejects_a_mapping_and_a_non_iterable(self, labels, kind):
+        # a mapping would give its keys as labels
+        with pytest.raises(ValidationError, match=f"list of labels, not {kind}"):
+            Alphabet(labels)
+
+    def test_takes_any_other_iterable(self):
+        for labels in (["a", "b"], ("a", "b"), (c for c in "ab"), np.array(["a", "b"])):
+            assert Alphabet(labels).labels == ("a", "b")
+
 
 class TestAlphaOrder:
     """`_order` reads an order as a float, inf included, and checks its range."""

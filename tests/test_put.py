@@ -79,6 +79,11 @@ class TestDistortionSpec:
         with pytest.raises(ValidationError, match="distortion bound must be finite"):
             DistortionSpec(B, B, [[0.0, 1.0], [1.0, 0.0]], math.inf)
 
+    @pytest.mark.parametrize("bound", ["x", [1], None])
+    def test_bound_that_is_not_a_number_rejected(self, bound):
+        with pytest.raises(ValidationError, match="distortion bound must be a number"):
+            DistortionSpec(B, B, [[0.0, 1.0], [1.0, 0.0]], bound)
+
     def test_ball_mask_is_stored_read_only(self):
         spec = DistortionSpec(B, B, [[0.0, 1.0], [1.0, 0.0]], 0.0)
         assert spec.ball_mask is spec.ball_mask

@@ -261,7 +261,6 @@ def cmd_capacity(args) -> None:
 
 def cmd_strategy(args) -> None:
     orders = _orders(args)
-    _log_base(args.base)  # the columns are probabilities, but a malformed --base is still exit 2
     joint = _read(args.joint, Joint)
     posterior = conditional_of(joint.swapped()).conditional
     header = ["alpha", "output", "input", "posterior", "strategy"]
@@ -391,15 +390,19 @@ def cmd_put_avg_binary(args) -> None:
 _BASE_HELP = "output unit: nats or bits"
 
 
-def _add_common(p: argparse.ArgumentParser, base_help: str = _BASE_HELP, closed_form: bool = False) -> None:
+def _add_common(
+    p: argparse.ArgumentParser, base_help: str | None = _BASE_HELP, closed_form: bool = False
+) -> None:
     """--alpha and --alpha-sweep, except on a closed form, whose JSON holds
-    both units; then --base and --out."""
+    both units; then --base, unless base_help is None (no column has a
+    unit), and --out."""
     if closed_form:
         base_help = "unit of the summary line on stderr: nats or bits (the JSON holds both)"
     else:
         p.add_argument("--alpha", help="single order: a float, '1', or 'inf'")
         p.add_argument("--alpha-sweep", help="sweep: start:stop:step or comma list")
-    p.add_argument("--base", default="nats", help=base_help)
+    if base_help is not None:
+        p.add_argument("--base", default="nats", help=base_help)
     written = "the JSON" if closed_form else "output"
     p.add_argument("--out", default=None, help=f"write {written} to this path instead of stdout")
 
@@ -435,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("strategy", help="loss-minimizing estimation strategies of a joint")
     p.add_argument("joint", help="joint pmf JSON file")
-    _add_common(p)
+    _add_common(p, base_help=None)  # the columns are probabilities
     p.set_defaults(func=cmd_strategy)
 
     put = sub.add_parser("put", help="hard-distortion privacy-utility tradeoffs")

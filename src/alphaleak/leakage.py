@@ -44,7 +44,6 @@ from .measures import (
     sibson_mi,
     _at_least_zero,
     _hellinger_image,
-    _log_rows,
 )
 from .prob import (
     Channel,
@@ -292,41 +291,32 @@ class CapacityResult:
 
 
 def alpha_loss(prob_correct: float, order) -> float:
-    """Loss of assigning probability `prob_correct` to the true symbol."""
+    """Loss of assigning probability `prob_correct` to the true symbol:
+    (1 - p^e)/e with e = 1 - 1/alpha, formed as -expm1(-log alpha) so that
+    it keeps its digits near alpha = 1 and is exactly 1 at alpha = inf.
+    Its e = 0 limit -log p is the log-loss; at e = 1 it is 1 - p.  A sure
+    guess costs +0.0."""
     a = _order(order, "alpha_loss")
     p = float(prob_correct)
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"probability of correct guess must be in [0, 1], got {p}")
-    if p == 1.0:
-        return 0.0  # a sure guess costs nothing; the formulas below give -0.0
-    if a == 1.0:
-        return -math.log(p) if p > 0 else math.inf
-    if math.isinf(a):
-        return 1.0 - p
-    if p == 0.0:
-        return a / (a - 1.0)
-    return a / (a - 1.0) * -math.expm1((a - 1.0) / a * math.log(p))
+    e = -math.expm1(-math.log(a))
+    log_p = math.log(p) if p > 0.0 else -math.inf
+    return 0.0 - (math.expm1(e * log_p) / e if e else log_p)
 
 
 def optimal_strategy(posterior_channel: Channel, order) -> Channel:
     """Best estimation strategy against the alpha-loss.
 
     Rows of `posterior_channel` must be the true posteriors P(x | y); the
-    optimal strategy tilts each one proportionally to its alpha-th power.
-    At alpha = 1 the posterior itself is optimal; at alpha = inf the MAP
-    rule, splitting ties uniformly over the argmax set.
+    optimal strategy tilts each one proportionally to its alpha-th power,
+    formed as (P(x | y) / max_x P(x | y))^alpha, every power in [0, 1].
+    At alpha = 1 that is the posterior itself; at alpha = inf the MAP rule,
+    the maxima staying at 1 and so splitting ties uniformly.
     """
-    a = _order(order, "optimal_strategy")
     post = posterior_channel.rows
-    if a == 1.0:
-        rows = post.copy()
-    elif math.isinf(a):
-        best = post == post.max(axis=1, keepdims=True)
-        rows = best / best.sum(axis=1, keepdims=True)
-    else:
-        logs = a * _log_rows(post)
-        rows = np.exp(logs - logsumexp(logs, axis=1)[:, None])
-        rows /= rows.sum(axis=1, keepdims=True)
+    rows = np.power(post / post.max(axis=1, keepdims=True), _order(order, "optimal_strategy"))
+    rows /= rows.sum(axis=1, keepdims=True)
     return Channel(posterior_channel.input_alphabet, posterior_channel.output_alphabet, rows)
 
 
@@ -533,22 +523,24 @@ def f_leakage(joint: Joint, gen: FGenerator, tol: float = 1e-10, max_iter: int =
     through the Sibson closed form and the monotone bijection between the
     two divergences, and its minimizer is the Sibson centre
     Q(y) proportional to (sum_x P(x) W(y|x)^alpha)^(1/alpha), the output law
-    that `maximal_alpha_leakage` also returns at its optimal input.  Custom
-    generators run `_min_fdiv_over_reference`.
+    that `maximal_alpha_leakage` also returns at its optimal input, formed
+    as it is there: colmax_y (sum_x P(x) (W(y|x) / colmax_y)^alpha)^(1/alpha)
+    with colmax_y = max_x W(y|x) over the prior's support.  Custom
+    generators run `_min_fdiv_over_reference`; a value that rounding leaves
+    below 0 comes back as +0.0.
     """
     prior, channel, _ = conditional_of(joint)
     out_alpha = joint.col_alphabet
     if gen.kind == "kl":
         return sibson_mi(prior, channel, 1.0), joint.col_marginal()
     if gen.kind == "hellinger":
-        # Sibson's sums A(y) = sum_x P(x) W(y|x)^a give Q = A^(1/a) / sum_y A(y)^(1/a).
         a, support = gen.alpha, prior.p > 0
-        logs = np.log(prior.p[support])[:, None] + a * _log_rows(channel.rows[support])
-        log_root = logsumexp(logs, axis=0) / a
-        q = np.exp(log_root - logsumexp(log_root))
+        W = channel.rows[support]
+        colmax = W.max(axis=0)  # 0 on an output no input reaches, and so is its Q
+        q = colmax * (prior.p[support] @ np.power(W / np.where(colmax > 0, colmax, 1.0), a)) ** (1.0 / a)
         return _hellinger_image(sibson_mi(prior, channel, a), a), Dist(out_alpha, q / q.sum())
     value, q, _ = _min_fdiv_over_reference(prior.p, channel.rows, gen, tol, max_iter)
-    return value, Dist(out_alpha, q)
+    return _at_least_zero(value), Dist(out_alpha, q)
 
 
 def maximal_f_leakage(

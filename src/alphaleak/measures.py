@@ -55,13 +55,12 @@ def renyi_entropy(dist: Dist, order) -> float:
 
 def renyi_divergence(p: Dist, q: Dist, order) -> float:
     """Renyi divergence D_alpha(p || q) = T(p, log p - log q, alpha - 1) in
-    nats (`_tilted_log_mean`); +inf on support violation."""
+    nats (`_tilted_log_mean`); +inf on support violation at alpha >= 1,
+    where some log p - log q is +inf."""
     a = _order(order)
     _require_same_alphabet(p, q)
     sup = p.p > 0
     pv, qv = p.p[sup], q.p[sup]
-    if a >= 1.0 and np.any(qv == 0):
-        return math.inf
     return float(_tilted_log_mean(pv, np.log(pv) - _log_rows(qv), a - 1.0))
 
 

@@ -183,7 +183,8 @@ def _solve_aware(prior: Dist, spec: DistortionSpec, mask, gen: FGenerator, tol, 
     spec's ball mask `mask` (inputs of zero probability contribute nothing).
     The descent starts from Q uniform on the outputs in every live ball,
     if there are any (see the module docstring), else from the uniform Q.
-    Returns F, Q and the Frank-Wolfe gap certifying them."""
+    Returns F (+0.0 where rounding leaves it at or below 0), Q and the
+    Frank-Wolfe gap certifying them."""
     if prior.alphabet != spec.input_alphabet:
         raise ValidationError("prior alphabet does not match the distortion input alphabet")
     live = prior.p > 0
@@ -201,7 +202,7 @@ def _solve_aware(prior: Dist, spec: DistortionSpec, mask, gen: FGenerator, tol, 
         "output-distribution descent did not reach tolerance: Frank-Wolfe gap",
         start=shared / np.count_nonzero(shared) if shared.any() else None,
     )
-    return val, q, gap
+    return _at_least_zero(val), q, gap
 
 
 def put_f_leakage(
@@ -228,7 +229,7 @@ def put_f_leakage(
     """
     _require_compatible(gen)
     val, q, _ = _solve_aware(prior, spec, spec.ball_mask, gen, tol, max_iter)
-    return _at_least_zero(val), Dist(spec.output_alphabet, q)
+    return val, Dist(spec.output_alphabet, q)
 
 
 def put_max_alpha_leakage(

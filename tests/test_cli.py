@@ -93,7 +93,6 @@ HARD1 = ["put", "hard", "SPEC", "--alpha", "1", "--prior"]
         (["capacity", "FILE", "--alpha-sweep", "0.5,2"], CH, "requires alpha >= 1, got 0.5"),
         (["put", "hard", "FILE", "--alpha-sweep", "2,3"], SPEC, "single --alpha"),
         (["measures", "MISSING", "--alpha", "2"], SPEC, "input file not found"),
-        (["strategy", "FILE", "--alpha", "2", "--base", "hex"], SPEC, "'hex'"),
         (["measures", "FILE", "--alpha-sweep", ","], SPEC, "sweep ',' names no order"),
         (["measures", "FILE", "--alpha-sweep", ",,"], SPEC, "sweep ',,' names no order"),
         (AVG_BINARY + ["--alpha-sweep", ","], SPEC, "sweep ',' names no order"),
@@ -105,6 +104,8 @@ HARD1 = ["put", "hard", "SPEC", "--alpha", "1", "--prior"]
         (["measures", "BINARY", "--alpha", "2"], DIAGONAL, "invalid JSON"),
         (["capacity", "FILE", "--alpha", "2"], {k: v for k, v in CH.items() if k != "rows"}, "no 'rows' key"),
         (["capacity", "FILE", "--alpha", "2"], {**CH, "rows": [[0.9, "x"], [0.2, 0.8]]}, "bad 'rows' entry"),
+        (["capacity", "FILE", "--alpha", "2"], {**CH, "rows": [[0.9, math.nan], [0.2, 0.8]]},
+         "rows contains non-finite entries"),
         (HARD1 + ["FILE"], {"alphabet": ["a", "b"]}, "no 'mass' key"),
         (HARD1 + ["FILE"], {"alphabet": ["a", "b"], "mass": [0.5, "x"]}, "bad 'mass' entry"),
         (["capacity", "FILE", "--alpha-sweep", "1:2:1e-12"], CH, "has 1000000000001 orders, over 10000"),
@@ -122,12 +123,12 @@ HARD1 = ["put", "hard", "SPEC", "--alpha", "1", "--prior"]
     ids=[
         "no-bound", "bad-distortion-entry", "top-level-list", "spec-as-joint", "string-alphabet",
         "alpha-list", "sweep-not-numbers", "sweep-to-inf", "sweep-nan-step", "tol-nan", "max-iter-negative",
-        "sweep-below-one", "hard-sweep", "missing-file", "strategy-bad-base",
+        "sweep-below-one", "hard-sweep", "missing-file",
         "measures-empty-sweep", "measures-empty-sweep-2", "avg-binary-empty-sweep", "avg-binary-empty-sweep-2",
         "hard-kl-prior", "hard-alpha-2-prior", "out-in-missing-dir", "directory", "binary-file",
-        "channel-no-rows", "channel-bad-rows", "prior-no-mass", "prior-bad-mass", "sweep-1e12-orders",
-        "sweep-10001-orders", "object-alphabet", "boolean-bound", "boolean-joint-mass", "boolean-prior-mass",
-        "no-alpha", "decreasing-sweep", "three-channels",
+        "channel-no-rows", "channel-bad-rows", "channel-nan-rows", "prior-no-mass", "prior-bad-mass",
+        "sweep-1e12-orders", "sweep-10001-orders", "object-alphabet", "boolean-bound", "boolean-joint-mass",
+        "boolean-prior-mass", "no-alpha", "decreasing-sweep", "three-channels",
     ],
 )
 def test_schema_mismatch_exits_2(tmp_path, capsys, argv, obj, named):
@@ -495,11 +496,14 @@ def test_solver_non_convergence_exits_3(files, capsys):
         (["measures", "joint"], ["--tol", "1e-3"]),
         (["strategy", "joint"], ["--max-iter", "0"]),
         (["put", "hard", "spec.json"], ["--max-iter", "0"]),
+        (["strategy", "joint"], ["--base", "hex"]),
     ],
-    ids=["avg-binary-tol", "avg-binary-max-iter", "measures-tol", "strategy-max-iter", "hard-max-iter"],
+    ids=["avg-binary-tol", "avg-binary-max-iter", "measures-tol", "strategy-max-iter", "hard-max-iter",
+         "strategy-bad-base"],
 )
 def test_solver_flags_only_where_a_solver_reads_them(files, capsys, command, flag):
-    # a flag the subcommand would ignore is a usage error, not a silent no-op
+    # a flag the subcommand would ignore is a usage error, not a silent no-op;
+    # strategy prints probabilities, so it has no --base either
     argv = [files.get(word, word) for word in command] + ["--alpha", "1.5", *flag]
     with pytest.raises(SystemExit) as exc:
         main(argv)

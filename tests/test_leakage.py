@@ -2,6 +2,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -38,8 +39,6 @@ from alphaleak import (
 )
 import alphaleak.leakage as leakage
 from alphaleak.leakage import _free_least_squares, _simplex_qp_step
-from alphaleak.measures import _log_rows
-from alphaleak.prob import logsumexp
 from util import (
     capacity_gap,
     count_linalg_calls,
@@ -153,13 +152,7 @@ class TestOptimalStrategy:
     @staticmethod
     def tilted_row(row, a):
         """One row of the strategy, tilted on its own."""
-        if a == 1.0:
-            return row.copy()
-        if a == math.inf:
-            best = row == row.max()
-            return best / best.sum()
-        logs = a * _log_rows(row)
-        out = np.exp(logs - logsumexp(logs))
+        out = np.power(row / row.max(), a)
         return out / out.sum()
 
     def test_matches_the_row_by_row_tilt_bitwise(self):
@@ -175,6 +168,29 @@ class TestOptimalStrategy:
             for a in (1.0, 1.5, 2.0, 10.0, math.inf):
                 expected = np.stack([self.tilted_row(r, a) for r in post.rows])
                 assert np.array_equal(optimal_strategy(post, a).rows, expected)
+
+    @pytest.mark.parametrize("a", [2.0, 10.0, 50.0])
+    def test_matches_the_tilt_in_60_digits(self, a):
+        # x^a / sum x^a of each float row, exactly; entries below 2^-1000
+        # may lose their digits to subnormal underflow, not their value
+        rng = np.random.default_rng(43)
+        worst = 0.0
+        with mpmath.workdps(60):
+            for _ in range(300):
+                n, m = (int(v) for v in rng.integers(1, 6, size=2))
+                rows = rng.dirichlet(np.full(m, 0.5), size=n)
+                post = Channel(Alphabet.of_size(n, "y"), Alphabet.of_size(m, "x"), rows)
+                for row, got in zip(post.rows, optimal_strategy(post, a).rows):
+                    powers = [mpmath.mpf(float(v)) ** a for v in row]
+                    total = mpmath.fsum(powers)
+                    for power, value in zip(powers, got):
+                        want = power / total
+                        err = abs(mpmath.mpf(float(value)) - want)
+                        if want > mpmath.ldexp(1, -1000):
+                            worst = max(worst, float(err / want))
+                        else:
+                            assert err < 1e-300
+        assert worst <= 1e-14
 
 
 class TestMinExpectedAlphaLoss:
@@ -780,8 +796,9 @@ class TestFLeakage:
             assert q.allclose(indep.col_marginal(), atol=1e-8)
 
     def test_hellinger_reference_is_the_capacity_output_law(self):
-        # Two computations of the Sibson centre: from the capacity solver's
-        # matrix, and in the log domain by the Hellinger short circuit.
+        # Two computations of the Sibson centre: at the capacity solver's
+        # last point, and from the optimal input law by the Hellinger short
+        # circuit.
         rng = np.random.default_rng(60)
         for _ in range(200):
             W = random_channel(rng, *(int(v) for v in rng.integers(2, 12, size=2)))
@@ -789,6 +806,41 @@ class TestFLeakage:
                 res = maximal_alpha_leakage(W, a)
                 _, q = f_leakage(make_joint(res.optimal_input, W), hellinger_generator(a))
                 assert np.abs(q.p - res.target_output.p).max() <= 1e-14
+
+    def test_hellinger_reference_matches_the_sibson_centre_in_60_digits(self):
+        # Q(y) = A(y)^(1/a) / sum A^(1/a), A(y) = sum_x P(x) W(y|x)^a, for
+        # the prior and channel that the joint factors into
+        rng = np.random.default_rng(44)
+        worst = 0.0
+        with mpmath.workdps(60):
+            for _ in range(200):
+                n, m = (int(v) for v in rng.integers(2, 9, size=2))
+                a = float(np.exp(rng.uniform(math.log(1.5), math.log(100.0))))
+                joint = random_joint(rng, n, m, conc=0.5)
+                _, q = f_leakage(joint, hellinger_generator(a))
+                prior, channel, _ = conditional_of(joint)
+                roots = [
+                    mpmath.fsum(
+                        mpmath.mpf(float(px)) * mpmath.mpf(float(w)) ** a
+                        for px, w in zip(prior.p, channel.rows[:, y]) if px > 0
+                    ) ** (1 / mpmath.mpf(a))
+                    for y in range(m)
+                ]
+                total = mpmath.fsum(roots)
+                for root, value in zip(roots, q.p):
+                    worst = max(worst, float(abs(mpmath.mpf(float(value)) - root / total) / (root / total)))
+        assert worst <= 1e-15
+
+    def test_custom_generator_is_never_below_plus_zero(self):
+        # Y independent of X: the value is 0 in exact arithmetic, and the
+        # descent's rounding left half of these joints a few ulps below 0
+        gen = custom_generator(lambda t: (t**2.5 - 1.0) / 1.5, -1.0 / 1.5, math.inf)
+        rng = np.random.default_rng(75)
+        for _ in range(200):
+            n, m = (int(v) for v in rng.integers(2, 6, size=2))
+            prior, out = random_dist(rng, n), random_dist(rng, m)
+            value, _ = f_leakage(Joint(prior.alphabet, out.alphabet, np.outer(prior.p, out.p)), gen)
+            assert _is_plus_zero_or_more(value), value
 
     def _grid_min(self, joint, gen):
         from alphaleak import conditional_of, f_divergence

@@ -142,7 +142,7 @@ class TestConstructors:
         values[0][0] = 7
         assert ch.rows.tolist() == before
 
-    @pytest.mark.parametrize(
+    EVERY_ARRAY = pytest.mark.parametrize(
         "build, name, shape",
         [
             (lambda v: Dist(B, v), "mass", (2,)),
@@ -152,6 +152,8 @@ class TestConstructors:
         ],
         ids=["Dist", "Channel", "Joint", "DistortionSpec"],
     )
+
+    @EVERY_ARRAY
     def test_arrays_that_do_not_fit_raise_validation_error(self, build, name, shape):
         # a wrong length or ndim names both shapes; what numpy cannot turn
         # into a float array is not a raw ValueError or TypeError
@@ -162,6 +164,14 @@ class TestConstructors:
         for bad in ("ab", [[1.0], [0.0, 1.0]], {"a": 1.0}):
             with pytest.raises(ValidationError, match=f"^{name} is not an array of numbers$"):
                 build(bad)
+
+    @EVERY_ARRAY
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_entries_raise_validation_error(self, build, name, shape, entry):
+        bad = np.full(shape, 0.5)
+        bad.flat[-1] = entry
+        with pytest.raises(ValidationError, match=f"^{name} contains non-finite entries$"):
+            build(bad)
 
     def test_dist_keeps_its_own_copy(self):
         p = np.array([0.25, 0.75])

@@ -476,6 +476,19 @@ class TestPutMaxAlphaLeakage:
             rows = np.where((A @ q)[:, None] > 0.0, A * q, A)
             assert sol.mechanism.rows.tobytes() == (rows / rows.sum(axis=1, keepdims=True)).tobytes()
 
+    def test_alpha_one_full_balls_are_never_below_plus_zero(self):
+        # every output in every ball: the KL value is 0 in exact arithmetic,
+        # and rounding left it at -1.1e-16 on 3 inputs and 18 outputs
+        spec = DistortionSpec(Alphabet(("a", "b", "c")), Alphabet.of_size(18, "y"), np.zeros((3, 18)), 0.0)
+        value, sol = put_max_alpha_leakage(spec, 1.0, Dist(spec.input_alphabet, [0.2, 0.3, 0.5]))
+        assert value == sol.value == 0.0 and math.copysign(1.0, value) == 1.0
+        rng = np.random.default_rng(74)
+        for m in range(2, 40):
+            n = int(rng.integers(2, 6))
+            spec = DistortionSpec(Alphabet.of_size(n), Alphabet.of_size(m, "y"), np.zeros((n, m)), 0.0)
+            value, _ = put_max_alpha_leakage(spec, 1.0, random_dist(rng, n))
+            assert value >= 0.0 and math.copysign(1.0, value) == 1.0
+
     def test_alpha_one_builds_the_ball_matrix_once(self, monkeypatch):
         spec = build_type_distance_spec(20, 2)
         reads = []

@@ -309,9 +309,13 @@ def cmd_put_hard(args) -> None:
     aware = args.generator == "alpha" and order == 1.0
     if args.prior and not aware:
         raise ValidationError("--prior is read only at --alpha 1 with --generator alpha")
+    unit = f" {base}"
+    if args.generator == "hellinger":
+        if base != "nats":
+            raise ValidationError("--base is not read with --generator hellinger: its value is no logarithm")
+        per, unit = 1.0, ""
     if args.generator != "alpha":
         value, solution = put_max_f_leakage(spec, _named_generator(args.generator, order), **solver)
-        unit = ""
     else:
         prior = None
         if args.prior:
@@ -320,8 +324,7 @@ def cmd_put_hard(args) -> None:
             prior = Dist.uniform(spec.input_alphabet)
             print("note: alpha = 1 tradeoff uses a uniform input distribution", file=sys.stderr)
         value, solution = put_max_alpha_leakage(spec, order, prior_for_one=prior, **solver)
-        value /= per
-        unit = f" {base}"
+    value /= per
     payload = {
         "q_star": solution.q_star,
         **_in_units(solution.value),

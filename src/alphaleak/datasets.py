@@ -146,9 +146,11 @@ def hamming_put(n: int, m: int, q: int) -> HammingPutResult:
     on every output within distance m of the input.  For q^n within
     `ENUMERATION_LIMIT` it is
     `optimal_mechanism(Dist.uniform(spec.output_alphabet), spec)` with
-    `spec = build_hamming_spec(n, m, q)`."""
+    `spec = build_hamming_spec(n, m, q)`.  It is log Q + log1p(R / (Q ball_size))
+    for q^n = Q ball_size + R, exactly +0.0 where the ball is the whole space."""
     ball = hamming_ball_size(n, m, q)
-    value = n * math.log(q) - math.log(ball)
+    quotient, remainder = divmod(q**n, ball)
+    value = math.log(quotient) + math.log1p(remainder / (quotient * ball))
     return HammingPutResult(value=value, ball_size=ball)
 
 

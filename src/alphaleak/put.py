@@ -55,7 +55,7 @@ import numpy as np
 from .errors import ConvergenceError, IncompatibleGeneratorError, ValidationError
 from .leakage import _minimize_on_simplex, _relative_certificate, binary_maximal_alpha_leakage
 from .lp import GameSolution, covering_game, feasible_point
-from .measures import FGenerator, _at_least_zero, kl_generator
+from .measures import FGenerator, _at_least_zero, _log_rows, kl_generator
 from .prob import Alphabet, Channel, Dist, Joint, _nonnegative_array, _order, _tilted_log_mean
 
 
@@ -171,10 +171,10 @@ def put_max_f_leakage(
     spec: DistortionSpec, gen: FGenerator, tol: float = 1e-10
 ) -> tuple[float, PutSolution]:
     """Minimal maximal f-leakage under the hard-distortion constraint:
-    q* f(1/q*) + (1 - q*) f(0), with the ball-restricted mechanism built
-    on the q* maximizer."""
+    q* f(1/q*) + (1 - q*) f(0) (+0.0 where rounding leaves it at or below
+    0), with the ball-restricted mechanism built on the q* maximizer."""
     _require_compatible(gen)
-    return _hard_put(spec, tol, lambda q: float(q * gen.f(1.0 / q) + (1.0 - q) * gen.f_at_zero))
+    return _hard_put(spec, tol, lambda q: _at_least_zero(float(q * gen.f(1 / q) + (1 - q) * gen.f_at_zero)))
 
 
 def _solve_aware(prior: Dist, spec: DistortionSpec, mask, gen: FGenerator, tol, max_iter=50_000):
@@ -292,15 +292,17 @@ def sensitive_lower_bound(sj: SensitiveJoint, order) -> tuple[float, bool]:
     """Lower bound on the minimal alpha-leakage about S when a mechanism
     releases X within its distortion ball.
 
-    The bound evaluates, for each (s, x), the largest total sensitive mass
-    consistent with any feasible output of x; smaller consistent sets mean
-    more exposure.  It is one formula in tilted log-means through alpha = 1,
-    alpha = inf is its limit, and it is clamped at 0.  The boolean reports
-    whether a mechanism meeting the two equalization conditions for
-    tightness exists: the linear feasibility program of `_tightness_system`
-    is solved by `lp.feasible_point`, and True is returned only for a
-    mechanism x >= 0 that meets it to 1e-9 on the row-scaled system (False
-    asserts nothing about non-tightness).
+    The bound is (alpha/(alpha-1)) log(sum_{s,x} P(s)^alpha P(x|s)
+    m_x^((1-alpha)/alpha) / ||P_S||_alpha), m_x the largest sum of P(s)^alpha
+    over the values of S consistent with one output of x's ball: smaller
+    consistent sets mean more exposure.  It is one tilted log-mean
+    (`_tilted_log_mean`) plus H_alpha(P_S) whose powers all have bases at
+    most 1, so one expression serves alpha in [1, inf], with no overflow, and
+    it is clamped at 0.  The boolean reports whether a mechanism meeting the
+    two equalization conditions for tightness exists: the linear feasibility
+    program of `_tightness_system` is solved by `lp.feasible_point`, and True
+    is returned only for a mechanism x >= 0 that meets it to 1e-9 on the
+    row-scaled system (False asserts nothing about non-tightness).
     """
     a = _order(order, "sensitive_lower_bound")
     psx = sj.joint.m  # [s, x]
@@ -315,27 +317,17 @@ def sensitive_lower_bound(sj: SensitiveJoint, order) -> tuple[float, bool]:
     live_y = ball[live_x].any(axis=0)
     p_s, p_sx = ps[live_s], psx[np.ix_(live_s, live_x)]
     feas, live_ball = s_feasible[np.ix_(live_s, live_y)], ball[np.ix_(live_x, live_y)]
-    # mu_y, the largest P(s) consistent with y; mu_x, the largest over x's ball
-    mu_y = np.where(feas, p_s[:, None], 0.0).max(axis=0)
+    # Powers of ratios to mu_y, the largest P(s) consistent with y, and to
+    # mu_x, the largest over x's ball; bases outside S(y), B(x) or the
+    # support of P_SX are set to 0 first, as they could exceed 1.
+    p_feas = np.where(feas, p_s[:, None], 0.0)
+    mu_y = p_feas.max(axis=0)
     mu_x = np.where(live_ball, mu_y, 0.0).max(axis=1)
-    if math.isinf(a):
-        # the limit of the finite orders, with c_x the most values of S at
-        # mu_x that one output of x's ball is consistent with
-        at_mu = p_s == mu_x[:, None]  # [x, s]
-        c_x = np.where(live_ball, at_mu @ feas.astype(int), 0).max(axis=1)
-        bound = math.log((p_sx * at_mu.T / c_x).sum()) - math.log(p_s.max())
-    else:
-        # a T(P_SX, log P(s) - lambda_x, a - 1) - T(P_S, log P_S, a - 1) with
-        # lambda_x the largest (1/a) log N(y) + (1 - 1/a) T(P_S on S(y), log P_S, a - 1)
-        # over x's ball (`_tilted_log_mean`).  Each log is taken relative to
-        # mu_y or mu_x: log P(s) - lambda_x is O(1/a) where P(s) = mu_x, and
-        # the factor a would multiply back the rounding of a log cancelled in it.
-        tilt = _tilted_log_mean(p_s[:, None] * feas, np.log(p_s[:, None] / mu_y), a - 1.0)
-        score = np.log(n_y[live_y] / mu_y) / a + (1.0 - 1.0 / a) * tilt
-        excess = np.where(live_ball, np.log(mu_y / mu_x[:, None]) + score, -np.inf).max(axis=1)
-        v = np.log(p_s[:, None] / mu_x) - excess
-        bound = a * float(_tilted_log_mean(p_sx.ravel(), v.ravel(), a - 1.0))
-        bound -= float(_tilted_log_mean(p_s, np.log(p_s), a - 1.0))
+    k_y = ((p_feas / mu_y) ** a).sum(axis=0)
+    k_x = (np.where(live_ball, mu_y / mu_x[:, None], 0.0) ** a * k_y).max(axis=1)  # m_x / mu_x^a
+    u = _log_rows(np.where(p_sx > 0, p_s[:, None] / mu_x, 0.0) ** a / k_x)
+    bound = float(_tilted_log_mean(p_sx.ravel(), u.ravel(), 1.0 - 1.0 / a))
+    bound -= float(_tilted_log_mean(p_s, np.log(p_s), a - 1.0))  # + H_alpha(P_S)
     return _at_least_zero(bound), feasible_point(*_tightness_system(psx, ps, ball, s_feasible, n_y)).gap <= 1e-9
 
 

@@ -252,6 +252,27 @@ def test_put_hard_hellinger(hamming_file, capsys):
     assert captured.err.startswith("hard-distortion PUT at alpha=2 [hellinger]: 8 ")
 
 
+def test_put_hard_kl_summary_is_in_the_base(hamming_file, capsys):
+    # the KL value -log q* = log 9 is a logarithm: --base converts the
+    # summary line and names its unit, the JSON holds both units as before
+    assert main(["put", "hard", hamming_file, "--alpha", "2", "--generator", "kl", "--base", "bits"]) == 0
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert out["value_bits"] == pytest.approx(math.log2(9), rel=0, abs=1e-12)
+    assert out["value_nats"] == pytest.approx(math.log(9), rel=0, abs=1e-12)
+    assert captured.err.startswith(f"hard-distortion PUT at alpha=2 [kl]: {math.log2(9):.12g} bits (q*=")
+
+
+def test_put_hard_hellinger_reads_no_base(hamming_file, capsys):
+    # a Hellinger value is not a logarithm, so a --base other than nats is a
+    # flag the subcommand would ignore: exit 2 before any solve
+    argv = ["put", "hard", hamming_file, "--alpha", "2", "--generator", "hellinger", "--base", "bits"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --base is not read with --generator hellinger: its value is no logarithm\n"
+
+
 def test_put_hard_alpha_one_reports_a_frank_wolfe_gap(hamming_file, capsys):
     # the alpha = 1 tradeoff is certified by the descent's Frank-Wolfe gap,
     # not by an LP duality gap; the JSON key stays "duality_gap"

@@ -1,5 +1,7 @@
+import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -59,6 +61,22 @@ def test_hamming_spec_build_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 12e6
+
+
+def test_hamming_put_against_60_digit_arithmetic():
+    # n <= 40, q <= 10, every m: log(q^n / ball_size) to 4.4e-16 relative,
+    # never below +0.0, and exactly +0.0 where the ball is the whole space
+    with mpmath.workdps(60):
+        for n in range(1, 41):
+            for q in range(2, 11):
+                for m in range(n + 1):
+                    value = hamming_put(n, m, q).value
+                    assert math.copysign(1.0, value) == 1.0, (n, m, q)
+                    if m == n:
+                        assert value == 0.0, (n, q)
+                        continue
+                    want = n * mpmath.log(q) - mpmath.log(hamming_ball_size(n, m, q))
+                    assert abs(value - want) <= 4.4e-16 * want, (n, m, q)
 
 
 def test_hamming_crosscheck_up_to_256_points():

@@ -243,6 +243,10 @@ class TestPutMaxFLeakage:
             value, sol = put_max_f_leakage(spec, gen)
             assert value == pytest.approx(0.0, abs=1e-12)
             assert sol.q_star == pytest.approx(1.0, abs=1e-12)
+        # f(1) = -1e-13 passes the |f(1)| <= 1e-12 check; the value is +0.0, not -1e-13
+        gen = custom_generator(lambda t: (t - 1) ** 2 - 1e-13, 1 - 1e-13, math.inf)
+        value, _ = put_max_f_leakage(spec, gen)
+        assert (value, math.copysign(1.0, value)) == (0.0, 1.0)
 
     def test_hellinger_two_at_half(self):
         spec = build_type_distance_spec(9, 2)  # q* = 1/2
@@ -734,6 +738,41 @@ class TestSensitiveLowerBound:
                     assert sensitive_lower_bound(sj, a)[0] == pytest.approx(self.mp_bound(sj, a), abs=1e-14)
                 limit = sensitive_lower_bound(sj, math.inf)[0]
                 assert limit == pytest.approx(self.mp_bound(sj, 1e12), abs=1e-11), seed
+
+    @staticmethod
+    def mp_limit(sj: SensitiveJoint):
+        """The alpha = inf bound in 60-digit arithmetic, from the limit of the
+        finite orders: log sum_{P(s) = mu_x} P(s, x) / c_x - log max P(s), with
+        mu_x the largest P(s) consistent with an output of x's ball and c_x
+        the most values of S at mu_x that one such output is consistent with;
+        clamped at 0."""
+        with mpmath.workdps(60):
+            psx = [[mpmath.mpf(float(v)) for v in row] for row in sj.joint.m]
+            total = mpmath.fsum(v for row in psx for v in row)
+            psx = [[v / total for v in row] for row in psx]
+            ps = [mpmath.fsum(row) for row in psx]
+            ball = sj.spec.ball_mask
+            n_x, n_y = ball.shape
+            consistent = [
+                [s for s, row in enumerate(psx) if any(row[x] > 0 and ball[x, y] for x in range(n_x))]
+                for y in range(n_y)
+            ]
+            terms = []
+            for x in range(n_x):
+                if any(row[x] > 0 for row in psx):
+                    outputs = [consistent[y] for y in range(n_y) if ball[x, y]]
+                    mu = max(ps[s] for members in outputs for s in members)
+                    c = max(sum(ps[s] == mu for s in members) for members in outputs)
+                    terms += [row[x] / c for row, p in zip(psx, ps) if p == mu]
+            return max(0.0, float(mpmath.log(mpmath.fsum(terms)) - mpmath.log(max(ps))))
+
+    def test_limit_against_60_digit_arithmetic(self):
+        # alpha = inf needs no formula of its own: the one expression of the
+        # finite orders gives the limit to 1e-14
+        for seed in range(30):
+            for sj in (self.random_sensitive_joint(seed), self.function_sensitive_joint(seed)):
+                limit = sensitive_lower_bound(sj, math.inf)[0]
+                assert limit == pytest.approx(self.mp_limit(sj), abs=1e-14), seed
 
     def test_bound_is_nonnegative_and_below_sampled_mechanisms(self):
         # mechanisms P(y | s, x) confined to x's ball: none leaks less about S

@@ -442,16 +442,17 @@ def maximal_alpha_leakage(
     )
 
 
-def _log_divided_difference(x, y, a: float):
-    """Elementwise log of the divided difference (x^a - y^a)/(x - y) >= 0,
-    a * x^(a-1) where x = y: hi^(a-1) expm1(a u)/expm1(u) with
-    u = log(lo/hi) <= 0, so no step subtracts nearly equal numbers.  A pair
-    of zeros reads as (tiny, 0), its limit along the edge of the square."""
+def _log_divided_difference(x, y, d: float):
+    """Elementwise scaled log g = (1/d) log((x^a - y^a)/(x - y)), a = 1 + d:
+    log hi + log1p(r)/d with u = log(lo/hi) <= 0 and r = e^u expm1(d u)/expm1(u)
+    (r = d where x = y, 0 where lo = 0), as expm1(a u) = expm1(u) + e^u expm1(d u),
+    so no term of order 1/d is left to cancel as d -> 0.  A pair of zeros
+    reads as (tiny, 0), its limit along the edge of the square."""
     hi = np.maximum(np.maximum(x, y), np.finfo(float).smallest_subnormal)
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.log(np.minimum(x, y) / hi)
-        ratio = np.where(u == 0.0, a, np.expm1(a * u) / np.expm1(u))
-    return (a - 1.0) * np.log(hi) + np.log(ratio)
+        r = np.where(u == 0.0, d, np.exp(u) * np.expm1(d * u) / np.expm1(u))
+    return np.log(hi) + np.log1p(r) / d
 
 
 def binary_maximal_alpha_leakage(rho1, rho2, alpha: float):
@@ -464,18 +465,19 @@ def binary_maximal_alpha_leakage(rho1, rho2, alpha: float):
     pairs, x_m = (1-rho1)(1-rho2), y_m = rho1 rho2, (x_1, y_1) =
     (1-rho2, rho1) and (x_2, y_2) = (1-rho1, rho2), each differing by
     delta = 1 - rho1 - rho2.  Each power difference is delta times the
-    divided difference (`_log_divided_difference`) and the delta factors
-    cancel, so the formula keeps its accuracy up to and on the rank-one
-    locus delta = 0, where it is 0; a value that rounds below 0 there is
-    returned as +0.0.  It never calls the capacity solver.
+    divided difference and the delta factors cancel: the value is the one
+    log-sum-exp g_m + log(e^(-g_1) + e^(-g_2)) of the scaled logs g
+    (`_log_divided_difference`).  It keeps its accuracy as alpha -> 1 and
+    up to and on the rank-one locus delta = 0, where it is 0; a value that
+    rounds below 0 there is +0.0.  It never calls the capacity solver.
     """
     alpha = _order(alpha, "binary closed form", finite=True)
     r1, r2 = np.broadcast_arrays(np.asarray(rho1, dtype=float), np.asarray(rho2, dtype=float))
     if not (np.all((0.0 <= r1) & (r1 <= 1.0)) and np.all((0.0 <= r2) & (r2 <= 1.0))):
         raise ValidationError("crossover probabilities must lie in [0, 1]")
-    lm = _log_divided_difference((1.0 - r1) * (1.0 - r2), r1 * r2, alpha)
-    lb = _log_divided_difference(np.stack([1.0 - r2, 1.0 - r1]), np.stack([r1, r2]), alpha)
-    value = lm / (alpha - 1.0) + logsumexp(lb / (1.0 - alpha), axis=0)
+    g_m = _log_divided_difference((1.0 - r1) * (1.0 - r2), r1 * r2, alpha - 1.0)
+    g_b = _log_divided_difference(np.stack([1.0 - r2, 1.0 - r1]), np.stack([r1, r2]), alpha - 1.0)
+    value = g_m + logsumexp(-g_b, axis=0)
     # rounding near the locus can leave the value a few ulps below 0 (or -0.0)
     value = np.where(value <= 0.0, 0.0, value)
     return float(value) if value.ndim == 0 else value

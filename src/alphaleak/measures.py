@@ -237,8 +237,10 @@ def custom_generator(
 def _hellinger_image(v: float, alpha: float) -> float:
     """v -> expm1((alpha - 1) v)/(alpha - 1), which takes a Renyi divergence
     of order alpha to the Hellinger divergence of that order, and Sibson
-    leakages to Hellinger f-leakages alike."""
-    return float(np.expm1((alpha - 1.0) * v) / (alpha - 1.0))
+    leakages to Hellinger f-leakages alike; +inf past the largest float."""
+    d = alpha - 1.0
+    with np.errstate(over="ignore"):
+        return float(np.expm1(d * v) / d)
 
 
 def f_divergence(p: Dist, q: Dist, gen: FGenerator) -> float:

@@ -55,7 +55,7 @@ import numpy as np
 from .errors import ConvergenceError, IncompatibleGeneratorError, ValidationError
 from .leakage import _minimize_on_simplex, _relative_certificate, binary_maximal_alpha_leakage
 from .lp import GameSolution, covering_game, feasible_point
-from .measures import FGenerator, _at_least_zero, _log_rows, kl_generator
+from .measures import FGenerator, _at_least_zero, _hellinger_image, _log_rows, kl_generator
 from .prob import Alphabet, Channel, Dist, Joint, _nonnegative_array, _order, _tilted_log_mean
 
 
@@ -172,8 +172,11 @@ def put_max_f_leakage(
 ) -> tuple[float, PutSolution]:
     """Minimal maximal f-leakage under the hard-distortion constraint:
     q* f(1/q*) + (1 - q*) f(0) (+0.0 where rounding leaves it at or below
-    0), with the ball-restricted mechanism built on the q* maximizer."""
+    0), with the ball-restricted mechanism built on the q* maximizer.  For
+    Hellinger, whose two terms cancel near alpha = 1, it is the image of -log q*."""
     _require_compatible(gen)
+    if gen.kind == "hellinger":
+        return _hard_put(spec, tol, lambda q: _hellinger_image(_at_least_zero(-math.log(q)), gen.alpha))
     return _hard_put(spec, tol, lambda q: _at_least_zero(float(q * gen.f(1 / q) + (1 - q) * gen.f_at_zero)))
 
 
@@ -372,11 +375,6 @@ class AvgHammingSolution(NamedTuple):
     gap: float  # value - optimum <= gap, nats
 
 
-def _map_success(p: float, r1: float, r2: float) -> float:
-    joint = np.array([[(1 - p) * (1 - r1), (1 - p) * r1], [p * r2, p * (1 - r2)]])
-    return float(joint.max(axis=0).sum())
-
-
 _SEGMENT_POINTS = 9
 _SEGMENT_ROUNDS = 40
 _SEGMENT_GAP = 1e-10
@@ -397,14 +395,14 @@ def avg_hamming_binary_put(p: float, D: float, alpha: float) -> AvgHammingSoluti
     below the rank-one locus rho1 + rho2 = 1; the closed form itself is
     exact on and near the locus.
 
-    Along the segment G(t) = exp((alpha-1)/alpha L) is convex: it is
-    sup_P sum_y ||(P(x)^(1/alpha) W(y|x))_x||_alpha, a supremum of norms
-    of linear maps of W.  Each round evaluates G on 9 equispaced points
-    of a bracket holding the minimizer; with k the argmin, convexity puts
-    the minimizer in [t_(k-1), t_(k+1)] and bounds G there from below by
-    G_k - rise, rise = max(G_(k-1) - G_k, G_(k+1) - G_k) (at an end point,
-    the second difference G_0 - 2 G_1 + G_2).  The rise maps to the gap
-    alpha/(alpha-1) (-log(1 - rise/G_k)) >= value - optimum in nats.  The
+    Along the segment G(t) = exp(e L), e = (alpha-1)/alpha, is convex: it
+    is sup_P sum_y ||(P(x)^(1/alpha) W(y|x))_x||_alpha, a supremum of norms
+    of linear maps of W.  Each round ranks G - 1 = expm1(e L), whose
+    differences keep their digits as e -> 0, on 9 equispaced points of a
+    bracket holding the minimizer; with k the argmin, convexity bounds G on
+    [t_(k-1), t_(k+1)], where the minimizer lies, from below by G_k - rise,
+    rise = max(G_(k-1), G_(k+1)) - G_k (at an end point, G_0 - 2 G_1 + G_2),
+    and the gap -log(1 - rise/G_k)/e >= value - optimum in nats.  The
     search stops at gap <= 1e-10, returning the best point (end points
     exact, so a vertex optimum has rho1 or rho2 exactly 0), or raises
     ConvergenceError after 40 rounds.  Also reports the MAP success
@@ -423,17 +421,18 @@ def avg_hamming_binary_put(p: float, D: float, alpha: float) -> AvgHammingSoluti
         t = np.linspace(lo, hi, _SEGMENT_POINTS)
         r1, r2 = (1.0 - t) * (D / (1.0 - p)), t * (D / p)
         values = binary_maximal_alpha_leakage(r1, r2, alpha)
-        G = np.exp(e * values)
-        k = int(np.argmin(G))
+        H = np.expm1(e * values)  # G - 1
+        k = int(np.argmin(H))
         if 0 < k < last:
-            rise = max(G[k - 1], G[k + 1]) - G[k]
+            rise = max(H[k - 1], H[k + 1]) - H[k]
         else:
             s = 1 if k == 0 else -1
-            rise = G[k] - 2.0 * G[k + s] + G[k + 2 * s]
-        gap = -math.log1p(-max(rise, 0.0) / G[k]) / e
+            rise = H[k] - 2.0 * H[k + s] + H[k + 2 * s]
+        gap = -math.log1p(-max(rise, 0.0) / (1.0 + H[k])) / e
         if gap <= _SEGMENT_GAP:
             r1k, r2k = float(r1[k]), float(r2[k])
-            return AvgHammingSolution(r1k, r2k, float(values[k]), _map_success(p, r1k, r2k), gap)
+            guess = max((1 - p) * (1 - r1k), p * r2k) + max((1 - p) * r1k, p * (1 - r2k))
+            return AvgHammingSolution(r1k, r2k, float(values[k]), guess, gap)
         lo, hi = t[max(k - 1, 0)], t[min(k + 1, last)]
     raise ConvergenceError(
         f"distortion-boundary line search did not reach tolerance: gap {gap:.3e} above "

@@ -44,6 +44,7 @@ from util import (
     count_linalg_calls,
     expected_alpha_loss_of,
     maximize_over_simplex,
+    mp_binary_closed_form,
     random_channel,
     random_dist,
     random_joint,
@@ -759,6 +760,32 @@ class TestBinaryClosedForm:
         r1, r2 = self.near_locus(np.random.default_rng(55), 400, lo=-14, hi=-3)
         values = np.stack([binary_maximal_alpha_leakage(r1, r2, a) for a in self.ORDERS])
         assert np.diff(values, axis=0).min() >= -1e-14
+
+    # outside the order snap |alpha - 1| < 1e-9 of `prob._order`
+    NEAR_ONE_ORDERS = (1 + 2e-9, 1 + 1e-7, 1 + 1e-5, 1.001, 1.05, 2.0, 10.0, 1000.0)
+
+    def test_matches_60_digits_at_orders_near_one(self):
+        # two terms of order 1/(alpha - 1) that cancel would leave 1.9e-7
+        # at alpha = 1 + 2e-9
+        rng = np.random.default_rng(57)
+        r1, r2 = rng.uniform(0.0, 1.0, (2, 150))
+        n1 = rng.uniform(0.0, 1.0, 50)
+        n2 = np.clip(1.0 - n1 - rng.uniform(-1e-3, 1e-3, 50), 0.0, 1.0)
+        edge = rng.uniform(0.0, 1.0, 4)
+        r1 = np.r_[r1, n1, 0.0, 0.0, 1.0, 1.0, edge, np.zeros(2), np.ones(2)]
+        r2 = np.r_[r2, n2, 0.0, 1.0, 0.0, 1.0, np.zeros(2), np.ones(2), edge]
+        with mpmath.workdps(60):
+            for a in self.NEAR_ONE_ORDERS:
+                got = binary_maximal_alpha_leakage(r1, r2, a)
+                err = max(abs(mp_binary_closed_form(x, y, a) - mpmath.mpf(v)) for x, y, v in zip(r1, r2, got))
+                assert err <= 2e-15, a
+
+    def test_nondecreasing_in_alpha_from_orders_near_one(self):
+        # nothing is divided by alpha - 1, so the rounding stays a few ulps
+        # of the O(1) terms at every order
+        r1, r2 = self.near_locus(np.random.default_rng(58), 2000, lo=-16, hi=-3)
+        values = np.stack([binary_maximal_alpha_leakage(r1, r2, a) for a in self.NEAR_ONE_ORDERS])
+        assert np.diff(values, axis=0).min() >= -4e-15
 
 
 class TestCapacityLowerBound:

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -21,6 +22,8 @@ from alphaleak import (
     hellinger_generator,
     kl_generator,
     custom_generator,
+    f_divergence,
+    f_leakage,
     maximal_alpha_leakage,
     maximal_f_leakage,
     optimal_mechanism,
@@ -34,7 +37,7 @@ from alphaleak import leakage, lp, prob, put
 from alphaleak.datasets import build_hamming_spec, build_type_distance_spec, hamming_ball_size
 from alphaleak.lp import GameSolution, covering_game
 from alphaleak.measures import FGenerator
-from util import aware_put_gap, covering_random_spec, random_dist
+from util import aware_put_gap, covering_random_spec, mp_binary_closed_form, random_dist
 
 B = Alphabet(("0", "1"))
 
@@ -258,6 +261,21 @@ class TestPutMaxFLeakage:
         value, _ = put_max_f_leakage(spec, kl_generator())
         assert value == pytest.approx(math.log(2), abs=1e-12)
 
+    @staticmethod
+    def cyclic_spec() -> DistortionSpec:
+        A = Alphabet(("a", "b", "c"))
+        return DistortionSpec(A, A, [[0, 1, 2], [2, 0, 1], [1, 2, 0]], 1)  # q* = 2/3
+
+    @pytest.mark.parametrize("a", [1 + 2e-9, 1 + 1e-7, 1.001, 1.5, 30.0])
+    def test_hellinger_matches_50_digits_near_alpha_one(self, a):
+        # q f(1/q) + (1 - q) f(0) adds two terms of order 1/(alpha - 1),
+        # which leave 1.8e-7 (relative) at alpha = 1 + 2e-9
+        value, sol = put_max_f_leakage(self.cyclic_spec(), hellinger_generator(a))
+        with mpmath.workdps(50):
+            q, a = mpmath.mpf(sol.q_star), mpmath.mpf(a)
+            want = (q ** (1 - a) - 1) / (a - 1)
+            assert abs(value - want) <= 1e-15 * want
+
     def test_infinite_f_at_zero_is_incompatible(self):
         spec = build_type_distance_spec(9, 2)
         reverse_kl = custom_generator(
@@ -265,6 +283,20 @@ class TestPutMaxFLeakage:
         )
         with pytest.raises(IncompatibleGeneratorError):
             put_max_f_leakage(spec, reverse_kl)
+
+
+def test_hellinger_values_past_the_largest_float_are_inf_without_a_warning():
+    W = [[0.9, 0.1], [0.2, 0.8]]
+    ch = Channel(B, B, W)
+    p, q = Dist(B, [0.9, 0.1]), Dist(B, [0.2, 0.8])
+    joint = Joint(B, B, np.array([0.9, 0.1])[:, None] * np.array(W))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert maximal_f_leakage(ch, hellinger_generator(2000)) == math.inf
+        assert f_divergence(p, q, hellinger_generator(2000)) == math.inf
+        assert f_leakage(joint, hellinger_generator(1e6))[0] == math.inf
+        value, _ = put_max_f_leakage(TestPutMaxFLeakage.cyclic_spec(), hellinger_generator(2000))
+        assert value == math.inf
 
 
 class TestPutFLeakage:
@@ -898,6 +930,29 @@ class TestAvgHammingBinary:
         for _ in range(100):
             res = avg_hamming_binary_put(*self.random_case(rng))
             assert 0.0 <= res.gap <= 1e-10
+
+    @pytest.mark.parametrize("a", [1 + 2e-9, 1 + 1e-7])
+    def test_certified_at_orders_near_one(self, a):
+        # G = exp(e L) with e = (alpha - 1)/alpha below 1e-7: the
+        # differences of G itself keep too few digits to reach gap 1e-10
+        p, D = 0.3, 0.1
+        res = avg_hamming_binary_put(p, D, a)
+        assert 0.0 <= res.gap <= 1e-10
+        with mpmath.workdps(40):
+            assert abs(res.value - mp_binary_closed_form(res.rho1, res.rho2, a)) <= 1e-14
+
+            def on_segment(t):
+                return mp_binary_closed_form((1 - t) * mpmath.mpf(D) / (1 - mpmath.mpf(p)), t * mpmath.mpf(D) / p, a)
+
+            # golden-section search: L is unimodal along the segment
+            lo, hi, ratio = mpmath.mpf(0), mpmath.mpf(1), (mpmath.sqrt(5) - 1) / 2
+            for _ in range(100):
+                left, right = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+                if on_segment(left) < on_segment(right):
+                    hi = right
+                else:
+                    lo = left
+            assert 0.0 <= res.value - on_segment((lo + hi) / 2) <= res.gap + 1e-14
 
     def test_vertex_optimum_is_exact(self):
         # at alpha = 2 the optimum for p = 0.3, D = 0.1 is the vertex (0, D/p)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import mpmath
 import numpy as np
 from scipy.optimize import minimize
 
@@ -71,6 +72,23 @@ def spec_json(spec: DistortionSpec) -> dict:
         "d": spec.d.tolist(),
         "D": spec.bound,
     }
+
+
+def mp_binary_closed_form(rho1, rho2, alpha):
+    """The binary maximal alpha-leakage in mpmath at the working precision,
+    from the exact values of its arguments: (1/(a-1)) log D_m +
+    log(D_1^(1/(1-a)) + D_2^(1/(1-a))) with D the divided differences
+    (x^a - y^a)/(x - y) of the pairs ((1-r1)(1-r2), r1 r2), (1-r2, r1) and
+    (1-r1, r2); 0 on the locus r1 + r2 = 1, where every pair is equal."""
+    r1, r2, a = (mpmath.mpf(v) for v in (rho1, rho2, alpha))
+    if r1 + r2 == 1:
+        return mpmath.mpf(0)
+
+    def divided(x, y):
+        return (x**a - y**a) / (x - y)
+
+    outer = divided(1 - r2, r1) ** (1 / (1 - a)) + divided(1 - r1, r2) ** (1 / (1 - a))
+    return mpmath.log(divided((1 - r1) * (1 - r2), r1 * r2)) / (a - 1) + mpmath.log(outer)
 
 
 def random_joint(rng: np.random.Generator, n_row: int, n_col: int, conc: float = 1.0) -> Joint:

@@ -188,8 +188,9 @@ def _minimize_on_simplex(M, evaluate, certify, max_iter: int, failure: str, star
 
     Returns (z, M z, F(z), gap, iterations) once gap <= limit.  When that
     is not reached within `max_iter` iterations, or no step lowers F any
-    more, raises ConvergenceError with the gap reached as `residual` and
-    the iterations taken as `iterations`; its message starts with `failure`.
+    more, or the uniform start too is outside the domain (gap inf), raises
+    ConvergenceError with the gap reached as `residual` and the iterations
+    taken as `iterations`; its message starts with `failure`.
     """
 
     def at(z):
@@ -200,9 +201,9 @@ def _minimize_on_simplex(M, evaluate, certify, max_iter: int, failure: str, star
             return math.inf, None
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             val, dg, curv = evaluate(s)
-        grad = M.T @ dg
-        # z >= 0 sums to 1: <grad, z> is finite iff grad is (0 * inf is NaN)
-        mean = float(z @ grad)
+            grad = M.T @ dg
+            # z >= 0 sums to 1: <grad, z> is finite iff grad is (0 * inf is NaN)
+            mean = float(z @ grad)
         if not (math.isfinite(val) and math.isfinite(mean) and np.isfinite(curv).all()):
             return val, None
         # Nonnegative in exact arithmetic; rounding must not make it less.
@@ -236,6 +237,8 @@ def _minimize_on_simplex(M, evaluate, certify, max_iter: int, failure: str, star
     if terms is None:  # no start, or one outside the domain
         z = np.full(M.shape[1], 1.0 / M.shape[1])
         val, terms = at(z)
+    if terms is None:
+        raise ConvergenceError(f"{failure} inf at the uniform start", residual=math.inf, iterations=0)
     s, grad, dg, curv, fw = terms
     gap, limit = certify(val, fw)
     least_fw = fw

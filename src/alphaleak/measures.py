@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import IncompatibleGeneratorError, ValidationError
 from .prob import Channel, Dist, Joint, _order, _tilted_log_mean, xlogy
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -143,10 +144,9 @@ class FGenerator:
     generators are equal, Hellinger ones by alpha, custom ones by `fn` and
     constants.
 
-    `f_at_zero` is f(0) and `slope_at_inf` is lim_{t->inf} f(t)/t; both
-    enter the hard-distortion PUT formulas and the q = 0 boundary terms of
-    the divergence itself, and cannot be recovered from an evaluator, so
-    custom generators must state them explicitly.
+    `f_at_zero` is f(0) and `slope_at_inf` is lim_{t->inf} f(t)/t: the q = 0
+    terms of the divergence (and f(0) a custom `phi`) need them, and no
+    evaluator gives them, so custom generators must state them explicitly.
     """
 
     kind: str  # "kl" | "hellinger" | "custom"
@@ -159,9 +159,28 @@ class FGenerator:
     fsecond: Callable = field(compare=False, repr=False)
     _fn: Callable[[float], float] | None = None
 
+    def phi(self, m):
+        """(phi, phi', phi'') elementwise at ball masses m in (0, 1], where
+        phi(m) = m f(1/m) + (1 - m) f(0) values a ball in both hard-distortion
+        PUTs.  KL's phi is v = -log m, Hellinger's expm1((alpha - 1) v)/(alpha - 1)
+        (no f(0) to cancel), both with phi' = -m^(-alpha), phi'' = alpha m^(-alpha-1)
+        (alpha = 1 for KL); a custom generator's comes from f, f' and f''."""
+        if self.kind == "custom":
+            if math.isinf(self.f_at_zero):
+                raise IncompatibleGeneratorError(f"generator {self.label!r} has f(0) = +inf: it cannot support the "
+                                                 "zero mechanism entries a hard distortion constraint forces")
+            t, f0 = 1.0 / m, self.f_at_zero
+            f = self.f(t)
+            return f0 + m * (f - f0), f - t * self.fprime(t) - f0, self.fsecond(t) * t**3
+        a = 1.0 if self.alpha is None else self.alpha
+        with np.errstate(over="ignore"):  # +inf past the largest float
+            v, power = -np.log(m), np.power(m, -a)
+            return (np.expm1((a - 1.0) * v) / (a - 1.0) if a > 1.0 else v), -power, a * power / m
 
+
+@cache
 def kl_generator() -> FGenerator:
-    """f(t) = t log t; its f-divergence is Kullback-Leibler."""
+    """f(t) = t log t, whose f-divergence is Kullback-Leibler; built once."""
     return FGenerator(
         "kl", None, 0.0, math.inf, "kl",
         f=_elementwise(lambda t: xlogy(t, t)),

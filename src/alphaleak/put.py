@@ -23,11 +23,12 @@ constant mechanism on such an output leaks nothing, and any Q supported
 on those outputs is optimal (for maximal leakage, zero leakage means X
 and Y independent).  `lp.covering_game` then returns Q uniform on them
 without an LP.  The distribution-aware objective is smallest there too:
-phi(m) = m (f(1/m) - f(0)) is convex with phi'(1) = f(1) - f(0) - f'(1)
-<= 0 (f is convex), so on masses m <= 1 it is least at m = 1, and a Q
-giving every live ball mass 1 attains the minimum f(1).  The aware descent
-starts from Q uniform on the outputs in every live ball, where its
-Frank-Wolfe gap is 0 up to rounding, so it takes no iteration.
+phi(m) = m f(1/m) + (1 - m) f(0) (`FGenerator.phi`) is convex with
+phi'(1) = f(1) - f(0) - f'(1) <= 0 (f is convex), so on masses m <= 1 it
+is least at m = 1, and a Q giving every live ball mass 1 attains the
+minimum phi(1) = f(1).  The aware descent starts from Q uniform on the
+outputs in every live ball, where its Frank-Wolfe gap is 0 up to
+rounding, so it takes no iteration.
 
 For maximal alpha-leakage with alpha > 1 the value is -log q*, so the
 optimal mechanism and tradeoff do not depend on alpha.  Distribution-aware
@@ -52,10 +53,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, IncompatibleGeneratorError, ValidationError
+from .errors import ConvergenceError, ValidationError
 from .leakage import _minimize_on_simplex, _relative_certificate, binary_maximal_alpha_leakage
 from .lp import GameSolution, covering_game, feasible_point
-from .measures import FGenerator, _at_least_zero, _hellinger_image, _log_rows, kl_generator
+from .measures import FGenerator, _at_least_zero, _log_rows, kl_generator
 from .prob import Alphabet, Channel, Dist, Joint, _nonnegative_array, _order, _tilted_log_mean
 
 
@@ -143,62 +144,40 @@ class PutSolution:
     duality_gap: float
 
 
-def _require_compatible(gen: FGenerator) -> None:
-    if math.isinf(gen.f_at_zero):
-        raise IncompatibleGeneratorError(
-            f"generator {gen.label!r} has f(0) = +inf: a hard distortion constraint forces "
-            "zero mechanism entries, which this leakage measure cannot support"
-        )
-
-
-def _hard_put(spec: DistortionSpec, tol: float, value_of_q) -> tuple[float, PutSolution]:
-    """Solve q* on the spec, build the ball-restricted mechanism on its
-    maximizer, and value it by `value_of_q(q*)`."""
+def put_max_f_leakage(spec: DistortionSpec, gen: FGenerator, tol: float = 1e-10) -> tuple[float, PutSolution]:
+    """Minimal maximal f-leakage under the hard-distortion constraint:
+    phi(q*) (`FGenerator.phi`; +0.0 where rounding leaves it at or below 0),
+    with the ball-restricted mechanism built on the q* maximizer."""
     game = q_star(spec, tol)
     target = Dist._trusted(spec.output_alphabet, game.q)
-    solution = PutSolution(
+    value = _at_least_zero(float(gen.phi(game.value)[0]))
+    return value, PutSolution(
         mechanism=optimal_mechanism(target, spec),
         q_star=game.value,
         target_output=target,
-        value=value_of_q(game.value),
+        value=value,
         dual_certificate=Dist._trusted(spec.input_alphabet, game.mu),
         duality_gap=game.gap,
     )
-    return solution.value, solution
-
-
-def put_max_f_leakage(
-    spec: DistortionSpec, gen: FGenerator, tol: float = 1e-10
-) -> tuple[float, PutSolution]:
-    """Minimal maximal f-leakage under the hard-distortion constraint:
-    q* f(1/q*) + (1 - q*) f(0) (+0.0 where rounding leaves it at or below
-    0), with the ball-restricted mechanism built on the q* maximizer.  For
-    Hellinger, whose two terms cancel near alpha = 1, it is the image of -log q*."""
-    _require_compatible(gen)
-    if gen.kind == "hellinger":
-        return _hard_put(spec, tol, lambda q: _hellinger_image(_at_least_zero(-math.log(q)), gen.alpha))
-    return _hard_put(spec, tol, lambda q: _at_least_zero(float(q * gen.f(1 / q) + (1 - q) * gen.f_at_zero)))
 
 
 def _solve_aware(prior: Dist, spec: DistortionSpec, mask, gen: FGenerator, tol, max_iter=50_000):
-    """Minimize the aware-PUT objective F = f(0) + sum_x P_X(x) phi(m_x),
-    phi(m) = m (f(1/m) - f(0)), of the ball masses m = A Q, with A the
-    spec's ball mask `mask` (inputs of zero probability contribute nothing).
-    The descent starts from Q uniform on the outputs in every live ball,
-    if there are any (see the module docstring), else from the uniform Q.
+    """Minimize the aware-PUT objective F = sum_x P_X(x) phi(m_x)
+    (`FGenerator.phi`) of the ball masses m = A Q, with A the spec's ball
+    mask `mask` (inputs of zero probability contribute nothing).  The
+    descent starts from Q uniform on the outputs in every live ball, if
+    there are any (see the module docstring), else from the uniform Q.
     Returns F (+0.0 where rounding leaves it at or below 0), Q and the
     Frank-Wolfe gap certifying them."""
     if prior.alphabet != spec.input_alphabet:
         raise ValidationError("prior alphabet does not match the distortion input alphabet")
     live = prior.p > 0
-    px, balls, f0 = prior.p[live], mask[live], gen.f_at_zero
+    px, balls = prior.p[live], mask[live]
     shared = balls.all(axis=0)
 
     def evaluate(masses):
-        inv = 1.0 / masses
-        f = gen.f(inv)
-        value = float(f0 + px @ (masses * (f - f0)))
-        return value, px * (f - inv * gen.fprime(inv) - f0), px * gen.fsecond(inv) * inv**3
+        phi, dphi, d2phi = gen.phi(masses)
+        return float(px @ phi), px * dphi, px * d2phi
 
     q, _, val, gap, _ = _minimize_on_simplex(
         balls.astype(float), evaluate, _relative_certificate(tol), max_iter,
@@ -216,11 +195,11 @@ def put_f_leakage(
     max_iter: int = 50_000,
 ) -> tuple[float, Dist]:
     """Distribution-aware PUT: minimize over output distributions Q the
-    expectation f(0) + E[ Q(B_D(X)) (f(1/Q(B_D(X))) - f(0)) ].
+    expectation F = E[ phi(Q(B_D(X))) ] (`FGenerator.phi`).
 
-    The objective F is convex in Q (a perspective composition) and is
-    minimized by `leakage._minimize_on_simplex` (f'' in closed form for KL
-    and Hellinger, by central differences for custom generators).  The
+    F is convex in Q (a perspective composition) and is minimized by
+    `leakage._minimize_on_simplex` (phi'' in closed form for KL and
+    Hellinger, by central differences of f for custom generators).  The
     returned Q is certified by its Frank-Wolfe gap
     <grad F(Q), Q> - min_y dF/dQ(y), an upper bound on value - optimum:
 
@@ -230,7 +209,6 @@ def put_f_leakage(
     no step decreases F any more, ConvergenceError is raised with the gap
     reached as `residual` and the iterations taken as `iterations`.
     """
-    _require_compatible(gen)
     val, q, _ = _solve_aware(prior, spec, spec.ball_mask, gen, tol, max_iter)
     return val, Dist(spec.output_alphabet, q)
 
@@ -269,7 +247,7 @@ def put_max_alpha_leakage(
             dual_certificate=None,
             duality_gap=gap,
         )
-    return _hard_put(spec, tol, lambda q: _at_least_zero(-math.log(q)))
+    return put_max_f_leakage(spec, kl_generator(), tol)  # KL's phi(q*) is -log q*
 
 
 # --------------------------------------------------------------------------

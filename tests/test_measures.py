@@ -24,6 +24,7 @@ from alphaleak import (
     renyi_entropy,
     sibson_mi,
 )
+from alphaleak.measures import FGenerator
 from util import random_channel, random_dist, random_joint
 
 B = Alphabet(("0", "1"))
@@ -357,6 +358,17 @@ class TestFGenerator:
         exact = np.log(t) + 1.0
         err = np.abs(custom.fprime(t) - exact) / np.maximum(1.0, np.abs(exact))
         assert err.max() <= 1e-10
+
+    def test_one_phi_for_closed_form_and_custom_generators(self):
+        # a custom generator given the exact f, f' and f'' of Hellinger(2)
+        # values a ball mass as the closed form does
+        exact = FGenerator(
+            "custom", None, -1.0, math.inf, "exact-hellinger(2)",
+            f=lambda t: t * t - 1.0, fprime=lambda t: 2.0 * t, fsecond=lambda t: np.full(np.shape(t), 2.0),
+        )
+        m = np.linspace(1e-3, 1.0, 1000)
+        for got, want in zip(exact.phi(m), hellinger_generator(2.0).phi(m)):
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
     def test_constructor_fields(self):
         fn = lambda t: 0.5 * abs(t - 1.0)

@@ -56,6 +56,17 @@ def random_spec(rng, n_in, n_out) -> DistortionSpec:
             return DistortionSpec(Alphabet.of_size(n_in, "x"), Alphabet.of_size(n_out, "y"), d, bound)
 
 
+def covering_cases(seed: int = 7, count: int = 60) -> list[tuple[DistortionSpec, Dist]]:
+    """`count` random specs of the `covering` benchmark workload, each with a
+    Dirichlet(1) prior on its inputs drawn after it."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        spec = covering_random_spec(rng)
+        cases.append((spec, Dist(spec.input_alphabet, rng.dirichlet(np.ones(len(spec.input_alphabet))))))
+    return cases
+
+
 class TestDistortionSpec:
     def test_empty_ball_rejected_with_offender(self):
         d = [[0.0, 0.0], [5.0, 5.0]]
@@ -235,8 +246,7 @@ def test_hard_put_output_passes_the_validating_constructors(monkeypatch):
         )
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
         q = game.value
-        value = q * kl.f(1.0 / q) + (1.0 - q) * kl.f_at_zero if k % 2 else -math.log(q)
-        assert (sol.q_star, sol.value, sol.duality_gap) == (q, float(value), game.gap)
+        assert (sol.q_star, sol.value, sol.duality_gap) == (q, -math.log(q), game.gap)
 
 
 class TestPutMaxFLeakage:
@@ -366,6 +376,37 @@ class TestPutFLeakage:
             gap = aware_put_gap(spec.ball_mask, prior.p, q.p, gen.alpha)
             assert gap <= 1e-9 * max(1.0, abs(aware))
 
+    @pytest.mark.parametrize("a", [1 + 2e-9, 1 + 1e-7, 1.001, 2.0])
+    def test_hellinger_certifies_near_alpha_one(self, a):
+        # f(1/m) summed with f(0) = -1/(a - 1) cancelled: 30 of these specs
+        # raised at 1 + 2e-9.  The 40-digit reference at the returned Q is
+        # summed term by term; (sum P m^(1-a) - 1)/(a - 1) would add the
+        # prior's rounding divided by a - 1.
+        for spec, prior in covering_cases():
+            value, q = put_f_leakage(prior, spec, hellinger_generator(a))
+            with mpmath.workdps(40):
+                a_mp = mpmath.mpf(a)
+                ref = mpmath.fsum(
+                    mpmath.mpf(p) * (mpmath.fsum(map(mpmath.mpf, q.p[ball])) ** (1 - a_mp) - 1) / (a_mp - 1)
+                    for p, ball in zip(prior.p, spec.ball_mask)
+                    if p > 0
+                )
+                assert abs(value - ref) <= 1e-15 * max(1, abs(ref))
+
+    def test_uniform_start_outside_the_domain_raises_convergence_error(self):
+        # every ball has mass 1/3 at the uniform start, where phi' = -3^1000
+        # overflows; at alpha = 500 it does not, and the descent certifies
+        spec = ball_spec([[1, 1, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0], [1, 0, 1, 0, 0, 0]])
+        prior = Dist(spec.input_alphabet, [0.2, 0.3, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value, q = put_f_leakage(prior, spec, hellinger_generator(500))
+            assert value == pytest.approx(1.3835465344914e85, rel=1e-12)
+            assert aware_put_gap(spec.ball_mask, prior.p, q.p, 500) <= 1e-10 * value
+            with pytest.raises(ConvergenceError, match="^output-distribution descent did not") as info:
+                put_f_leakage(prior, spec, hellinger_generator(1000))
+        assert (info.value.residual, info.value.iterations) == (math.inf, 0)
+
     def test_binomial_prior_on_type_specs(self):
         # the optimal ball masses span 1e-43 to 0.2 at (50, 5); the
         # least-squares step on a guessed support stopped at gap 0.237
@@ -477,6 +518,16 @@ class TestPutMaxAlphaLeakage:
             self.assert_capacity_brackets(sol.mechanism, value, (1.5, 2.0, 10.0, math.inf))
         assert min(paths.values()) >= 20
 
+    def test_alpha_above_one_is_the_kl_hard_put(self):
+        # -log q* is KL's phi(q*): one value and one mechanism
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            spec = covering_random_spec(rng)
+            value, sol = put_max_alpha_leakage(spec, 2.0)
+            kl_value, kl_sol = put_max_f_leakage(spec, kl_generator())
+            assert value == kl_value
+            assert sol.mechanism.rows.tobytes() == kl_sol.mechanism.rows.tobytes()
+
     def test_hamming_mechanism_capacity_attains_value(self):
         value, sol = put_max_alpha_leakage(build_hamming_spec(10, 1, 2), 2.0)
         self.assert_capacity_brackets(sol.mechanism, value, (1.5, 2.0, 10.0))
@@ -550,10 +601,10 @@ class TestPutMaxAlphaLeakage:
 
 def shifted_hellinger_two() -> FGenerator:
     """f(t) = t^2 - 1.75 t + 1.5, with f(1) = 0.75: the Hellinger(2)
-    generator t^2 - 1 plus the affine 2.5 - 1.75 t.  The affine part adds
-    the constant 2.5 - 1.75 to phi(m) = m (f(1/m) - f(0)), so
-    phi'(m) = -m^(-2) as for Hellinger(2), and `aware_put_gap` at alpha = 2
-    applies."""
+    generator t^2 - 1 plus the affine 2.5 - 1.75 t.  An affine c + b t adds
+    the constant c + b to phi(m) = m f(1/m) + (1 - m) f(0)
+    (`FGenerator.phi`), here 0.75, so phi'(m) = -m^(-2) as for
+    Hellinger(2), and `aware_put_gap` at alpha = 2 applies."""
     return FGenerator(
         "custom", None, 1.5, math.inf, "shifted-hellinger(2)",
         f=lambda t: t * t - 1.75 * t + 1.5,
@@ -594,6 +645,31 @@ class TestPutTheorems:
             free, _ = put_max_alpha_leakage(spec, 2.0)
             aware, sol = put_max_alpha_leakage(spec, 1.0, prior_for_one=prior)
             assert aware - sol.duality_gap <= free + self.TIE * max(1.0, free)
+
+    def test_aware_hellinger_log_value_runs_from_kl_to_minus_log_q_star(self):
+        # V = log1p((alpha - 1) F)/(alpha - 1) of the aware Hellinger value F
+        # is min_Q T(P, -log m, alpha - 1), the tilted mean of -log m (the KL
+        # value at alpha = 1): nondecreasing in alpha, at most its maximum
+        # -log q* over the live balls, and at least that plus
+        # log(min P)/(alpha - 1).  Each F is certified to [F - gap, F].
+        orders = (1.0, 1 + 2e-9, 1 + 1e-7, 1.001, 1.5, 2.0, 5.0, 10.0, 100.0, 300.0)
+        for spec, prior in covering_cases():
+            live = prior.p > 0
+            top = -math.log(covering_game(spec.ball_mask[live]).value)
+            brackets = []
+            for a in orders:
+                d = a - 1.0
+                log_value = (lambda F: math.log1p(d * F) / d) if d else (lambda F: F)
+                value, q = put_f_leakage(prior, spec, hellinger_generator(a) if d else kl_generator())
+                gap = aware_put_gap(spec.ball_mask, prior.p, q.p, a)
+                lo, V = log_value(value - gap), log_value(value)
+                tie = self.TIE * max(1.0, V)
+                assert lo <= top + tie
+                if d:
+                    assert V >= top + math.log(prior.p[live].min()) / d - tie
+                brackets.append((lo, V))
+            for (lo, _), (_, V) in zip(brackets, brackets[1:]):
+                assert lo <= V + self.TIE * max(1.0, V)
 
     @pytest.mark.parametrize("n, m, q", [(4, 1, 3), (8, 1, 2), (5, 1, 3)])
     def test_alpha_one_aware_value_is_the_free_value_on_hamming(self, n, m, q):

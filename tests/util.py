@@ -135,8 +135,8 @@ def maximize_over_simplex(fun, dim: int, coarse: int = 12) -> float:
 
 def aware_put_gap(ball_mask: np.ndarray, prior: np.ndarray, q: np.ndarray, alpha: float = 1.0) -> float:
     """Frank-Wolfe gap <grad F(Q), Q> - min_y dF/dQ(y) of the
-    distribution-aware PUT objective F(Q) = f(0) + sum_x P(x) phi(Q(B(x))),
-    phi(m) = m (f(1/m) - f(0)), for KL (alpha = 1) or the Hellinger
+    distribution-aware PUT objective F(Q) = sum_x P(x) phi(Q(B(x))), with
+    phi(m) = m f(1/m) + (1 - m) f(0), for KL (alpha = 1) or the Hellinger
     generator of order alpha.  Both have phi'(m) = -m^(-alpha), so the
     gradient is summed directly over the balls; inputs of zero probability
     contribute nothing.  The gap bounds F(Q) - min F from above.

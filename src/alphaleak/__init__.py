@@ -15,7 +15,6 @@ from .prob import (
     binary_channel,
     cascade,
     conditional_of,
-    log_alpha_norm,
     make_joint,
     product_channel,
 )

@@ -106,7 +106,9 @@ def _free_least_squares(basis, b):
                     y = np.linalg.solve(gram, rhs)
                 except np.linalg.LinAlgError:
                     y = None
-            if y is not None and y @ y <= _AMPLIFY**2 * (rhs @ rhs) < np.inf:
+            with np.errstate(over="ignore"):  # a square past the largest float rejects y
+                accept = y is not None and y @ y <= _AMPLIFY**2 * (rhs @ rhs) < np.inf
+            if accept:
                 return scale * y
     return np.linalg.lstsq(basis, b, rcond=_FLAT)[0]
 
@@ -343,6 +345,15 @@ def maximal_leakage(channel: Channel) -> float:
     return _at_least_zero(float(np.log(channel.rows.max(axis=0).sum())))
 
 
+# The capacity solver refuses orders 1 < alpha < 1 + _NEAR_ONE: its
+# objective S(P) is 1 + O(alpha - 1) there, so the value and the
+# certificate (alpha/(alpha - 1)) log S keep only ~eps/(alpha - 1) of
+# relative accuracy.  The band goes once the certificate is a bracket
+# measured from the capacity's definition (ROADMAP, "A true capacity
+# certificate through alpha -> 1").
+_NEAR_ONE = 1e-9
+
+
 def maximal_alpha_leakage(
     channel: Channel,
     order,
@@ -364,8 +375,16 @@ def maximal_alpha_leakage(
     alpha = 1: Shannon mutual information at `prior_for_one`, which is
     required (the alpha = 1 value depends on the actual input law, not
     just its support).  alpha = inf: closed form log sum_y max_x W(y|x).
+    Orders 1 < alpha < 1 + 1e-9 raise ValidationError: there the solver's
+    objective S(P) is 1 + O(alpha - 1), and its value would keep only
+    ~eps/(alpha - 1) of relative accuracy.
     """
     a = _order(order, "maximal_alpha_leakage")
+    if 1.0 < a < 1.0 + _NEAR_ONE:
+        raise ValidationError(
+            f"maximal_alpha_leakage cannot solve alpha = {a!r}: orders in (1, 1 + {_NEAR_ONE:g}) "
+            "are too close to 1 for the capacity solver"
+        )
     in_alpha, out_alpha = channel.input_alphabet, channel.output_alphabet
     W = channel.rows
 
@@ -554,7 +573,8 @@ def maximal_f_leakage(
     """Maximal f-leakage sup_P inf_Q D_f(W P || P x Q) of a channel.
 
     Hellinger of order alpha is exact: it is the image of the maximal
-    alpha-leakage under z -> (exp((alpha-1) z) - 1)/(alpha-1).  KL and
+    alpha-leakage under z -> (exp((alpha-1) z) - 1)/(alpha-1), and refuses
+    the orders just above 1 that `maximal_alpha_leakage` refuses.  KL and
     custom generators run an ascent on the concave value function
     phi(P) = inf_Q sum_x P(x) D_f(W_x || Q), whose supergradient at P is
     the vector g of divergences at the inner minimizer Q.  For any Q the

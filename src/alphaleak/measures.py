@@ -191,10 +191,11 @@ def kl_generator() -> FGenerator:
 
 def hellinger_generator(alpha: float) -> FGenerator:
     """f_alpha(t) = (t^alpha - 1)/(alpha - 1), the Hellinger divergence of
-    order alpha > 1."""
+    order alpha > 1, labelled by the shortest decimal that reads back as
+    alpha, so that no two orders share a label."""
     a = _order(alpha, "Hellinger generator", finite=True)
     return FGenerator(
-        "hellinger", a, -1.0 / (a - 1.0), math.inf, f"hellinger({a:g})",
+        "hellinger", a, -1.0 / (a - 1.0), math.inf, f"hellinger({str(a).removesuffix('.0')})",
         f=_elementwise(lambda t: (np.power(t, a) - 1.0) / (a - 1.0)),
         fprime=_elementwise(lambda t: a * np.power(t, a - 1.0) / (a - 1.0)),
         fsecond=_elementwise(lambda t: a * np.power(t, a - 2.0)),

@@ -1,4 +1,4 @@
-"""Finite-alphabet probability objects and log-domain primitives (logsumexp, xlogy, alpha-norms).
+"""Finite-alphabet probability objects and log-domain primitives (logsumexp, xlogy, tilted log-means).
 
 Everything downstream (information measures, leakage solvers, PUT programs)
 works on the three value types defined here: `Dist` (a pmf), `Channel` (a
@@ -9,11 +9,10 @@ is a pure function, so concurrent use needs no locking.
 Construction checks every array in one place, `_nonnegative_array`: it
 must hold numbers, have its alphabets' sizes as its shape, and be finite
 and nonnegative.  The simplex / row-stochastic constraints then hold to an
-absolute tolerance of 1e-12; derived-quantity assertions elsewhere use the
-looser 1e-9 so accumulated float error is not mistaken for bad input.
-`Dist._trusted` and `Channel._trusted` instead keep a solver's fresh float
-array as it is, read-only, unchecked: only for arrays of the right shape,
-finite, nonnegative and divided by their own (row) sums by construction.
+absolute tolerance of 1e-12.  `Dist._trusted` and `Channel._trusted`
+instead keep a solver's fresh float array as it is, read-only, unchecked:
+only for arrays of the right shape, finite, nonnegative and divided by
+their own (row) sums by construction.
 """
 
 from __future__ import annotations
@@ -29,12 +28,6 @@ import numpy as np
 from .errors import ValidationError
 
 CONSTRUCT_ATOL = 1e-12
-DERIVED_ATOL = 1e-9
-
-# |alpha - 1| below this reads as alpha = 1.  The measures are continuous
-# through alpha = 1 (`_tilted_log_mean`); only the capacity solver, whose
-# finite-order objective degenerates there, still needs the snap.
-ALPHA_ONE_SNAP = 1e-9
 
 
 def _nonnegative_array(values, name: str, *alphabets: Alphabet) -> np.ndarray:
@@ -89,8 +82,9 @@ def _product_labels(parts: Sequence[Alphabet]) -> Alphabet:
 
 
 def _order(value, context: str | None = None, finite: bool = False) -> float:
-    """The order alpha as a float, inf included, from a number or a numeric
-    string; within ALPHA_ONE_SNAP of 1 it reads as 1.  Without `context`
+    """The order alpha as the float it was given, inf included, from a
+    number or a numeric string: every measure here is continuous through
+    alpha = 1, so an order near 1 is not read as 1.  Without `context`
     every alpha > 0 passes; with it, alpha >= 1, or 1 < alpha < inf when
     `finite`, else ValidationError naming `context`."""
     if isinstance(value, str):
@@ -101,8 +95,6 @@ def _order(value, context: str | None = None, finite: bool = False) -> float:
     value = float(value)
     if math.isnan(value) or value <= 0:
         raise ValidationError(f"alpha must be positive, got {value}")
-    if abs(value - 1.0) < ALPHA_ONE_SNAP:
-        value = 1.0
     if context is None:
         return value
     if finite and not 1.0 < value < math.inf:
@@ -137,9 +129,6 @@ class Dist:
     def uniform(alphabet: Alphabet) -> "Dist":
         n = len(alphabet)
         return Dist(alphabet, np.full(n, 1.0 / n))
-
-    def allclose(self, other: "Dist", atol: float = DERIVED_ATOL) -> bool:
-        return self.alphabet == other.alphabet and bool(np.allclose(self.p, other.p, atol=atol, rtol=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,23 +308,3 @@ def xlogy(x, y):
     x > 0 = y.  Bare ufuncs: the KL generator calls it on every f(t)."""
     return x * np.log(np.where(x == 0, 1.0, y))
 
-
-def log_alpha_norm(values, order) -> float:
-    """log of the alpha-norm (sum v_i^alpha)^(1/alpha) of a nonnegative vector.
-
-    It is (1 - 1/alpha) T(v, log v, alpha - 1) + (1/alpha) log sum v
-    (`_tilted_log_mean`), in the log domain, so it survives any alpha where
-    the linear-domain power sum would under/overflow.  Zero entries drop
-    out (0^alpha = 0); an all-zero vector maps to -inf.  order = 1 gives
-    log of the plain sum and order = inf gives log of the max.
-    """
-    a = _order(order)
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
-        raise ValidationError("log_alpha_norm expects a vector")
-    if np.any(v < 0) or not np.all(np.isfinite(v)):
-        raise ValidationError("log_alpha_norm requires finite nonnegative entries")
-    pos = v[v > 0]
-    if pos.size == 0:
-        return -math.inf
-    return float((1.0 - 1.0 / a) * _tilted_log_mean(pos, np.log(pos), a - 1.0) + np.log(pos.sum()) / a)

@@ -161,18 +161,19 @@ def put_max_f_leakage(spec: DistortionSpec, gen: FGenerator, tol: float = 1e-10)
     )
 
 
-def _solve_aware(prior: Dist, spec: DistortionSpec, mask, gen: FGenerator, tol, max_iter=50_000):
+def _solve_aware(prior: Dist, spec: DistortionSpec, gen: FGenerator, tol, max_iter=50_000):
     """Minimize the aware-PUT objective F = sum_x P_X(x) phi(m_x)
     (`FGenerator.phi`) of the ball masses m = A Q, with A the spec's ball
-    mask `mask` (inputs of zero probability contribute nothing).  The
+    mask as floats (inputs of zero probability contribute nothing).  The
     descent starts from Q uniform on the outputs in every live ball, if
     there are any (see the module docstring), else from the uniform Q.
-    Returns F (+0.0 where rounding leaves it at or below 0), Q and the
-    Frank-Wolfe gap certifying them."""
+    Returns F (+0.0 where rounding leaves it at or below 0), Q, the
+    Frank-Wolfe gap certifying them and A."""
     if prior.alphabet != spec.input_alphabet:
         raise ValidationError("prior alphabet does not match the distortion input alphabet")
     live = prior.p > 0
-    px, balls = prior.p[live], mask[live]
+    A = spec.ball_mask.astype(float)
+    px, balls = prior.p[live], A[live]
     shared = balls.all(axis=0)
 
     def evaluate(masses):
@@ -180,11 +181,11 @@ def _solve_aware(prior: Dist, spec: DistortionSpec, mask, gen: FGenerator, tol, 
         return float(px @ phi), px * dphi, px * d2phi
 
     q, _, val, gap, _ = _minimize_on_simplex(
-        balls.astype(float), evaluate, _relative_certificate(tol), max_iter,
+        balls, evaluate, _relative_certificate(tol), max_iter,
         "output-distribution descent did not reach tolerance: Frank-Wolfe gap",
         start=shared / np.count_nonzero(shared) if shared.any() else None,
     )
-    return _at_least_zero(val), q, gap
+    return _at_least_zero(val), q, gap, A
 
 
 def put_f_leakage(
@@ -209,7 +210,7 @@ def put_f_leakage(
     no step decreases F any more, ConvergenceError is raised with the gap
     reached as `residual` and the iterations taken as `iterations`.
     """
-    val, q, _ = _solve_aware(prior, spec, spec.ball_mask, gen, tol, max_iter)
+    val, q, _, _ = _solve_aware(prior, spec, gen, tol, max_iter)
     return val, Dist(spec.output_alphabet, q)
 
 
@@ -231,9 +232,7 @@ def put_max_alpha_leakage(
     if _order(order, "put_max_alpha_leakage") == 1.0:
         if prior_for_one is None:
             raise ValidationError("the alpha = 1 tradeoff needs an input distribution")
-        mask = spec.ball_mask
-        value, q, gap = _solve_aware(prior_for_one, spec, mask, kl_generator(), tol)
-        A = mask.astype(float)
+        value, q, gap, A = _solve_aware(prior_for_one, spec, kl_generator(), tol)
         masses = A @ q
         # Q serves the inputs of positive probability only; an input of zero
         # probability whose ball Q leaves empty releases uniformly on its ball.
@@ -371,7 +370,10 @@ def avg_hamming_binary_put(p: float, D: float, alpha: float) -> AvgHammingSoluti
     data-processing inequality L cannot rise (likewise for rho2).  That
     argument needs the bound D < min(p, 1-p), which keeps the feasible set
     below the rank-one locus rho1 + rho2 = 1; the closed form itself is
-    exact on and near the locus.
+    exact on and near the locus.  For D >= min(p, 1-p) the constant
+    mechanism on the majority symbol, (rho1, rho2) = (0, 1) for p <= 1/2
+    and (1, 0) otherwise, meets the bound and leaks 0 at every alpha; it
+    is returned with gap 0.
 
     Along the segment G(t) = exp(e L), e = (alpha-1)/alpha, is convex: it
     is sup_P sum_y ||(P(x)^(1/alpha) W(y|x))_x||_alpha, a supremum of norms
@@ -389,8 +391,10 @@ def avg_hamming_binary_put(p: float, D: float, alpha: float) -> AvgHammingSoluti
     p, D, alpha = float(p), float(D), _order(alpha, "avg_hamming_binary_put", finite=True)
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p must lie in (0, 1), got {p}")
-    if not 0.0 < D < 1.0 - max(p, 1.0 - p):
-        raise ValidationError(f"D must lie in (0, {1.0 - max(p, 1.0 - p)}), got {D}")
+    if not D > 0.0:
+        raise ValidationError(f"D must be positive, got {D}")
+    if D >= min(p, 1.0 - p):
+        return AvgHammingSolution(*((0.0, 1.0) if p <= 0.5 else (1.0, 0.0)), 0.0, max(p, 1.0 - p), 0.0)
 
     e = (alpha - 1.0) / alpha
     last = _SEGMENT_POINTS - 1

@@ -241,6 +241,13 @@ def test_capacity_at_alpha_one_uses_a_uniform_prior(tmp_path, capsys):
     assert captured.err == "note: alpha = 1 capacity uses a uniform input distribution\n"
 
 
+def test_capacity_refuses_orders_just_above_one(tmp_path, capsys):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(CH))
+    assert main(["capacity", str(path), "--alpha", "1.0000000005"]) == 2
+    assert "cannot solve alpha = 1.0000000005" in capsys.readouterr().err
+
+
 def test_put_hard_hellinger(hamming_file, capsys):
     # maximal Hellinger(2)-leakage is the image of the maximal 2-leakage
     # log 9 under z -> exp(z) - 1

@@ -49,6 +49,7 @@ from util import (
     random_dist,
     random_joint,
     random_strategies,
+    same_law,
     sweep_channel,
     tall_sparse_channel,
 )
@@ -101,7 +102,7 @@ class TestAlphaLoss:
             assert np.all(np.diff(vals) < 1e-15)
             assert np.all(np.diff(vals, 2) >= -1e-12)
 
-    @pytest.mark.parametrize("a", [1.0 + 2e-9, 1.0 + 1e-7])
+    @pytest.mark.parametrize("a", [1.0 + 5e-10, 1.0 + 2e-9, 1.0 + 1e-7])
     def test_near_order_one_matches_the_series(self, a):
         # (1/e) (1 - p^e) = -L - e L^2/2 - e^2 L^3/6 - ..., L = log p,
         # e = (a-1)/a; the next term is below 1e-20 here
@@ -306,6 +307,16 @@ class TestMaximalLeakage:
 
 
 class TestMaximalAlphaLeakage:
+    def test_refuses_orders_just_above_one(self):
+        # there the solver's objective is 1 + O(alpha - 1): it answers
+        # neither the alpha = 1 question nor the alpha > 1 one
+        ch = binary_channel(0.1, 0.2)
+        with pytest.raises(ValidationError, match=r"alpha = 1\.0000000005: orders in \(1, 1 \+ 1e-09\)"):
+            maximal_alpha_leakage(ch, 1.0 + 5e-10, prior_for_one=Dist.uniform(B))
+        with pytest.raises(ValidationError, match=r"alpha = 1\.0000000005"):
+            maximal_f_leakage(ch, hellinger_generator(1.0 + 5e-10))
+        assert maximal_alpha_leakage(ch, 1.0 + 2e-9).value > 0.0
+
     def test_symmetric_binary_closed_form(self):
         res = maximal_alpha_leakage(binary_channel(0.1, 0.1), 2.0)
         assert res.value == pytest.approx(math.log(1.64), abs=1e-12)
@@ -813,14 +824,14 @@ class TestFLeakage:
     def test_kl_short_circuit(self):
         value, q = f_leakage(BSC01_JOINT, kl_generator())
         assert value == pytest.approx(arimoto_mi(BSC01_JOINT, 1.0), abs=1e-12)
-        assert q.allclose(BSC01_JOINT.col_marginal(), atol=1e-12)
+        assert same_law(q, BSC01_JOINT.col_marginal(), atol=1e-12)
 
     def test_independent_joint_zero(self):
         indep = Joint(B, B, [[0.18, 0.42], [0.12, 0.28]])
         for gen in (kl_generator(), hellinger_generator(2.0)):
             value, q = f_leakage(indep, gen)
             assert value == pytest.approx(0.0, abs=1e-10)
-            assert q.allclose(indep.col_marginal(), atol=1e-8)
+            assert same_law(q, indep.col_marginal(), atol=1e-8)
 
     def test_hellinger_reference_is_the_capacity_output_law(self):
         # Two computations of the Sibson centre: at the capacity solver's

@@ -18,14 +18,13 @@ from alphaleak import (
     f_leakage,
     hellinger_generator,
     kl_generator,
-    log_alpha_norm,
     make_joint,
     renyi_divergence,
     renyi_entropy,
     sibson_mi,
 )
 from alphaleak.measures import FGenerator
-from util import random_channel, random_dist, random_joint
+from util import random_channel, random_dist, random_joint, same_law
 
 B = Alphabet(("0", "1"))
 ORDERS = [0.5, 1.0, 1.5, 2.0, 4.0, 10.0, math.inf]
@@ -176,13 +175,16 @@ class TestArimoto:
 
     def test_column_norms_match_log_alpha_norm(self):
         # (a/(1-a)) log sum_y ||P_XY(., y)||_a column by column, zero entries
-        # and an all-zero column included
+        # and an all-zero column included, each alpha-norm summed in mpmath
         m = np.array([[0.2, 0.0, 0.0, 1e-300], [0.5, 0.3, 0.0, 0.4], [0.0, 0.1, 0.0, 0.6]]) / 2.1
         joint = Joint(Alphabet.of_size(3), Alphabet.of_size(4), m)
-        for a in (0.5, 1.5, 2.0, 10.0, 500.0):
-            norms = math.fsum(math.exp(log_alpha_norm(m[:, y], a)) for y in range(m.shape[1]))
-            want = a / (1.0 - a) * math.log(norms)
-            assert arimoto_cond_entropy(joint, a) == pytest.approx(want, rel=1e-14, abs=0)
+        with mpmath.workdps(60):
+            for a in (0.5, 1.5, 2.0, 10.0, 500.0):
+                a_mp = mpmath.mpf(a)
+                columns = ([mpmath.mpf(float(v)) for v in col] for col in m.T)
+                norms = mpmath.fsum(mpmath.fsum(v**a_mp for v in col) ** (1 / a_mp) for col in columns)
+                want = float(a_mp / (1 - a_mp) * mpmath.log(norms))
+                assert arimoto_cond_entropy(joint, a) == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_shannon_agreement_at_one(self):
         rng = np.random.default_rng(7)
@@ -280,6 +282,22 @@ class TestAgainstMpmath:
                     ref = float(want[name])
                     assert abs(value - ref) <= 1e-14 * max(1.0, abs(ref)), (name, a, value, ref)
 
+    @pytest.mark.parametrize("a", [1.0 + 9.9e-10, 1.0 + 1e-12])
+    def test_entropy_at_orders_just_above_one(self, a):
+        p = Dist(Alphabet.of_size(3), [0.1, 0.2, 0.7])
+        with mpmath.workdps(60):
+            a_mp = mpmath.mpf(a)
+            want = float(mpmath.log(mpmath.fsum(pi**a_mp for pi in exact(p.p))) / (1 - a_mp))
+        assert abs(renyi_entropy(p, a) - want) <= 1e-15 * want
+
+    def test_hellinger_divergence_just_above_one(self):
+        p, q = Dist(Alphabet.of_size(3), [0.1, 0.2, 0.7]), Dist(Alphabet.of_size(3), [0.5, 0.3, 0.2])
+        a = 1.0 + 5e-10
+        with mpmath.workdps(60):
+            a_mp = mpmath.mpf(a)
+            want = float(mpmath.expm1((a_mp - 1) * mp_renyi_divergence(exact(p.p), exact(q.p), a_mp)) / (a_mp - 1))
+        assert abs(f_divergence(p, q, hellinger_generator(a)) - want) <= 1e-15 * want
+
     def test_normalization_slack_is_not_amplified(self):
         # the mass sums to 1 + 9e-13, inside the construction tolerance; near
         # alpha = 1 a formula dividing by alpha - 1 would turn that into an
@@ -375,6 +393,10 @@ class TestFGenerator:
         fields = lambda g: (g.kind, g.alpha, g.label, g.f_at_zero, g.slope_at_inf)
         assert fields(kl_generator()) == ("kl", None, "kl", 0.0, math.inf)
         assert fields(hellinger_generator(2.5)) == ("hellinger", 2.5, "hellinger(2.5)", -1.0 / 1.5, math.inf)
+        # the shortest decimal that reads back as alpha: no two orders share a label
+        labels = [hellinger_generator(a).label for a in (1.5, 2.0, 3, 1.0 + 5e-10, 1.0 + 1e-12)]
+        assert labels == ["hellinger(1.5)", "hellinger(2)", "hellinger(3)", "hellinger(1.0000000005)",
+                          "hellinger(1.000000000001)"]
         assert fields(custom_generator(fn, 0.5, 0.5, label="tv")) == ("custom", None, "tv", 0.5, 0.5)
 
     def test_scalar_gives_float_array_gives_array(self):
@@ -461,20 +483,20 @@ class TestAlphaNormCenter:
     def test_single_component_fixed_point(self):
         d = Dist(B, [0.3, 0.7])
         center, value = sibson_centre([d], 2.0)
-        assert center.allclose(d, atol=1e-14)
+        assert same_law(center, d, atol=1e-14)
         assert value == pytest.approx(0.0, abs=1e-14)
 
     def test_two_identical_components(self):
         d = Dist(B, [0.3, 0.7])
         for a in (1.5, 2.0, 5.0):
             center, value = sibson_centre([d, d], a)
-            assert center.allclose(d, atol=1e-12)
+            assert same_law(center, d, atol=1e-12)
             assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_bsc_rows_center_uniform(self):
         rows = binary_channel(0.1, 0.1).rows
         center, _ = sibson_centre([Dist(B, rows[0]), Dist(B, rows[1])], 2.0)
-        assert center.allclose(Dist.uniform(B), atol=1e-12)
+        assert same_law(center, Dist.uniform(B), atol=1e-12)
 
     def test_sum_identity_and_minimality(self):
         rng = np.random.default_rng(13)

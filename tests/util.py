@@ -91,6 +91,11 @@ def mp_binary_closed_form(rho1, rho2, alpha):
     return mpmath.log(divided((1 - r1) * (1 - r2), r1 * r2)) / (a - 1) + mpmath.log(outer)
 
 
+def same_law(p: Dist, q: Dist, atol: float) -> bool:
+    """p and q are on one alphabet and their masses agree to `atol`."""
+    return p.alphabet == q.alphabet and bool(np.allclose(p.p, q.p, atol=atol, rtol=0))
+
+
 def random_joint(rng: np.random.Generator, n_row: int, n_col: int, conc: float = 1.0) -> Joint:
     m = rng.dirichlet(np.full(n_row * n_col, conc)).reshape(n_row, n_col)
     return Joint(Alphabet.of_size(n_row, "x"), Alphabet.of_size(n_col, "y"), m)
